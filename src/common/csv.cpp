@@ -61,8 +61,8 @@ std::vector<std::string> parse_csv_line(std::string_view line) {
     } else if (c == ',') {
       fields.push_back(std::move(current));
       current.clear();
-    } else if (c != '\r') {
-      current.push_back(c);
+    } else if (c != '\r' || i + 1 != line.size()) {
+      current.push_back(c);  // only a CRLF line end's trailing CR is dropped
     }
   }
   fields.push_back(std::move(current));

@@ -37,7 +37,8 @@ class CsvWriter {
   std::size_t rows_ = 0;
 };
 
-/// Splits one CSV line into fields, honoring RFC 4180 quoting.
+/// Splits one CSV line into fields, honoring RFC 4180 quoting. A trailing
+/// CR (a CRLF line end) is dropped; a CR anywhere else is field data.
 std::vector<std::string> parse_csv_line(std::string_view line);
 
 }  // namespace ccg

@@ -32,7 +32,10 @@ std::optional<ConnectionSummary> from_csv(std::string_view line);
 void write_csv(std::ostream& out, const std::vector<ConnectionSummary>& batch);
 
 /// Reads a whole CSV stream (header optional); malformed rows are skipped
-/// and counted in *dropped if provided.
+/// and counted in *dropped if provided. Lines split as std::getline splits
+/// them, and the stream is left with eofbit and failbit set; the accepted
+/// dialect is in docs/FORMATS.md. Records the `ccg.telemetry.read_csv`
+/// span and its rows / rows_dropped / bytes counters.
 std::vector<ConnectionSummary> read_csv(std::istream& in, std::size_t* dropped = nullptr);
 
 /// Compact binary encoding: varint-delta framing. Records are grouped by

@@ -62,6 +62,13 @@ TEST(ParseCsvLine, StripsCarriageReturn) {
   EXPECT_EQ(fields[1], "b");
 }
 
+TEST(ParseCsvLine, KeepsCarriageReturnInsideAField) {
+  const auto fields = parse_csv_line("1\r2,b\r");
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[0], "1\r2");
+  EXPECT_EQ(fields[1], "b");
+}
+
 TEST(CsvRoundTrip, WriterOutputParsesBack) {
   std::ostringstream out;
   CsvWriter w(out);

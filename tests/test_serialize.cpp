@@ -5,6 +5,8 @@
 #include <sstream>
 
 #include "ccg/common/rng.hpp"
+#include "ccg/obs/metrics.hpp"
+#include "ccg/obs/span.hpp"
 
 namespace ccg {
 namespace {
@@ -90,6 +92,45 @@ TEST(CsvSerialize, StreamRoundTripWithHeaderAndBadRows) {
   const auto parsed = read_csv(in, &dropped);
   EXPECT_EQ(parsed, batch);
   EXPECT_EQ(dropped, 1u);
+}
+
+TEST(CsvSerialize, TrailingCrEndsTheLineInnerCrRejectsTheRow) {
+  const std::string row = "0,6,10.0.0.1,1,10.0.0.2,2,1,1,1,1,0";
+  const std::string inner_cr = "0,6,10.0.0.1,1\r2,10.0.0.2,2,1,1,1,1,0";
+  ASSERT_TRUE(from_csv(row + "\r").has_value());
+  EXPECT_EQ(from_csv(row + "\r"), from_csv(row));
+  EXPECT_FALSE(from_csv(inner_cr).has_value());  // not port 12
+
+  std::istringstream in(csv_header() + "\r\n" + row + "\r\n" + inner_cr + "\r\n");
+  std::size_t dropped = 0;
+  const auto parsed = read_csv(in, &dropped);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].flow.local_port, 1);
+  EXPECT_EQ(dropped, 1u);
+}
+
+TEST(CsvSerialize, ReadCsvCountsRowsDroppedRowsAndBytes) {
+  obs::Registry& registry = obs::Registry::global();
+  obs::Counter& rows = registry.counter("ccg.telemetry.read_csv.rows");
+  obs::Counter& dropped_rows = registry.counter("ccg.telemetry.read_csv.rows_dropped");
+  obs::Counter& bytes = registry.counter("ccg.telemetry.read_csv.bytes");
+  obs::Histogram& span = obs::span_histogram("ccg.telemetry.read_csv");
+  const std::uint64_t rows0 = rows.value();
+  const std::uint64_t dropped0 = dropped_rows.value();
+  const std::uint64_t bytes0 = bytes.value();
+  const std::uint64_t spans0 = span.count();
+
+  std::ostringstream out;
+  write_csv(out, random_batch(3, 9));
+  const std::string text = out.str() + "\nnot,a,row\n0,6,10.0.0.1,1,10.0.0.2,2,1,1,1,1,9\n";
+  std::istringstream in(text);
+  std::size_t dropped = 0;
+  EXPECT_EQ(read_csv(in, &dropped).size(), 3u);
+  EXPECT_EQ(dropped, 2u);
+  EXPECT_EQ(rows.value() - rows0, 3u);
+  EXPECT_EQ(dropped_rows.value() - dropped0, 2u);
+  EXPECT_EQ(bytes.value() - bytes0, text.size());
+  EXPECT_EQ(span.count() - spans0, 1u);
 }
 
 TEST(BinarySerialize, RoundTripsEmptyBatch) {
