@@ -1,8 +1,9 @@
 // Reproduces the §3.2 COGS question: "can one build an analytics system
 // that can analyze roughly 1000 VMs worth of telemetry using a handful of
 // VMs worth of resources?" Measures group-by-aggregate graph construction
-// throughput — single-threaded and sharded — and derives the surcharge per
-// monitored VM against the paper's 0.02 $/hr/VM price point.
+// throughput — in one process, and sharded across forked worker processes
+// with --multi-process N — and derives the surcharge per monitored VM
+// against the paper's 0.02 $/hr/VM price point.
 #include <benchmark/benchmark.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -11,7 +12,6 @@
 #include <fstream>
 
 #include "ccg/analytics/cogs.hpp"
-#include "ccg/analytics/pipeline.hpp"
 #include "ccg/dist/aggregator.hpp"
 #include "ccg/dist/shard_worker.hpp"
 #include "ccg/net/frame.hpp"
@@ -67,26 +67,6 @@ void BM_SingleThreadedGraphBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.records));
 }
 BENCHMARK(BM_SingleThreadedGraphBuild)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedPipeline(benchmark::State& state) {
-  const Stream& stream = Stream::get();
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    ShardedGraphPipeline pipeline(
-        {.shards = shards,
-         .graph = {.facet = GraphFacet::kIp, .window_minutes = 60}},
-        stream.monitored);
-    for (std::size_t m = 0; m < stream.minutes.size(); ++m) {
-      pipeline.on_batch(MinuteBucket(static_cast<std::int64_t>(m)),
-                        stream.minutes[m]);
-    }
-    benchmark::DoNotOptimize(pipeline.finish().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stream.records));
-}
-BENCHMARK(BM_ShardedPipeline)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_IpPortFacetBuild(benchmark::State& state) {
   const Stream& stream = Stream::get();
@@ -303,10 +283,8 @@ int main(int argc, char** argv) {
   std::printf("\n==== COGS verdict (paper target: 0.02 $/hr/VM, ~0.5%% of VM cost) ====\n%s\n",
               report.summary().c_str());
 
-  // Per-stage / per-shard diagnosis behind the throughput numbers above:
-  // queue-depth high-water marks say which shard was the bottleneck,
-  // enqueue_stall whether the producer ever blocked on backpressure.
-  std::printf("\n==== pipeline & stage metrics ====\n%s",
+  // Per-stage diagnosis behind the throughput numbers above.
+  std::printf("\n==== graph build metrics ====\n%s",
               obs::summary_text(obs::Registry::global().snapshot()).c_str());
   emit_metrics_snapshot();
   return 0;

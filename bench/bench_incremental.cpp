@@ -184,9 +184,6 @@ VerifyResult run_verify(std::size_t nodes, const ChurnProfile& profile,
   parallel::set_thread_count(threads);
   incremental::IncrementalOptions opts;
   opts.verify_against_full = true;
-  opts.track_pca = true;
-  opts.pca.rank = 8;
-  opts.pca.dirty_budget = 0.5;
   incremental::IncrementalEngine engine(opts);
   VerifyResult v{threads, tier, true, ""};
   for (const CommGraph& w : window_sequence(nodes, profile, windows, 99)) {
@@ -256,7 +253,7 @@ int main(int argc, char** argv) {
               "incremental %.2f -> %s\n",
               exp_full, exp_incr, sublinear ? "sublinear" : "NOT sublinear");
 
-  std::printf("\nverify_against_full (exact MinHash/Louvain, bounded PCA), "
+  std::printf("\nverify_against_full (exact MinHash/Louvain), "
               "%zu nodes, low churn:\n", kSizes[1]);
   std::vector<VerifyResult> verifies;
   bool verify_ok = true;

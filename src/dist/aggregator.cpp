@@ -24,13 +24,7 @@ Aggregator::Aggregator(AggregatorOptions options,
   m_pending_hwm_ = &registry.gauge("ccg.dist.agg.queue_depth_hwm");
   m_merge_wait_ = &obs::span_histogram("ccg.dist.agg.merge_wait");
   m_merge_ = &obs::span_histogram("ccg.dist.agg.window_merge");
-
   shards_.resize(incoming_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::string prefix = "ccg.dist.agg.shard." + std::to_string(s);
-    shards_[s].windows = &registry.counter(prefix + ".windows");
-    shards_[s].bytes = &registry.counter(prefix + ".bytes");
-  }
 }
 
 bool Aggregator::handshake() {
@@ -108,7 +102,6 @@ bool Aggregator::advance(std::size_t s) {
         }
         // Windows must arrive in increasing order per shard; the barrier
         // relies on it.
-        shard.bytes->add(payload.size());
         shard.head = std::move(*frame);
         break;
       }
@@ -161,8 +154,8 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
   std::int64_t last_window = std::numeric_limits<std::int64_t>::min();
   for (;;) {
     // Barrier: learn every live shard's next window (or its end-of-stream)
-    // before deciding what to merge. The wait is the distributed analogue
-    // of the pipeline's window_merge stall and is tracked per window.
+    // before deciding what to merge. The wait is how long the slowest
+    // shard held this window back, tracked per window.
     {
       obs::ScopedSpan wait(*m_merge_wait_, "ccg.dist.agg.merge_wait");
       for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -204,7 +197,6 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
         fail(s, "undecodable window keyframe", window);
         return std::nullopt;
       }
-      shard.windows->add();
       ++shard.merged;
       parts.push_back(std::move(*part));
       shard.head.reset();

@@ -69,8 +69,6 @@ class Aggregator {
     bool done = false;                // kEndOfStream received
     std::uint64_t records = 0;        // from kEndOfStream
     std::uint64_t merged = 0;         // windows merged from this shard
-    obs::Counter* windows = nullptr;  // ccg.dist.agg.shard.<id>.windows
-    obs::Counter* bytes = nullptr;    // ccg.dist.agg.shard.<id>.bytes
   };
 
   /// Blocks until shard s has a head window or is done. False = failure.

@@ -1,11 +1,10 @@
 // The shard-worker role of the distributed collector (docs/DISTRIBUTED.md).
 //
 // A ShardWorker is a TelemetrySink that keeps only its own partition of
-// the record stream (shard_of_record — the same function the in-process
-// pipeline uses), builds per-window *partial* graphs (collapse disabled:
-// traffic shares are meaningless on a partition), and ships each closed
-// window to the aggregator as a canonical keyframe tagged with shard id,
-// window begin and the deterministic window trace id.
+// the record stream (shard_of_record), builds per-window *partial* graphs
+// (collapse disabled: traffic shares are meaningless on a partition), and
+// ships each closed window to the aggregator as a canonical keyframe
+// tagged with shard id, window begin and the deterministic window trace id.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +38,14 @@ class ShardWorker : public TelemetrySink {
   bool handshake();
 
   /// TelemetrySink hook: ingests this shard's records, ships any windows
-  /// the minute advance closed. Transport errors surface in finish().
+  /// the minute advance closed, then one kTelemetry frame if a window went
+  /// out. Transport errors surface in finish().
   void on_batch(MinuteBucket time,
                 const std::vector<ConnectionSummary>& batch) override;
 
-  /// Closes the final window, ships it, sends kEndOfStream. False if any
-  /// ship failed (the aggregator is gone or refused).
+  /// Closes the final window, ships it and a last kTelemetry frame, sends
+  /// kEndOfStream. False if any window ship failed (the aggregator is gone
+  /// or refused).
   bool finish();
 
   std::uint64_t records() const { return records_; }
@@ -72,10 +73,10 @@ class ShardWorker : public TelemetrySink {
   std::size_t logs_seen_ = 0;           // LogRing records()+dropped() shipped
   std::size_t spans_seen_ = 0;          // TraceRing events()+dropped() shipped
 
-  obs::Counter* m_records_ = nullptr;   // ccg.dist.shard.<id>.records
-  obs::Counter* m_windows_ = nullptr;   // ccg.dist.shard.<id>.windows_shipped
-  obs::Counter* m_bytes_ = nullptr;     // ccg.dist.shard.<id>.bytes_shipped
-  obs::Counter* m_telemetry_ = nullptr; // ccg.dist.shard.<id>.telemetry_frames
+  obs::Counter* m_records_ = nullptr;   // ccg.dist.shard.records
+  obs::Counter* m_windows_ = nullptr;   // ccg.dist.shard.windows_shipped
+  obs::Counter* m_bytes_ = nullptr;     // ccg.dist.shard.bytes_shipped
+  obs::Counter* m_telemetry_ = nullptr; // ccg.dist.shard.telemetry_frames
   obs::Histogram* m_ship_ = nullptr;    // ccg.dist.shard.ship.seconds
 };
 

@@ -1,7 +1,6 @@
 #include "ccg/dist/shard_worker.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "ccg/obs/log.hpp"
@@ -14,8 +13,8 @@ namespace ccg::dist {
 namespace {
 
 /// Shards build partial graphs: same facet and window length as the job,
-/// collapse off. The aggregator collapses after the merge, exactly like
-/// the in-process pipeline.
+/// collapse off. The aggregator collapses after the merge, as the
+/// single-process GraphBuilder does at window close.
 GraphBuildConfig partial_config(const GraphBuildConfig& job) {
   GraphBuildConfig config = job;
   config.collapse_threshold = 0.0;
@@ -31,13 +30,13 @@ ShardWorker::ShardWorker(ShardWorkerOptions options,
       builder_(partial_config(options.graph), std::move(monitored)),
       conn_(std::move(conn)) {
   conn_.set_shard(static_cast<int>(options_.shard_id));
+  // No shard id in the names: the aggregator's fleet registry labels every
+  // series a worker ships with shard="<id>".
   obs::Registry& registry = obs::Registry::global();
-  const std::string prefix =
-      "ccg.dist.shard." + std::to_string(options_.shard_id);
-  m_records_ = &registry.counter(prefix + ".records");
-  m_windows_ = &registry.counter(prefix + ".windows_shipped");
-  m_bytes_ = &registry.counter(prefix + ".bytes_shipped");
-  m_telemetry_ = &registry.counter(prefix + ".telemetry_frames");
+  m_records_ = &registry.counter("ccg.dist.shard.records");
+  m_windows_ = &registry.counter("ccg.dist.shard.windows_shipped");
+  m_bytes_ = &registry.counter("ccg.dist.shard.bytes_shipped");
+  m_telemetry_ = &registry.counter("ccg.dist.shard.telemetry_frames");
   m_ship_ = &obs::span_histogram("ccg.dist.shard.ship");
 }
 
@@ -77,7 +76,11 @@ void ShardWorker::on_batch(MinuteBucket time,
   records_ += scratch_.size();
   m_records_->add(scratch_.size());
   builder_.on_batch(time, scratch_);
+  const std::uint64_t shipped_before = windows_;
   if (!ship_closed_windows()) failed_ = true;
+  // Telemetry rides on window traffic: the aggregator sees fresh
+  // per-shard series at window granularity without a timer.
+  if (windows_ > shipped_before) ship_telemetry();
 }
 
 bool ShardWorker::ship_closed_windows() {
@@ -109,9 +112,6 @@ bool ShardWorker::ship_closed_windows() {
     m_windows_->add();
     m_bytes_->add(payload.size());
   }
-  // Piggyback one telemetry shipment on window traffic: the aggregator
-  // sees fresh per-shard series at window granularity without a timer.
-  ship_telemetry();
   return ok;
 }
 
@@ -167,6 +167,7 @@ void ShardWorker::ship_telemetry() {
 bool ShardWorker::finish() {
   builder_.flush();
   if (!ship_closed_windows()) failed_ = true;
+  ship_telemetry();
   EndOfStream eos;
   eos.shard_id = options_.shard_id;
   eos.records = records_;

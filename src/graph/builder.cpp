@@ -160,9 +160,9 @@ void GraphBuilder::finalize_window() {
   acc_.clear();
 
   // 2. Materialize the raw (uncollapsed) graph, then finalize through the
-  //    shared canonicalize-and-collapse path — the same one the pipeline
-  //    merge and the distributed aggregator use — so every producer of
-  //    this window's graph agrees byte-for-byte.
+  //    shared canonicalize-and-collapse path — the same one the
+  //    distributed aggregator's merge uses — so every producer of this
+  //    window's graph agrees byte-for-byte.
   CommGraph raw(*current_window_);
   for (const auto& [pk, e] : merged) {
     const NodeId a = raw.add_node(pk.first);

@@ -189,68 +189,6 @@ std::optional<CommGraph> apply_patch(const CommGraph& before,
   return out;
 }
 
-std::optional<GraphPatch> compose_patches(const GraphPatch& a,
-                                          const GraphPatch& b) {
-  GraphPatch out;
-  out.window = b.window;
-
-  // Chain node refs: a g2 node referencing g1 node r1 resolves through
-  // a.nodes[r1] — either to a g0 ref or to the key a introduced.
-  out.nodes.reserve(b.nodes.size());
-  for (const GraphPatch::Node& bn : b.nodes) {
-    GraphPatch::Node entry;
-    entry.monitored = bn.monitored;
-    entry.collapsed_members = bn.collapsed_members;
-    if (bn.ref >= 0) {
-      if (static_cast<std::size_t>(bn.ref) >= a.nodes.size()) return std::nullopt;
-      const GraphPatch::Node& an = a.nodes[static_cast<std::size_t>(bn.ref)];
-      if (an.ref >= 0) {
-        entry.ref = an.ref;
-      } else {
-        entry.key = an.key;
-      }
-    } else {
-      entry.key = bn.key;
-    }
-    out.nodes.push_back(entry);
-  }
-
-  // g1 NodeId -> g2 NodeId, from b's node entries (the inverse of its refs).
-  std::vector<NodeId> g1_to_g2(a.nodes.size(), kInvalidNode);
-  for (std::size_t i = 0; i < b.nodes.size(); ++i) {
-    if (b.nodes[i].ref >= 0) {
-      g1_to_g2[static_cast<std::size_t>(b.nodes[i].ref)] = static_cast<NodeId>(i);
-    }
-  }
-
-  out.edges.reserve(b.edges.size());
-  for (const GraphPatch::Edge& be : b.edges) {
-    GraphPatch::Edge entry;
-    entry.stats = be.stats;  // g2-canonical orientation in both patches
-    if (be.ref >= 0) {
-      if (static_cast<std::size_t>(be.ref) >= a.edges.size()) return std::nullopt;
-      const GraphPatch::Edge& ae = a.edges[static_cast<std::size_t>(be.ref)];
-      if (ae.ref >= 0) {
-        entry.ref = ae.ref;
-      } else {
-        // The edge was introduced by `a` with g1 endpoints; re-express it as
-        // a new edge with g2 endpoints in canonical a<b order.
-        if (ae.a >= g1_to_g2.size() || ae.b >= g1_to_g2.size()) return std::nullopt;
-        const NodeId a2 = g1_to_g2[ae.a];
-        const NodeId b2 = g1_to_g2[ae.b];
-        if (a2 == kInvalidNode || b2 == kInvalidNode) return std::nullopt;
-        entry.a = std::min(a2, b2);
-        entry.b = std::max(a2, b2);
-      }
-    } else {
-      entry.a = be.a;
-      entry.b = be.b;
-    }
-    out.edges.push_back(entry);
-  }
-  return out;
-}
-
 bool graphs_identical(const CommGraph& a, const CommGraph& b) {
   if (a.window() != b.window() || a.node_count() != b.node_count() ||
       a.edge_count() != b.edge_count() || a.total_bytes() != b.total_bytes()) {

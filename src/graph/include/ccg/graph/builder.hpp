@@ -129,7 +129,7 @@ class GraphBuilder : public TelemetrySink {
   std::vector<CommGraph> graphs_;
   std::uint64_t records_ = 0;
 
-  // Registry-owned; shared across builder instances (e.g. pipeline shards).
+  // Registry-owned; shared across builder instances (e.g. shard workers).
   obs::Counter* m_records_ = nullptr;
   obs::Counter* m_windows_ = nullptr;
   obs::Counter* m_collapsed_ = nullptr;
@@ -137,7 +137,8 @@ class GraphBuilder : public TelemetrySink {
 };
 
 /// Merges graphs with disjoint-or-overlapping node sets into one (used by
-/// the sharded pipeline, where each shard owns a partition of the edges).
+/// the distributed aggregator, where each shard owns a partition of the
+/// edges).
 /// Node stats and edge volumes add; windows must match (first wins).
 CommGraph merge_graphs(const std::vector<CommGraph>& parts);
 
@@ -157,9 +158,9 @@ CommGraph canonical_graph(const CommGraph& graph);
 
 /// The one shared finalization path for a window's merged (uncollapsed)
 /// graph: canonicalize, collapse heavy hitters if configured, canonicalize
-/// again. GraphBuilder, ShardedGraphPipeline and the distributed
-/// aggregator all finalize through here, which is what makes an N-shard
-/// or multi-process run byte-identical to the single-process run
+/// again. GraphBuilder and the distributed aggregator both finalize
+/// through here, which is what makes an N-shard multi-process run
+/// byte-identical to the single-process run
 /// (docs/DISTRIBUTED.md "Determinism contract").
 CommGraph finalize_window_graph(const CommGraph& merged,
                                 const GraphBuildConfig& config);
@@ -169,8 +170,8 @@ CommGraph finalize_window_graph(const CommGraph& merged,
 /// same shard, so each undirected edge is built entirely within one shard
 /// and the cross-shard merge is a disjoint union. The kIpPort facet mixes
 /// in the (order-independent) port sum so per-port edges spread out. The
-/// in-process pipeline and the multi-process shard workers both route
-/// through this function; its values are pinned by a golden test.
+/// shard workers route through this function; its values are pinned by a
+/// golden test.
 std::size_t shard_of_record(const ConnectionSummary& record, GraphFacet facet,
                             std::size_t shard_count);
 

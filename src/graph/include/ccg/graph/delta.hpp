@@ -104,21 +104,6 @@ GraphPatch make_patch(const CommGraph& before, const CommGraph& after);
 std::optional<CommGraph> apply_patch(const CommGraph& before,
                                      const GraphPatch& patch);
 
-/// Folds two consecutive patches into one: with `a` taking g0 to g1 and `b`
-/// taking g1 to g2, the composition takes g0 straight to g2 —
-///
-///   apply_patch(g0, *compose_patches(a, b))
-///     == apply_patch(apply_patch(g0, a).value(), b)
-///
-/// including NodeId/EdgeId assignment order, so multi-window patch folding
-/// (store replay fast-forward, incremental engines skipping windows) sees
-/// exactly the graph a frame-by-frame replay would produce. Stats and node
-/// attributes come from `b` (they are target-side absolutes, already in the
-/// target's canonical orientation). Returns nullopt when `b`'s refs don't
-/// fit `a` (the patches are not consecutive).
-std::optional<GraphPatch> compose_patches(const GraphPatch& a,
-                                          const GraphPatch& b);
-
 /// Deep structural equality including NodeId/EdgeId assignment order — the
 /// invariant apply_patch guarantees and the store's tests assert.
 bool graphs_identical(const CommGraph& a, const CommGraph& b);

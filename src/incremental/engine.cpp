@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/linalg/pca.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/segmentation/louvain.hpp"
@@ -57,9 +56,9 @@ bool bits_equal(double a, double b) {
 }  // namespace
 
 IncrementalEngine::IncrementalEngine(IncrementalOptions options)
-    : options_(std::move(options)), pca_(options_.pca) {
+    : options_(std::move(options)) {
   CCG_EXPECT(options_.full_churn_threshold > 0.0);
-  CCG_EXPECT(options_.refine_epsilon >= 0.0 && options_.pca_epsilon >= 0.0);
+  CCG_EXPECT(options_.refine_epsilon >= 0.0);
 }
 
 SimilarityOptions IncrementalEngine::similarity_options() const {
@@ -130,8 +129,6 @@ const WindowResult& IncrementalEngine::observe(const CommGraph& window,
       break;
     }
   }
-
-  if (options_.track_pca) run_pca(window, dirty);
 
   result_.full_recompute = !result_.full_reason.empty();
   if (result_.full_recompute) reg.counter("ccg.incr.full_recomputes").add();
@@ -450,22 +447,6 @@ void IncrementalEngine::run_louvain(WeightedGraph objective,
   has_louvain_ = true;
 }
 
-void IncrementalEngine::run_pca(const CommGraph& window,
-                                const DirtySet& dirty) {
-  CCG_OBS_SPAN("ccg.incr.stage.pca");
-  std::vector<NodeKey> dirty_keys;
-  dirty_keys.reserve(dirty.weighted.size());
-  for (const NodeId t : dirty.weighted) dirty_keys.push_back(window.key(t));
-  // Dropped nodes keep their matrix row (it zeroes out) — report them too.
-  for (NodeId r = 0; r < dirty.old_to_new.size(); ++r) {
-    if (dirty.old_to_new[r] < 0) dirty_keys.push_back(prev_.key(r));
-  }
-  result_.pca = pca_.observe(window, dirty_keys);
-  if (result_.pca.full_recompute) {
-    obs::Registry::global().counter("ccg.incr.pca_full").add();
-  }
-}
-
 void IncrementalEngine::verify(const CommGraph& window) {
   CCG_OBS_SPAN("ccg.incr.stage.verify");
   auto& reg = obs::Registry::global();
@@ -527,15 +508,6 @@ void IncrementalEngine::verify(const CommGraph& window) {
         sim::minhash_signatures(csr_, similarity_options().use_direction);
     if (fresh != sig_) {
       result_.verify_error = "carried MinHash signatures differ";
-    }
-  }
-
-  if (result_.verify_error.empty() && options_.track_pca &&
-      pca_.matrix().rows() > 0) {
-    const PcaSummary full_pca(pca_.matrix());
-    const double err_full = full_pca.reconstruction_error(result_.pca.rank);
-    if (result_.pca.recon_error > err_full + options_.pca_epsilon) {
-      result_.verify_error = "pca reconstruction error beyond bound";
     }
   }
 

@@ -34,7 +34,6 @@
 #include "ccg/graph/csr.hpp"
 #include "ccg/graph/delta.hpp"
 #include "ccg/incremental/dirty.hpp"
-#include "ccg/incremental/pca.hpp"
 #include "ccg/segmentation/auto_segment.hpp"
 #include "ccg/segmentation/similarity.hpp"
 
@@ -49,16 +48,10 @@ struct IncrementalOptions {
   /// refine mode: |Q_incremental − Q_full| bound checked by verify.
   double refine_epsilon = 0.05;
   /// Recompute everything from scratch each window and check the
-  /// incremental result against it (exact: bit-equality; refine/PCA:
-  /// bounded divergence). The whole point of incrementality is to skip
-  /// this work, so it is a test/CI knob, not a production default.
+  /// incremental result against it (exact: bit-equality; refine: bounded
+  /// divergence). The whole point of incrementality is to skip this work,
+  /// so it is a test/CI knob, not a production default.
   bool verify_against_full = false;
-  /// Maintain a rank-k PCA of the byte adjacency across windows.
-  bool track_pca = false;
-  IncrementalPcaOptions pca;
-  /// verify: incremental reconstruction error may exceed the full
-  /// decomposition's by at most this.
-  double pca_epsilon = 0.05;
   /// Above this node-churn fraction the bookkeeping costs more than it
   /// saves; the window runs with everything marked dirty (reason "churn").
   double full_churn_threshold = 0.6;
@@ -87,13 +80,12 @@ struct WindowResult {
   /// says what diverged (empty otherwise).
   bool verified = false;
   std::string verify_error;
-  PcaWindowResult pca;  // meaningful when track_pca
 };
 
 /// One engine instance tracks one window stream for one method. Feed it
 /// every window in order; it computes (or is handed) the exact patch from
 /// the previous window and maintains CSR, MinHash signatures, candidate
-/// scores, Louvain labels and optionally a PCA basis across calls.
+/// scores and Louvain labels across calls.
 class IncrementalEngine {
  public:
   explicit IncrementalEngine(IncrementalOptions options = {});
@@ -120,7 +112,6 @@ class IncrementalEngine {
   void run_modularity(const CommGraph& window, const DirtySet& dirty);
   void run_louvain(WeightedGraph objective, const DirtySet& dirty, bool full,
                    std::size_t node_count);
-  void run_pca(const CommGraph& window, const DirtySet& dirty);
   void verify(const CommGraph& window);
 
   IncrementalOptions options_;
@@ -138,7 +129,6 @@ class IncrementalEngine {
   WeightedGraph objective_{0};  // previous window's Louvain input
   LouvainResult louvain_;       // previous window's communities
   bool has_louvain_ = false;
-  IncrementalPca pca_;
   WindowResult result_;
   double objective_seconds_ = 0.0;  // this window, for saved-time gauges
   double louvain_seconds_ = 0.0;

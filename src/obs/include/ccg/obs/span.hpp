@@ -3,8 +3,8 @@
 // "what ran when" inspection.
 //
 //   void merge() {
-//     CCG_OBS_SPAN("ccg.pipeline.window_merge");
-//     ...                       // records into ccg.pipeline.window_merge.seconds
+//     CCG_OBS_SPAN("ccg.dist.agg.window_merge");
+//     ...                       // records into ccg.dist.agg.window_merge.seconds
 //   }
 //
 // The macro resolves its histogram once per call site (magic static), so

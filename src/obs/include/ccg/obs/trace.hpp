@@ -1,10 +1,9 @@
 // Causal trace propagation: a TraceContext names the telemetry window a
 // piece of work belongs to (trace id) and the span it nests under (parent
 // span id). The context is thread-local; boundaries that move work across
-// threads (the sharded pipeline's queues, the thread pool's job handoff)
-// capture the submitter's context and reinstall it on the executing thread
-// with a TraceScope, so every ScopedSpan — wherever it runs — lands in the
-// right window's span tree.
+// threads (the thread pool's job handoff) capture the submitter's context
+// and reinstall it on the executing thread with a TraceScope, so every
+// ScopedSpan — wherever it runs — lands in the right window's span tree.
 //
 // Trace ids for windows are minted deterministically from the window start
 // minute: a live run and a store replay of the same data produce the same

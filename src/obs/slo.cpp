@@ -186,8 +186,7 @@ void SloWatcher::watch_loop() {
     inputs.net_events = counter_value(snap, "ccg.net.connect_retries") +
                         counter_value(snap, "ccg.net.timeouts") +
                         counter_value(snap, "ccg.net.errors");
-    inputs.fallbacks = counter_value(snap, "ccg.incr.full_recomputes") +
-                       counter_value(snap, "ccg.incr.pca_full");
+    inputs.fallbacks = counter_value(snap, "ccg.incr.full_recomputes");
 
     const std::vector<SloBreach> breaches = evaluator.evaluate(inputs);
     evaluations.add();

@@ -1,5 +1,5 @@
 // Internal backend vtable for the simd tier. Each backend TU (scalar,
-// avx2, neon) fills one static Backend with its implementations and the
+// avx2) fills one static Backend with its implementations and the
 // dispatcher swaps an atomic pointer between them. Backends must implement
 // the canonical lane geometry documented in ccg/simd/simd.hpp so that
 // every primitive is bit-identical across backends.
@@ -52,7 +52,6 @@ const Backend* scalar_backend();
 
 /// nullptr when the tier was not compiled in (wrong architecture).
 const Backend* avx2_backend();
-const Backend* neon_backend();
 
 /// The backend the public wrappers dispatch to (resolves lazily).
 const Backend* current_backend();

@@ -33,7 +33,6 @@ const Backend* best_available() {
   if (const Backend* b = avx2_backend(); b != nullptr && cpu_supports_avx2()) {
     return b;
   }
-  if (const Backend* b = neon_backend(); b != nullptr) return b;
   return scalar_backend();
 }
 
@@ -44,8 +43,6 @@ const Backend* backend_for(Tier tier) {
     case Tier::kAvx2:
       return avx2_backend() != nullptr && cpu_supports_avx2() ? avx2_backend()
                                                               : nullptr;
-    case Tier::kNeon:
-      return neon_backend();
   }
   return nullptr;
 }
@@ -70,8 +67,6 @@ const Backend* resolve_from_env() {
       want = Tier::kScalar;
     } else if (mode == "avx2") {
       want = Tier::kAvx2;
-    } else if (mode == "neon") {
-      want = Tier::kNeon;
     } else {
       known = false;
       obs::log_warn("unknown CCG_SIMD value, using auto",
@@ -112,8 +107,6 @@ const char* tier_name(Tier tier) {
       return "scalar";
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -130,9 +123,8 @@ bool set_tier(std::string_view mode) {
     chosen = detail::best_available();
   } else if (mode == "scalar") {
     chosen = detail::backend_for(Tier::kScalar);
-  } else if (mode == "avx2" || mode == "neon") {
-    const Tier want = mode == "avx2" ? Tier::kAvx2 : Tier::kNeon;
-    chosen = detail::backend_for(want);
+  } else if (mode == "avx2") {
+    chosen = detail::backend_for(Tier::kAvx2);
     if (chosen == nullptr) {
       chosen = detail::best_available();
       obs::log_warn("requested simd tier unavailable, degrading",
@@ -150,7 +142,6 @@ bool set_tier(std::string_view mode) {
 std::string capability_string() {
   std::string compiled = "scalar";
   if (detail::avx2_backend() != nullptr) compiled += ",avx2";
-  if (detail::neon_backend() != nullptr) compiled += ",neon";
   std::string out = "compiled=" + compiled;
   out += " dispatched=";
   out += tier_name(active_tier());

@@ -2,13 +2,13 @@
 //
 // PR 3 made the kernels parallel with a byte-identical-to-serial contract;
 // this tier takes the next factor from *within* a core (ROADMAP: "SIMD +
-// cache-blocked kernel tier") without giving that contract up. Three
+// cache-blocked kernel tier") without giving that contract up. Two
 // backends implement one fixed primitive set:
 //
-//   scalar — plain C++, compiled everywhere, always selectable
+//   scalar — plain C++, compiled everywhere, always selectable (the only
+//            tier on aarch64 and other non-x86 targets)
 //   avx2   — x86-64 AVX2 intrinsics (built when the target is x86-64,
 //            dispatched only when the CPU reports AVX2)
-//   neon   — aarch64 NEON intrinsics (NEON is baseline on aarch64)
 //
 // Determinism contract: every backend returns BIT-identical results for
 // every primitive. Two mechanisms make that possible:
@@ -24,8 +24,7 @@
 //      accumulates elements i with i % 4 == j over the aligned prefix, the
 //      lanes collapse as (l0 + l1) + (l2 + l3), and the tail (n % 4
 //      elements) is added sequentially. The scalar backend models the four
-//      lanes with a double[4]; AVX2 maps them onto one __m256d; NEON onto
-//      two float64x2_t. The geometry depends only on n — never on the
+//      lanes with a double[4]; AVX2 maps them onto one __m256d. The geometry depends only on n — never on the
 //      backend or thread count — exactly like the thread pool's chunk
 //      layout.
 //
@@ -35,13 +34,13 @@
 // -ffp-contract=off and uses explicit mul/add intrinsics only.
 //
 // Dispatch resolution order: set_tier() (CLI --simd) beats the CCG_SIMD
-// environment variable ("auto" | "scalar" | "avx2" | "neon") beats auto.
+// environment variable ("auto" | "scalar" | "avx2") beats auto.
 // "auto" picks the best compiled-in tier the running CPU supports.
 // Requesting a tier that is not compiled in or not supported by the CPU
 // degrades to the best available one (so CCG_SIMD=scalar is honored on
 // every host, and CCG_SIMD=avx2 on an old box still runs). The resolved
-// tier is exported as the `ccg.simd.tier` gauge (0 = scalar, 1 = avx2,
-// 2 = neon) so flight records and metrics dumps say which tier ran.
+// tier is exported as the `ccg.simd.tier` gauge (0 = scalar, 1 = avx2)
+// so flight records and metrics dumps say which tier ran.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +49,7 @@
 
 namespace ccg::simd {
 
-enum class Tier : int { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Tier : int { kScalar = 0, kAvx2 = 1 };
 
 const char* tier_name(Tier tier);
 
@@ -62,7 +61,7 @@ Tier active_tier();
 /// Compiled-in and CPU-supported — i.e. selectable right now.
 bool tier_available(Tier tier);
 
-/// Overrides dispatch: accepts "auto", "scalar", "avx2", "neon"
+/// Overrides dispatch: accepts "auto", "scalar", "avx2"
 /// (case-sensitive, matching CCG_SIMD). Unknown names return false and
 /// change nothing. Unavailable tiers degrade to the best available one
 /// (a warning is logged).

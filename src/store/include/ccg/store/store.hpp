@@ -70,7 +70,7 @@ struct WriterOptions {
 };
 
 /// Appends closed windows to a store directory. Windows must arrive in
-/// strictly increasing window_begin order (the builder/pipeline guarantee).
+/// strictly increasing window_begin order (the builder/aggregator guarantee).
 /// Reopening an existing store appends a fresh segment, so a torn tail
 /// from a crashed writer can never corrupt new data.
 class StoreWriter {

@@ -9,6 +9,9 @@
 
 #include <array>
 #include <cstdio>
+#include <initializer_list>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "ccg/common/rng.hpp"
 #include "ccg/dist/wire.hpp"
 #include "ccg/net/frame.hpp"
+#include "ccg/obs/fleet.hpp"
 #include "ccg/obs/trace.hpp"
 #include "ccg/store/format.hpp"
 
@@ -55,15 +59,38 @@ std::vector<std::uint8_t> frame_bytes(const CommGraph& graph) {
   return store::encode_frame(store::FrameKind::kKeyframe, CommGraph(), graph);
 }
 
+/// True when `name` has a `.shard.<digits>.` segment, i.e. encodes a shard
+/// id into a metric name.
+bool has_shard_id_segment(const std::string& name) {
+  constexpr std::string_view kMarker = ".shard.";
+  for (auto at = name.find(kMarker); at != std::string::npos;
+       at = name.find(kMarker, at + 1)) {
+    std::size_t i = at + kMarker.size();
+    while (i < name.size() && name[i] >= '0' && name[i] <= '9') ++i;
+    if (i > at + kMarker.size() && i < name.size() && name[i] == '.') return true;
+  }
+  return false;
+}
+
+/// What one worker ingested and shipped, read after its finish().
+struct WorkerStats {
+  std::uint64_t records = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t telemetry = 0;
+};
+
 /// Runs `shards` ShardWorkers (worker threads over socketpairs) and one
 /// Aggregator (this thread) over the given minutes; returns the merged
-/// window graphs.
+/// window graphs. `stats`, when given, receives one entry per worker.
 std::optional<std::vector<CommGraph>> run_distributed(
     const std::vector<std::vector<ConnectionSummary>>& minutes,
-    const GraphBuildConfig& config, std::size_t shards) {
+    const GraphBuildConfig& config, std::size_t shards,
+    const std::unordered_set<IpAddr>& monitored = all_monitored(),
+    std::vector<WorkerStats>* stats = nullptr) {
   std::vector<net::FrameConn> agg_side;
   std::vector<std::thread> workers;
   std::vector<int> worker_rc(shards, -1);
+  std::vector<WorkerStats> shipped(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     auto pair = net::socket_pair();
     if (!pair.has_value()) return std::nullopt;
@@ -72,7 +99,7 @@ std::optional<std::vector<CommGraph>> run_distributed(
       ShardWorker worker({.shard_id = static_cast<std::uint32_t>(s),
                           .shard_count = static_cast<std::uint32_t>(shards),
                           .graph = config},
-                         all_monitored(), std::move(conn));
+                         monitored, std::move(conn));
       if (!worker.handshake()) {
         worker_rc[s] = 1;
         return;
@@ -81,6 +108,8 @@ std::optional<std::vector<CommGraph>> run_distributed(
         worker.on_batch(MinuteBucket(static_cast<std::int64_t>(m)), minutes[m]);
       }
       worker_rc[s] = worker.finish() ? 0 : 1;
+      shipped[s] = {worker.records(), worker.windows_shipped(),
+                    worker.telemetry_shipped()};
     });
   }
 
@@ -98,14 +127,15 @@ std::optional<std::vector<CommGraph>> run_distributed(
   for (std::size_t s = 0; s < shards; ++s) {
     if (worker_rc[s] != 0) return std::nullopt;
   }
+  if (stats != nullptr) *stats = std::move(shipped);
   return merged;
 }
 
 TEST(ShardHash, GoldenAssignmentsArePinned) {
-  // shard_of_record is part of the wire contract: in-process pipeline,
-  // shard workers and any future external partitioner must agree. These
-  // values pin the hash — if this test breaks, the shard key changed and
-  // kWireVersion must be bumped.
+  // shard_of_record is part of the wire contract: shard workers and any
+  // future external partitioner must agree. These values pin the hash —
+  // if this test breaks, the shard key changed and kWireVersion must be
+  // bumped.
   Rng rng(7);
   const auto batch = random_minute(0, 8, rng);
   const std::vector<std::size_t> golden_4 = {1, 1, 2, 0, 3, 3, 3, 0};
@@ -145,7 +175,10 @@ TEST(ShardHash, EveryShardGetsWork) {
   }
 }
 
-TEST(DistributedCollector, ByteIdenticalAtOneTwoAndFourShards) {
+/// Runs the distributed collector at each shard count over two hours of
+/// random traffic (collapse on) and expects every merged window to encode
+/// to the same keyframe bytes as the single-process build.
+void expect_byte_identical_at(std::initializer_list<std::size_t> shard_counts) {
   Rng rng(99);
   std::vector<std::vector<ConnectionSummary>> minutes;
   for (std::int64_t m = 0; m < 120; ++m) {
@@ -163,7 +196,7 @@ TEST(DistributedCollector, ByteIdenticalAtOneTwoAndFourShards) {
   const auto expected = reference.take_graphs();
   ASSERT_EQ(expected.size(), 2u);
 
-  for (const std::size_t shards : {1u, 2u, 4u}) {
+  for (const std::size_t shards : shard_counts) {
     const auto merged = run_distributed(minutes, config, shards);
     ASSERT_TRUE(merged.has_value()) << shards << " shards";
     ASSERT_EQ(merged->size(), expected.size()) << shards << " shards";
@@ -173,6 +206,163 @@ TEST(DistributedCollector, ByteIdenticalAtOneTwoAndFourShards) {
           << "window " << w << " differs at " << shards << " shards";
     }
   }
+}
+
+TEST(DistributedCollector, ByteIdenticalAtOneTwoAndFourShards) {
+  expect_byte_identical_at({1, 2, 4});
+}
+
+TEST(DistributedCollector, ByteIdenticalAtThreeSevenAndEightShards) {
+  // The other shard counts Shards/ShardEquivalence runs.
+  expect_byte_identical_at({3, 7, 8});
+}
+
+// --- Sharded graph pipeline -------------------------------------------------
+// The sharded build in one process: ShardWorkers and an Aggregator over
+// socketpairs, checked against the single-threaded GraphBuilder.
+
+TEST(ShardedGraphPipeline, MatchesSingleThreadedBuilder) {
+  Rng rng(99);
+  std::vector<std::vector<ConnectionSummary>> minutes;
+  for (std::int64_t m = 0; m < 120; ++m) {
+    minutes.push_back(random_minute(m, 200, rng));
+  }
+
+  // Collapse off: the merged windows go through finalize without folding.
+  const GraphBuildConfig config{.facet = GraphFacet::kIp, .window_minutes = 60};
+  GraphBuilder reference(config, all_monitored());
+  for (std::size_t m = 0; m < minutes.size(); ++m) {
+    reference.on_batch(MinuteBucket(static_cast<std::int64_t>(m)), minutes[m]);
+  }
+  reference.flush();
+  const auto expected = reference.take_graphs();
+
+  std::vector<WorkerStats> stats;
+  const auto actual =
+      run_distributed(minutes, config, 4, all_monitored(), &stats);
+  ASSERT_TRUE(actual.has_value());
+  ASSERT_EQ(actual->size(), expected.size());
+  for (std::size_t w = 0; w < actual->size(); ++w) {
+    EXPECT_EQ((*actual)[w].window(), expected[w].window());
+    // Byte-level equality: serializing both graphs as keyframes compares
+    // every node key, monitored flag, collapsed membership, edge endpoint,
+    // port hint and traffic counter — the full determinism contract, not
+    // just the aggregate shape.
+    EXPECT_EQ(frame_bytes((*actual)[w]), frame_bytes(expected[w]))
+        << "window " << w << " differs from single-threaded build";
+  }
+  std::uint64_t records = 0;
+  for (const WorkerStats& s : stats) records += s.records;
+  EXPECT_EQ(records, 120u * 200u);
+}
+
+TEST(ShardedGraphPipeline, CollapseAppliedAfterMerge) {
+  // Shards build with collapse off: a partition only sees its own edges,
+  // so traffic shares are meaningless there. The aggregator collapses the
+  // merged window, so tiny remotes spread across shards still fold.
+  const GraphBuildConfig config{.facet = GraphFacet::kIp,
+                                .window_minutes = 60,
+                                .collapse_threshold = 0.01};
+  std::vector<ConnectionSummary> batch;
+  // Heavy edge (60 concurrent flows) + many tiny remotes; tiny nodes must
+  // fall below the byte, packet AND connection-minute thresholds.
+  for (std::uint16_t k = 0; k < 60; ++k) {
+    batch.push_back(ConnectionSummary{
+        .time = MinuteBucket(0),
+        .flow = FlowKey{.local_ip = IpAddr(0x0A000001),
+                        .local_port = static_cast<std::uint16_t>(40000 + k),
+                        .remote_ip = IpAddr(0x0B000001), .remote_port = 443,
+                        .protocol = Protocol::kTcp},
+        .counters = TrafficCounters{.packets_sent = 200, .bytes_sent = 10'000'000}});
+  }
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    batch.push_back(ConnectionSummary{
+        .time = MinuteBucket(0),
+        .flow = FlowKey{.local_ip = IpAddr(0x0A000001), .local_port = 39000,
+                        .remote_ip = IpAddr(0x64000000 + i), .remote_port = 443,
+                        .protocol = Protocol::kTcp},
+        .counters = TrafficCounters{.packets_sent = 1, .bytes_sent = 10}});
+  }
+  const auto graphs =
+      run_distributed({batch}, config, 3, {IpAddr(0x0A000001)});
+  ASSERT_TRUE(graphs.has_value());
+  ASSERT_EQ(graphs->size(), 1u);
+  const CommGraph& g = (*graphs)[0];
+  // monitored + heavy remote + <other>.
+  EXPECT_EQ(g.node_count(), 3u);
+  const auto other = g.find_node(NodeKey::collapsed());
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(g.node_stats(*other).collapsed_members, 60u);
+}
+
+TEST(ShardedGraphPipeline, SingleShardWorks) {
+  Rng rng(7);
+  const GraphBuildConfig config{.facet = GraphFacet::kIp, .window_minutes = 60};
+  std::vector<WorkerStats> stats;
+  const auto graphs = run_distributed({random_minute(0, 100, rng)}, config, 1,
+                                      all_monitored(), &stats);
+  ASSERT_TRUE(graphs.has_value());
+  ASSERT_EQ(graphs->size(), 1u);
+  EXPECT_GT((*graphs)[0].edge_count(), 0u);
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].records, 100u);
+}
+
+TEST(DistributedCollector, TelemetryShipsPerWindowNotPerMinute) {
+  // A worker ships a kTelemetry frame after a minute that closed a window
+  // and once at end of stream — never once per minute.
+  Rng rng(17);
+  std::vector<std::vector<ConnectionSummary>> minutes;
+  for (std::int64_t m = 0; m < 120; ++m) {
+    minutes.push_back(random_minute(m, 50, rng));
+  }
+  const GraphBuildConfig config{.facet = GraphFacet::kIp, .window_minutes = 60};
+  std::vector<WorkerStats> stats;
+  ASSERT_TRUE(
+      run_distributed(minutes, config, 2, all_monitored(), &stats).has_value());
+  ASSERT_EQ(stats.size(), 2u);
+  for (std::size_t s = 0; s < stats.size(); ++s) {
+    EXPECT_EQ(stats[s].windows, 2u) << "shard " << s;
+    EXPECT_GE(stats[s].telemetry, 1u) << "shard " << s;
+    EXPECT_LE(stats[s].telemetry, stats[s].windows + 1) << "shard " << s;
+  }
+}
+
+TEST(DistributedCollector, ShardIdentityOnlyInLabels) {
+  // Per-shard series are told apart by their shard="N" label, never by a
+  // shard id encoded into the metric name.
+  Rng rng(23);
+  std::vector<std::vector<ConnectionSummary>> minutes;
+  for (std::int64_t m = 0; m < 120; ++m) {
+    minutes.push_back(random_minute(m, 50, rng));
+  }
+  const GraphBuildConfig config{.facet = GraphFacet::kIp, .window_minutes = 60};
+  obs::FleetRegistry::global().clear();  // only this run's shards
+  ASSERT_TRUE(run_distributed(minutes, config, 2).has_value());
+
+  const auto expect_clean = [&](const obs::Snapshot& snap, const char* where) {
+    std::vector<std::string> names;
+    for (const auto& c : snap.counters) names.push_back(c.name);
+    for (const auto& g : snap.gauges) names.push_back(g.name);
+    for (const auto& h : snap.histograms) names.push_back(h.name);
+    EXPECT_FALSE(names.empty()) << where;
+    for (const std::string& name : names) {
+      EXPECT_FALSE(has_shard_id_segment(name)) << where << ": " << name;
+    }
+  };
+  expect_clean(obs::Registry::global().snapshot(), "registry");
+  const obs::Snapshot fleet = obs::FleetRegistry::global().labeled_snapshot();
+  expect_clean(fleet, "fleet");
+
+  // The fleet view carries the worker series once per shard, by label.
+  std::vector<std::string> labeled_shards;
+  for (const auto& c : fleet.counters) {
+    if (c.name != "ccg.dist.shard.records") continue;
+    for (const auto& [key, value] : c.labels) {
+      if (key == "shard") labeled_shards.push_back(value);
+    }
+  }
+  EXPECT_EQ(labeled_shards, (std::vector<std::string>{"0", "1"}));
 }
 
 TEST(DistributedCollector, AnalyticsSummariesMatchSingleProcess) {

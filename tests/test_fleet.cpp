@@ -42,9 +42,9 @@ TEST_F(FleetTest, StartsInactiveAndEmpty) {
 
 TEST_F(FleetTest, CountersAccumulateAcrossDeltasPerShard) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-  fleet.apply(0, counter_delta("ccg.pipeline.records", 100));
-  fleet.apply(1, counter_delta("ccg.pipeline.records", 40));
-  fleet.apply(0, counter_delta("ccg.pipeline.records", 11));
+  fleet.apply(0, counter_delta("ccg.dist.shard.records", 100));
+  fleet.apply(1, counter_delta("ccg.dist.shard.records", 40));
+  fleet.apply(0, counter_delta("ccg.dist.shard.records", 11));
 
   EXPECT_TRUE(fleet.active());
   EXPECT_EQ(fleet.frames_applied(), 3u);
@@ -61,7 +61,7 @@ TEST_F(FleetTest, CountersAccumulateAcrossDeltasPerShard) {
 TEST_F(FleetTest, GaugesAreLastWrite) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
   obs::Snapshot d;
-  d.gauges.push_back({"ccg.pipeline.queue_depth_hwm", 4.0, {}});
+  d.gauges.push_back({"ccg.dist.agg.queue_depth_hwm", 4.0, {}});
   fleet.apply(2, d);
   d.gauges[0].value = 1.5;
   fleet.apply(2, d);

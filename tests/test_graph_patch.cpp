@@ -155,117 +155,6 @@ TEST(GraphPatch, RejectsInconsistentPatches) {
   }
 }
 
-// --- compose_patches --------------------------------------------------------
-//
-// The incremental engine folds multi-window patch chains; these pin the
-// algebra: apply(g0, compose(a, b)) == apply(apply(g0, a), b) including id
-// assignment order, the empty patch is a two-sided identity, and folding
-// survives renumberings that flip an edge's stored orientation.
-
-TEST(GraphPatchCompose, PairwiseMatchesSequentialApply) {
-  const auto windows = workload_windows(120, 5, 7);
-  ASSERT_GE(windows.size(), 10u);
-  for (std::size_t i = 2; i < windows.size(); ++i) {
-    const CommGraph& g0 = windows[i - 2];
-    const GraphPatch a = make_patch(g0, windows[i - 1]);
-    const GraphPatch b = make_patch(windows[i - 1], windows[i]);
-    const auto ab = compose_patches(a, b);
-    ASSERT_TRUE(ab.has_value()) << "window " << i;
-    const auto direct = apply_patch(g0, *ab);
-    ASSERT_TRUE(direct.has_value()) << "window " << i;
-    EXPECT_TRUE(graphs_identical(windows[i], *direct)) << "window " << i;
-  }
-}
-
-TEST(GraphPatchCompose, FoldsWholeChainOntoKeyframe) {
-  // Left-fold every delta onto the initial keyframe: at each step the
-  // folded patch must still take the empty graph straight to that window.
-  const auto windows = workload_windows(120, 5, 99);
-  ASSERT_GE(windows.size(), 10u);
-  GraphPatch folded = make_patch(CommGraph{}, windows[0]);
-  for (std::size_t i = 1; i < windows.size(); ++i) {
-    const auto next =
-        compose_patches(folded, make_patch(windows[i - 1], windows[i]));
-    ASSERT_TRUE(next.has_value()) << "window " << i;
-    folded = *next;
-    const auto direct = apply_patch(CommGraph{}, folded);
-    ASSERT_TRUE(direct.has_value()) << "window " << i;
-    EXPECT_TRUE(graphs_identical(windows[i], *direct)) << "window " << i;
-  }
-}
-
-TEST(GraphPatchCompose, EmptyPatchIsTwoSidedIdentity) {
-  for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
-    const CommGraph g0 = random_graph(seed);
-    const CommGraph g1 = random_graph(seed + 100, 30, 70);
-    const GraphPatch a = make_patch(g0, g1);
-
-    const auto right = compose_patches(a, make_patch(g1, g1));
-    ASSERT_TRUE(right.has_value());
-    auto applied = apply_patch(g0, *right);
-    ASSERT_TRUE(applied.has_value());
-    EXPECT_TRUE(graphs_identical(g1, *applied)) << "right identity";
-
-    const auto left = compose_patches(make_patch(g0, g0), a);
-    ASSERT_TRUE(left.has_value());
-    applied = apply_patch(g0, *left);
-    ASSERT_TRUE(applied.has_value());
-    EXPECT_TRUE(graphs_identical(g1, *applied)) << "left identity";
-  }
-}
-
-TEST(GraphPatchCompose, SurvivesOrientationFlippingRenumber) {
-  // g0 stores the edge as ip1->ip2; g1 reverses node insertion order, so
-  // the same conversation is stored ip2->ip1 — the directional stats swap
-  // sides in the patch's target orientation. g2 flips back. Composition
-  // must re-orient stats at every step or the asymmetric byte counts land
-  // on the wrong side.
-  CommGraph g0(TimeWindow::hour(0));
-  g0.add_node(NodeKey::for_ip(IpAddr(1u)));
-  g0.add_node(NodeKey::for_ip(IpAddr(2u)));
-  g0.add_edge_volume(0, 1, 1000, 7, 10, 1, 5, 5, 5, 0, 443);
-
-  CommGraph g1(TimeWindow::hour(1));
-  g1.add_node(NodeKey::for_ip(IpAddr(2u)));
-  g1.add_node(NodeKey::for_ip(IpAddr(1u)));
-  g1.add_edge_volume(0, 1, 9, 2000, 1, 20, 6, 6, 0, 6, 443);  // ip2->ip1
-
-  CommGraph g2(TimeWindow::hour(2));
-  g2.add_node(NodeKey::for_ip(IpAddr(1u)));
-  g2.add_node(NodeKey::for_ip(IpAddr(2u)));
-  g2.add_edge_volume(0, 1, 3000, 11, 30, 2, 7, 7, 7, 0, 443);
-
-  const auto ab =
-      compose_patches(make_patch(g0, g1), make_patch(g1, g2));
-  ASSERT_TRUE(ab.has_value());
-  const auto direct = apply_patch(g0, *ab);
-  ASSERT_TRUE(direct.has_value());
-  EXPECT_TRUE(graphs_identical(g2, *direct));
-  EXPECT_EQ(direct->edge(0).stats.bytes_ab, 3000u);
-  EXPECT_EQ(direct->edge(0).stats.bytes_ba, 11u);
-
-  const auto ba =
-      compose_patches(make_patch(g1, g2), make_patch(g2, g1));
-  ASSERT_TRUE(ba.has_value());
-  const auto back = apply_patch(g1, *ba);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(graphs_identical(g1, *back));
-  EXPECT_EQ(back->edge(0).stats.bytes_ab, 9u);
-  EXPECT_EQ(back->edge(0).stats.bytes_ba, 2000u);
-}
-
-TEST(GraphPatchCompose, RejectsNonConsecutivePatches) {
-  const CommGraph g0 = random_graph(21);
-  const CommGraph g1 = random_graph(22, 30, 70);
-  const GraphPatch keyframe = make_patch(CommGraph{}, g0);
-  // `b` refers to nodes of g1, not of keyframe's target g0.
-  GraphPatch b = make_patch(g1, g1);
-  b.nodes.resize(g0.node_count() + 5);  // refs beyond a's target
-  for (std::size_t i = 0; i < b.nodes.size(); ++i)
-    b.nodes[i].ref = static_cast<std::int64_t>(i);
-  EXPECT_FALSE(compose_patches(keyframe, b).has_value());
-}
-
 TEST(GraphPatch, GraphsIdenticalIsOrderSensitive) {
   CommGraph a(TimeWindow::hour(0));
   a.add_node(NodeKey::for_ip(IpAddr(1u)));

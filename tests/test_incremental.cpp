@@ -1,7 +1,7 @@
 // Incremental analytics engine: dirty-set rules, the exactness contract
 // (incremental segmentation byte-identical to auto_segment, across thread
 // counts and SIMD tiers), the LSH carry path, every fallback-to-full
-// trigger, bounded-divergence refine/PCA modes, and in-place CSR patching.
+// trigger, bounded-divergence refine mode, and in-place CSR patching.
 #include "ccg/incremental/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "ccg/graph/csr.hpp"
 #include "ccg/graph/delta.hpp"
 #include "ccg/incremental/dirty.hpp"
-#include "ccg/incremental/pca.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/segmentation/auto_segment.hpp"
@@ -424,59 +423,6 @@ TEST(IncrementalEngine, RefineStaysWithinEpsilon) {
         << "window " << i << ": " << engine.last().verify_error;
     EXPECT_EQ(engine.last().segmentation.labels.size(),
               windows[i].node_count());
-  }
-}
-
-TEST(IncrementalEngine, PcaTracksWithBoundedDivergence) {
-  const auto windows = low_churn_windows(8);
-  IncrementalOptions opts;
-  opts.track_pca = true;
-  opts.verify_against_full = true;
-  // Default rank 25 on these 40-node windows leaves no room for the
-  // subspace path (rank + 2·dirty ≥ n triggers the dimension fallback),
-  // and the byte drift dirties ~1/3 of the rows — over the default 25%
-  // budget. A production-shaped rank≪n plus a budget matching the
-  // sequence's churn exercises the actual rank-k update.
-  opts.pca.rank = 6;
-  opts.pca.dirty_budget = 0.6;
-  IncrementalEngine engine(opts);
-  std::size_t subspace_updates = 0;
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    engine.observe(windows[i]);
-    const auto& r = engine.last();
-    EXPECT_TRUE(r.verified) << "window " << i << ": " << r.verify_error;
-    if (i == 0) EXPECT_EQ(r.pca.full_reason, "first");
-    if (!r.pca.full_recompute) ++subspace_updates;
-  }
-  EXPECT_GT(subspace_updates, 0u)
-      << "the rank-k update path never ran — always full Jacobi";
-}
-
-TEST(IncrementalPca, FallbackReasons) {
-  const auto windows = low_churn_windows(4);
-  {
-    incremental::IncrementalPcaOptions popts;
-    popts.rank = 4;
-    popts.dirty_budget = 1e-9;  // any dirty row busts the budget
-    incremental::IncrementalPca pca(popts);
-    pca.observe(windows[0], {});
-    EXPECT_EQ(pca.last().full_reason, "first");
-    const std::vector<NodeKey> dirty = {windows[1].key(0), windows[1].key(1)};
-    pca.observe(windows[1], dirty);
-    EXPECT_TRUE(pca.last().full_recompute);
-    EXPECT_EQ(pca.last().full_reason, "budget");
-  }
-  {
-    incremental::IncrementalPcaOptions popts;
-    popts.rank = 4;
-    popts.refresh_interval = 2;
-    incremental::IncrementalPca pca(popts);
-    pca.observe(windows[0], {});
-    const std::vector<NodeKey> one = {windows[1].key(0)};
-    pca.observe(windows[1], one);
-    pca.observe(windows[2], one);
-    EXPECT_TRUE(pca.last().full_recompute);
-    EXPECT_EQ(pca.last().full_reason, "refresh");
   }
 }
 

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "ccg/analytics/pipeline.hpp"
 #include "ccg/analytics/service.hpp"
 #include "ccg/common/rng.hpp"
 #include "ccg/obs/export.hpp"
@@ -442,58 +441,6 @@ TEST(ObsIntegration, AnalyticsServiceRecordsEveryStage) {
   EXPECT_GT(registry.counter("ccg.telemetry.records").value(), 0u);
   EXPECT_EQ(registry.counter("ccg.telemetry.batches").value(), 300u);
   EXPECT_GT(registry.histogram("ccg.telemetry.flush.seconds").count(), 0u);
-}
-
-TEST(ObsIntegration, ShardedPipelinePopulatesPerShardMetrics) {
-  Registry& registry = Registry::global();
-  registry.reset();
-
-  Rng rng(13);
-  std::unordered_set<IpAddr> monitored;
-  for (std::uint32_t i = 0; i < 64; ++i) monitored.insert(IpAddr(0x0A000001 + i));
-  ShardedGraphPipeline pipeline(
-      {.shards = 2,
-       .shard_batch_size = 64,
-       .graph = {.facet = GraphFacet::kIp, .window_minutes = 60}},
-      monitored);
-
-  std::uint64_t total = 0;
-  for (std::int64_t m = 0; m < 60; ++m) {
-    std::vector<ConnectionSummary> batch;
-    for (int i = 0; i < 200; ++i) {
-      const IpAddr local(0x0A000001 + static_cast<std::uint32_t>(rng.uniform(32)));
-      IpAddr remote(0x0A000001 + static_cast<std::uint32_t>(rng.uniform(32)));
-      if (remote == local) remote = IpAddr(remote.bits() + 1);
-      batch.push_back(ConnectionSummary{
-          .time = MinuteBucket(m),
-          .flow = FlowKey{.local_ip = local,
-                          .local_port = static_cast<std::uint16_t>(
-                              33000 + rng.uniform(1000)),
-                          .remote_ip = remote,
-                          .remote_port = 443,
-                          .protocol = Protocol::kTcp},
-          .counters = TrafficCounters{.packets_sent = 1, .bytes_sent = 1000}});
-    }
-    total += batch.size();
-    pipeline.on_batch(MinuteBucket(m), batch);
-  }
-  const auto graphs = pipeline.finish();
-  ASSERT_EQ(graphs.size(), 1u);
-
-  EXPECT_EQ(registry.counter("ccg.pipeline.records").value(), total);
-  EXPECT_EQ(registry.counter("ccg.pipeline.batches").value(), 60u);
-  const std::uint64_t shard_sum =
-      registry.counter("ccg.pipeline.shard.0.records").value() +
-      registry.counter("ccg.pipeline.shard.1.records").value();
-  EXPECT_EQ(shard_sum, total);
-  EXPECT_GT(registry.gauge("ccg.pipeline.shard.0.queue_depth_hwm").value(), 0.0);
-  EXPECT_GT(registry.histogram("ccg.pipeline.enqueue_stall.seconds").count(), 0u);
-  EXPECT_GT(registry.histogram("ccg.pipeline.batch_build.seconds").count(), 0u);
-  EXPECT_EQ(registry.histogram("ccg.pipeline.window_merge.seconds").count(), 1u);
-
-  // The stats() accessor reads the same totals, race-free.
-  EXPECT_EQ(pipeline.stats().records, total);
-  EXPECT_EQ(pipeline.stats().batches, 60u);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // the places where "works on one example" hides bugs.
 #include <gtest/gtest.h>
 
-#include "ccg/analytics/pipeline.hpp"
 #include "ccg/graph/builder.hpp"
+#include "ccg/graph/delta.hpp"
 #include "ccg/graph/metrics.hpp"
 #include "ccg/segmentation/auto_segment.hpp"
 #include "ccg/telemetry/collector.hpp"
@@ -147,7 +147,12 @@ TEST_P(GraphInvariants, SegmentationLabelsAreWellFormed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphInvariants,
                          ::testing::Values(1u, 7u, 42u, 1337u, 99999u));
 
-// --- Sharded pipeline equals the single-threaded builder --------------------
+// --- A sharded build equals the single-process builder ---------------------
+//
+// The graph-layer half of the sharding contract the distributed collector
+// relies on: partition by shard_of_record, build each partition with
+// collapse off, merge, finalize once — and get the reference builder's
+// graph back, byte for byte (test_dist covers the same over the wire).
 
 class ShardEquivalence : public ::testing::TestWithParam<std::size_t> {};
 
@@ -155,22 +160,31 @@ TEST_P(ShardEquivalence, MatchesReferenceBuilder) {
   constexpr std::uint64_t kSeed = 17;
   const auto& records = records_for_seed(kSeed);
   const auto monitored = monitored_for_seed(kSeed);
+  const GraphBuildConfig config{.facet = GraphFacet::kIp,
+                                .window_minutes = 60,
+                                .collapse_threshold = 0.001};
 
-  GraphBuilder reference({.facet = GraphFacet::kIp, .window_minutes = 60}, monitored);
+  GraphBuilder reference(config, monitored);
   for (const auto& r : records) reference.ingest(r);
   reference.flush();
   const CommGraph expected = reference.take_graphs().at(0);
 
-  ShardedGraphPipeline pipeline(
-      {.shards = GetParam(),
-       .graph = {.facet = GraphFacet::kIp, .window_minutes = 60}},
-      monitored);
-  pipeline.on_batch(MinuteBucket(0), records);
-  const auto got = pipeline.finish();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].node_count(), expected.node_count());
-  EXPECT_EQ(got[0].edge_count(), expected.edge_count());
-  EXPECT_EQ(got[0].total_bytes(), expected.total_bytes());
+  GraphBuildConfig partial = config;
+  partial.collapse_threshold = 0.0;
+  std::vector<GraphBuilder> shards;
+  shards.reserve(GetParam());
+  for (std::size_t s = 0; s < GetParam(); ++s) shards.emplace_back(partial, monitored);
+  for (const auto& r : records) {
+    shards[shard_of_record(r, config.facet, shards.size())].ingest(r);
+  }
+  std::vector<CommGraph> parts;
+  for (auto& shard : shards) {
+    shard.flush();
+    for (auto& g : shard.take_graphs()) parts.push_back(std::move(g));
+  }
+  ASSERT_FALSE(parts.empty());
+  const CommGraph got = finalize_window_graph(merge_graphs(parts), config);
+  EXPECT_TRUE(graphs_identical(got, expected));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardEquivalence,

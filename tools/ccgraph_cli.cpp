@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "ccg/analytics/counterfactual.hpp"
-#include "ccg/analytics/pipeline.hpp"
 #include "ccg/analytics/service.hpp"
 #include "ccg/dist/aggregator.hpp"
 #include "ccg/dist/shard_worker.hpp"
@@ -139,7 +138,7 @@ int usage() {
                "           (serve/aggregate also take --net-timeout-ms MS;\n"
                "           $CCG_NET_RETRIES / $CCG_NET_TIMEOUT_MS tune the\n"
                "           transport everywhere)\n"
-               "  report   --in flows.csv [--collapse F] [--shards N]\n"
+               "  report   --in flows.csv [--collapse F]\n"
                "  trace    --in flows.csv [--window MIN] [--train N]\n"
                "           [--stall-ms MS] runs the anomaly pipeline with\n"
                "           tracing forced on and prints each window's span tree\n"
@@ -190,12 +189,12 @@ int usage() {
                "  --flight-dir DIR     install crash handlers; flight records\n"
                "                       land here (default: $CCG_FLIGHT_DIR)\n"
                "  --watchdog-ms N      dump a flight record when one window\n"
-               "                       stalls longer than N ms\n"
-               "                       (default: $CCG_WATCHDOG_MS)\n"
+               "                       stalls longer than N ms; 0 = off\n"
+               "                       (default: $CCG_WATCHDOG_MS, else off)\n"
                "  --threads N          analysis-kernel worker threads (default:\n"
                "                       $CCG_THREADS, else all hardware threads;\n"
                "                       output is bit-identical for every N)\n"
-               "  --simd TIER          kernel simd tier auto|scalar|avx2|neon\n"
+               "  --simd TIER          kernel simd tier auto|scalar|avx2\n"
                "                       (default: $CCG_SIMD, else auto; output\n"
                "                       is bit-identical for every tier)\n"
                "ccgraph --version prints version, build type, sanitizers and\n"
@@ -905,19 +904,8 @@ int cmd_report(const Args& args) {
   if (!in_path) return usage();
   const auto records = load_csv(*in_path);
   if (!records) return 1;
-  const auto monitored = monitored_from(*records);
-
-  // Build graphs through the sharded streaming pipeline (the production
-  // path) so the report's metrics section shows per-shard counters, queue
-  // high-water marks and merge latency for this log.
-  ShardedGraphPipeline pipeline(
-      {.shards = static_cast<std::size_t>(args.get_long("shards", 4)),
-       .graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = 60,
-                 .collapse_threshold = args.get_double("collapse", 0.001)}},
-      monitored);
-  replay_minutes(*records, pipeline);
-  const auto graphs = pipeline.finish();
+  const double collapse = args.get_double("collapse", 0.001);
+  const auto graphs = build_graphs(*records, GraphFacet::kIp, collapse, 60);
   if (graphs.empty()) {
     std::fprintf(stderr, "ccgraph: no complete windows in %s\n", in_path->c_str());
     return 1;
@@ -931,10 +919,10 @@ int cmd_report(const Args& args) {
   AnalyticsService service(
       {.graph = {.facet = GraphFacet::kIp,
                  .window_minutes = 60,
-                 .collapse_threshold = args.get_double("collapse", 0.001)},
+                 .collapse_threshold = collapse},
        .training_windows =
            static_cast<std::size_t>(args.get_long("train", 3))},
-      monitored,
+      monitored_from(*records),
       [&](const WindowReport& report) { window_reports.push_back(report); });
   replay_minutes(*records, service);
   service.flush();
@@ -975,13 +963,6 @@ int cmd_report(const Args& args) {
       std::printf("%s\n", report.summary().c_str());
     }
   }
-
-  std::printf("\n== pipeline ==\n");
-  const PipelineStats stats = pipeline.stats();
-  std::printf("%llu records in %llu batches across %zu shards (%.0f records/s)\n",
-              static_cast<unsigned long long>(stats.records),
-              static_cast<unsigned long long>(stats.batches),
-              pipeline.shard_count(), stats.records_per_second());
 
   std::printf("\n== metrics ==\n%s",
               obs::summary_text(obs::Registry::global().snapshot()).c_str());
@@ -1431,9 +1412,13 @@ int export_trace(const Args& args) {
   return 0;
 }
 
-/// Global diagnostics knobs shared by every command; flags override the
-/// CCG_* environment defaults.
+/// Global diagnostics knobs shared by every command; a flag that is
+/// present wins over its CCG_* environment twin, even when it says "off".
 void configure_diagnostics(const Args& args) {
+  const auto env_long = [](const char* name, long fallback) {
+    const char* v = std::getenv(name);
+    return v != nullptr && *v != '\0' ? std::atol(v) : fallback;
+  };
   if (const auto level = args.get("log-level")) {
     ccg::obs::set_stderr_level(
         ccg::obs::parse_level(*level, ccg::obs::LogLevel::kWarn));
@@ -1446,12 +1431,8 @@ void configure_diagnostics(const Args& args) {
   const std::string flight_dir =
       args.get_or("flight-dir", env_flight != nullptr ? env_flight : "");
   if (!flight_dir.empty()) ccg::obs::install_crash_handler(flight_dir);
-  long watchdog_ms = args.get_long("watchdog-ms", 0);
-  if (watchdog_ms <= 0) {
-    if (const char* env = std::getenv("CCG_WATCHDOG_MS")) {
-      watchdog_ms = std::atol(env);
-    }
-  }
+  const long watchdog_ms =
+      args.get_long("watchdog-ms", env_long("CCG_WATCHDOG_MS", 0));
   if (watchdog_ms > 0) {
     ccg::obs::Watchdog::global().start(
         std::chrono::milliseconds(watchdog_ms),
@@ -1459,10 +1440,6 @@ void configure_diagnostics(const Args& args) {
   }
 
   // SLO watcher: flag wins, then the CCG_SLO_* env twins.
-  const auto env_long = [](const char* name, long fallback) {
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atol(v) : fallback;
-  };
   bool slo_watch = args.get("slo-watch").has_value();
   if (!slo_watch) {
     const char* env = std::getenv("CCG_SLO_WATCH");

@@ -39,6 +39,7 @@ run_cli(3 anomaly --in long_attacked.csv --train 3 --rank 8)
 
 # Like run_cli but hands the exit code back to the caller — for commands
 # whose code is data (alert vs no alert) rather than a fixed expectation.
+# Stdout comes back in <out_var>_stdout.
 function(run_cli_rc out_var)
   execute_process(COMMAND ${CLI} ${ARGN}
                   WORKING_DIRECTORY ${WORKDIR}
@@ -49,9 +50,36 @@ function(run_cli_rc out_var)
     message(FATAL_ERROR "ccgraph ${ARGN} -> rc=${rc}\n${out}\n${err}")
   endif()
   set(${out_var} ${rc} PARENT_SCOPE)
+  set(${out_var}_stdout "${out}" PARENT_SCOPE)
 endfunction()
 
 run_cli(0 --version)
+
+# The sharding contract: `serve` forks N shard-worker processes, merges
+# their partial graphs, and must match single-process `anomaly` byte for
+# byte — same stdout, same --summary-out file, same exit code.
+run_cli_rc(single_rc anomaly --in long.csv --window 30 --train 2
+           --summary-out single_summary.txt)
+file(SIZE ${WORKDIR}/single_summary.txt single_summary_size)
+if(single_summary_size EQUAL 0)
+  message(FATAL_ERROR "anomaly wrote an empty summary file")
+endif()
+foreach(shards 1 2 4)
+  run_cli_rc(serve_rc serve --in long.csv --shards ${shards}
+             --window 30 --train 2 --summary-out serve_summary_${shards}.txt)
+  if(NOT serve_rc EQUAL single_rc)
+    message(FATAL_ERROR "serve --shards ${shards} rc=${serve_rc}, anomaly rc=${single_rc}")
+  endif()
+  if(NOT serve_rc_stdout STREQUAL single_rc_stdout)
+    message(FATAL_ERROR "serve --shards ${shards} stdout differs from anomaly")
+  endif()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${WORKDIR}/single_summary.txt ${WORKDIR}/serve_summary_${shards}.txt
+                  RESULT_VARIABLE serve_summary_differs)
+  if(NOT serve_summary_differs EQUAL 0)
+    message(FATAL_ERROR "serve --shards ${shards} summary differs from anomaly")
+  endif()
+endforeach()
 
 # Store round-trip over 90 two-minute windows: replaying the snapshot store
 # must reproduce the direct streaming run line for line (same summaries,
@@ -96,6 +124,16 @@ run_cli(0 segment --in clean.csv --metrics-out m_segment.json --metrics-prom m_s
 check_metrics_files(segment)
 run_cli(0 report --in clean.csv --metrics-out m_report.json --metrics-prom m_report.prom)
 check_metrics_files(report)
+# report's analytics pass records per-stage latency, and its graph build
+# shows up under the builder's own series.
+file(READ ${WORKDIR}/m_report.json report_json)
+if(NOT report_json MATCHES "\"ccg\\.analytics\\.stage\\.build\\.seconds\": {\"count\": [1-9]")
+  message(FATAL_ERROR "report: ccg.analytics.stage.build.seconds has no samples")
+endif()
+file(READ ${WORKDIR}/m_report.prom report_prom)
+if(NOT report_prom MATCHES "ccg_graph_records_total")
+  message(FATAL_ERROR "report: ccg_graph_records_total missing from Prometheus export")
+endif()
 run_cli(0 anomaly --in long.csv --train 3 --rank 8 --metrics-out m_anomaly.json --metrics-prom m_anomaly.prom)
 check_metrics_files(anomaly)
 run_cli(0 store stats --store winstore --metrics-out m_stats.json --metrics-prom m_stats.prom)
@@ -138,6 +176,34 @@ if(NOT stall_json MATCHES "window stalled past watchdog deadline")
 endif()
 if(stall_json MATCHES "\"span_count\": 0,")
   message(FATAL_ERROR "flight record captured no spans")
+endif()
+
+# Watchdog precedence is flag > $CCG_WATCHDOG_MS > off: the env var alone
+# arms it, and an explicit --watchdog-ms 0 turns it off again.
+foreach(case env_only flag_off)
+  file(REMOVE_RECURSE ${WORKDIR}/flight_${case})
+  file(MAKE_DIRECTORY ${WORKDIR}/flight_${case})
+  set(watchdog_flag)
+  if(case STREQUAL "flag_off")
+    set(watchdog_flag --watchdog-ms 0)
+  endif()
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_WATCHDOG_MS=100
+                          ${CLI} trace --in long.csv --window 60 --train 2
+                          --stall-ms 400 ${watchdog_flag} --flight-dir flight_${case}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "watchdog ${case}: trace rc=${rc}\n${err}")
+  endif()
+  file(GLOB stall_dumps_${case} ${WORKDIR}/flight_${case}/ccg-flight-stall-*.json)
+endforeach()
+if(stall_dumps_env_only STREQUAL "")
+  message(FATAL_ERROR "CCG_WATCHDOG_MS alone did not arm the watchdog")
+endif()
+if(NOT stall_dumps_flag_off STREQUAL "")
+  message(FATAL_ERROR "--watchdog-ms 0 did not override CCG_WATCHDOG_MS: ${stall_dumps_flag_off}")
 endif()
 
 run_cli(0 store compact --store winstore --keyframe 4)
