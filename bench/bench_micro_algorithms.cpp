@@ -6,11 +6,10 @@
 // power iteration, MinHash) are swept across thread counts AND simd tiers:
 // after the google-benchmark tables a speedup sweep is printed as a
 // delimited JSON block (and written to --kernels-json PATH when given, for
-// the CI baseline artifact). Each kernel entry carries per-tier timings
-// with per-tier hardware counters, the dispatched tier, and the scalar-vs-
-// simd serial speedup. Determinism makes the comparison honest: every
-// thread count and tier produces byte-identical results, so the sweep
-// times identical work.
+// the CI baseline artifact). Each kernel entry carries per-tier timings,
+// the dispatched tier, and the scalar-vs-simd serial speedup. Determinism
+// makes the comparison honest: every thread count and tier produces
+// byte-identical results, so the sweep times identical work.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -26,7 +25,6 @@
 #include "ccg/graph/delta.hpp"
 #include "ccg/linalg/eigen.hpp"
 #include "ccg/linalg/kmeans.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/segmentation/auto_segment.hpp"
 #include "ccg/segmentation/similarity.hpp"
@@ -184,11 +182,10 @@ double time_at_threads(int threads, Fn&& fn) {
   return best;
 }
 
-/// One simd tier's thread sweep plus its hardware-counter deltas.
+/// One simd tier's thread sweep.
 struct TierSweep {
   std::string tier;
   std::vector<std::pair<int, double>> seconds_by_threads;
-  obs::prof::CounterValues counters;  // one serial run's deltas
 };
 
 struct KernelSweep {
@@ -221,16 +218,6 @@ double best_speedup(const std::vector<std::pair<int, double>>& by_threads) {
   return fastest > 0.0 ? serial / fastest : 0.0;
 }
 
-std::string json_counters(const obs::prof::CounterValues& c) {
-  return "{\"tier\": \"" + std::string(obs::prof::tier_name(c.tier)) +
-         "\", \"cycles\": " + std::to_string(c.cycles) +
-         ", \"instructions\": " + std::to_string(c.instructions) +
-         ", \"ipc\": " + fmt(c.ipc(), 3) +
-         ", \"cache_misses\": " + std::to_string(c.cache_misses) +
-         ", \"branch_misses\": " + std::to_string(c.branch_misses) +
-         ", \"cpu_seconds\": " + fmt(c.cpu_seconds, 6) + "}";
-}
-
 /// Emits the sweep as a delimited JSON block (same convention as the
 /// metrics snapshot) and optionally into `json_path` for CI artifacts.
 ///
@@ -239,10 +226,6 @@ std::string json_counters(const obs::prof::CounterValues& c) {
 /// byte-identical, the scalar-vs-simd ratio at threads=1 is a pure
 /// vectorization speedup — same work, same reduction geometry.
 void emit_kernel_speedups(const std::string& json_path) {
-  // Per-kernel hardware-counter deltas ride along with the timings;
-  // enable_counters() degrades to rusage (or nothing) when the perf
-  // syscall is denied, so this never fails the bench.
-  const obs::prof::CounterTier counter_tier = obs::prof::enable_counters();
   const int hw = hardware_threads();
   const int cpus = online_cpus();
   std::vector<int> sweep{1};
@@ -276,15 +259,7 @@ void emit_kernel_speedups(const std::string& json_path) {
     KernelSweep k{name, {}};
     for (const std::string& tier : tiers) {
       simd::set_tier(tier);
-      TierSweep ts{tier, {}, {}};
-      {
-        // Counter deltas from one dedicated serial run, so the numbers
-        // are per-invocation, not best-of-3 aggregates.
-        parallel::set_thread_count(1);
-        obs::prof::CounterScope scope(ts.counters);
-        fn();
-      }
-      parallel::set_thread_count(0);
+      TierSweep ts{tier, {}};
       for (const int t : sweep) {
         ts.seconds_by_threads.emplace_back(t, time_at_threads(t, fn));
       }
@@ -331,8 +306,7 @@ void emit_kernel_speedups(const std::string& json_path) {
   std::string json =
       "{\"hardware_threads\": " + std::to_string(hw) +
       ", \"online_cpus\": " + std::to_string(cpus) +
-      ", \"counter_tier\": \"" + obs::prof::tier_name(counter_tier) +
-      "\", \"simd\": {\"dispatched\": \"" + dispatched +
+      ", \"simd\": {\"dispatched\": \"" + dispatched +
       "\", \"capabilities\": \"" + simd::capability_string() +
       "\"}, \"kernels\": [";
   for (std::size_t i = 0; i < kernels.size(); ++i) {
@@ -342,24 +316,21 @@ void emit_kernel_speedups(const std::string& json_path) {
     const double scalar_serial = scalar.seconds_by_threads.front().second;
     const double active_serial = active.seconds_by_threads.front().second;
     if (i > 0) json += ", ";
-    // Legacy top-level timings/best_speedup/counters describe the
-    // dispatched tier (what production runs use); the per-tier detail
-    // lives under "tiers".
+    // Legacy top-level timings/best_speedup describe the dispatched tier
+    // (what production runs use); the per-tier detail lives under "tiers".
     json += "{\"name\": \"" + k.name + "\", \"simd_tier\": \"" + active.tier +
             "\", \"online_cpus\": " + std::to_string(cpus) +
             ", \"simd_speedup\": " +
             fmt(active_serial > 0.0 ? scalar_serial / active_serial : 0.0, 3) +
             ", \"timings\": " + json_timings(active.seconds_by_threads) +
             ", \"best_speedup\": " + fmt(best_speedup(active.seconds_by_threads), 3) +
-            ", \"counters\": " + json_counters(active.counters) +
             ", \"tiers\": [";
     for (std::size_t j = 0; j < k.tiers.size(); ++j) {
       const TierSweep& ts = k.tiers[j];
       if (j > 0) json += ", ";
       json += "{\"tier\": \"" + ts.tier +
               "\", \"timings\": " + json_timings(ts.seconds_by_threads) +
-              ", \"best_speedup\": " + fmt(best_speedup(ts.seconds_by_threads), 3) +
-              ", \"counters\": " + json_counters(ts.counters) + "}";
+              ", \"best_speedup\": " + fmt(best_speedup(ts.seconds_by_threads), 3) + "}";
     }
     json += "]}";
   }

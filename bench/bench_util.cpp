@@ -1,5 +1,7 @@
 #include "bench_util.hpp"
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -7,8 +9,6 @@
 #include <memory>
 
 #include "ccg/obs/export.hpp"
-#include "ccg/obs/heap.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
 
@@ -21,23 +21,21 @@ void emit_metrics_snapshot() {
 }
 
 void emit_resource_summary() {
-  obs::prof::enable_counters();
-  const obs::prof::CounterValues now = obs::prof::read_counters();
-  const obs::prof::HeapUsage heap = obs::prof::process_heap_totals();
+  rusage usage = {};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
+  };
 
-  // Per-stage cost: wall seconds from the stage latency histograms, heap
-  // churn from the per-window heap histograms the analytics service fills.
+  // Per-stage wall seconds from the stage latency histograms.
   struct StageCost {
     double seconds = 0.0;
     std::uint64_t windows = 0;
-    double heap_bytes = 0.0;
-    double heap_allocs = 0.0;
   };
   std::map<std::string, StageCost> stages;
   const obs::Snapshot snapshot = obs::Registry::global().snapshot();
   for (const obs::HistogramSample& h : snapshot.histograms) {
     const std::string stage_prefix = "ccg.analytics.stage.";
-    const std::string heap_prefix = "ccg.prof.heap.stage.";
     if (h.name.rfind(stage_prefix, 0) == 0 &&
         h.name.size() > stage_prefix.size() + 8 &&
         h.name.compare(h.name.size() - 8, 8, ".seconds") == 0) {
@@ -45,16 +43,6 @@ void emit_resource_summary() {
           stage_prefix.size(), h.name.size() - stage_prefix.size() - 8);
       stages[stage].seconds = h.sum;
       stages[stage].windows = h.count;
-    } else if (h.name.rfind(heap_prefix, 0) == 0) {
-      if (h.name.compare(h.name.size() - 6, 6, ".bytes") == 0) {
-        stages[h.name.substr(heap_prefix.size(),
-                             h.name.size() - heap_prefix.size() - 6)]
-            .heap_bytes = h.sum;
-      } else if (h.name.compare(h.name.size() - 7, 7, ".allocs") == 0) {
-        stages[h.name.substr(heap_prefix.size(),
-                             h.name.size() - heap_prefix.size() - 7)]
-            .heap_allocs = h.sum;
-      }
     }
   }
 
@@ -67,42 +55,34 @@ void emit_resource_summary() {
     return std::uint64_t{0};
   };
 
-  std::string json = "{\"counter_tier\": \"";
-  json += obs::prof::tier_name(now.tier);
-  json += "\", \"cpu_user_seconds\": " + fmt(now.cpu_user_seconds, 3) +
-          ", \"cpu_system_seconds\": " + fmt(now.cpu_system_seconds, 3) +
-          ", \"peak_rss_bytes\": " + std::to_string(now.max_rss_bytes) +
-          ", \"heap\": {\"tracked\": " +
-          (obs::prof::heap_tracking_available() ? "true" : "false") +
-          ", \"alloc_bytes\": " + std::to_string(heap.bytes) +
-          ", \"allocs\": " + std::to_string(heap.allocs) +
-          "}, \"net\": {\"frames_sent\": " +
-          std::to_string(counter_or_zero("ccg.net.frames_sent")) +
-          ", \"frames_received\": " +
-          std::to_string(counter_or_zero("ccg.net.frames_received")) +
-          ", \"connect_retries\": " +
-          std::to_string(counter_or_zero("ccg.net.connect_retries")) +
-          ", \"timeouts\": " +
-          std::to_string(counter_or_zero("ccg.net.timeouts")) +
-          ", \"errors\": " + std::to_string(counter_or_zero("ccg.net.errors")) +
-          "}, \"slo\": {\"evaluations\": " +
-          std::to_string(counter_or_zero("ccg.slo.evaluations")) +
-          ", \"breaches\": " +
-          std::to_string(counter_or_zero("ccg.slo.breaches")) +
-          ", \"sustained\": " +
-          std::to_string(counter_or_zero("ccg.slo.sustained")) +
-          "}, \"stages\": [";
+  std::string json =
+      "{\"cpu_user_seconds\": " + fmt(seconds(usage.ru_utime), 3) +
+      ", \"cpu_system_seconds\": " + fmt(seconds(usage.ru_stime), 3) +
+      ", \"peak_rss_bytes\": " +
+      std::to_string(static_cast<std::uint64_t>(usage.ru_maxrss) * 1024) +  // KiB
+      ", \"net\": {\"frames_sent\": " +
+      std::to_string(counter_or_zero("ccg.net.frames_sent")) +
+      ", \"frames_received\": " +
+      std::to_string(counter_or_zero("ccg.net.frames_received")) +
+      ", \"connect_retries\": " +
+      std::to_string(counter_or_zero("ccg.net.connect_retries")) +
+      ", \"timeouts\": " +
+      std::to_string(counter_or_zero("ccg.net.timeouts")) +
+      ", \"errors\": " + std::to_string(counter_or_zero("ccg.net.errors")) +
+      "}, \"slo\": {\"evaluations\": " +
+      std::to_string(counter_or_zero("ccg.slo.evaluations")) +
+      ", \"breaches\": " +
+      std::to_string(counter_or_zero("ccg.slo.breaches")) +
+      ", \"sustained\": " +
+      std::to_string(counter_or_zero("ccg.slo.sustained")) +
+      "}, \"stages\": [";
   bool first = true;
   for (const auto& [name, cost] : stages) {
     if (!first) json += ", ";
     first = false;
     json += "{\"name\": \"" + name +
             "\", \"seconds\": " + fmt(cost.seconds, 6) +
-            ", \"windows\": " + std::to_string(cost.windows) +
-            ", \"heap_bytes\": " + std::to_string(
-                static_cast<std::uint64_t>(cost.heap_bytes)) +
-            ", \"heap_allocs\": " + std::to_string(
-                static_cast<std::uint64_t>(cost.heap_allocs)) + "}";
+            ", \"windows\": " + std::to_string(cost.windows) + "}";
   }
   json += "]}\n";
   std::printf("\n==== resource summary (json) ====\n%s", json.c_str());

@@ -76,8 +76,9 @@ std::string fmt_count(std::uint64_t v);  // 12345678 -> "12.3M"
 /// an extra mid-run snapshot.
 void emit_metrics_snapshot();
 
-/// Prints a delimited per-stage resource summary (CPU seconds, peak RSS,
-/// heap bytes/allocs per analytics stage) as JSON, so BENCH outputs carry
+/// Prints a delimited resource summary (CPU user/system seconds and peak
+/// RSS from getrusage, wall seconds per analytics stage) as JSON, so BENCH
+/// outputs carry
 /// a cost trajectory alongside the timings. simulate() registers this at
 /// process exit next to the metrics snapshot.
 void emit_resource_summary();

@@ -8,60 +8,11 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/obs/flight.hpp"
-#include "ccg/obs/heap.hpp"
 #include "ccg/obs/slo.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
 
 namespace ccg {
-
-namespace {
-
-/// Per-window heap churn histograms for one accounting scope: one record
-/// per window, so `--metrics-out` and the flight dump carry the full
-/// distribution. Byte buckets 1 KiB..~1 TiB, alloc buckets 1..~1e9.
-struct HeapInstruments {
-  obs::Histogram* bytes;
-  obs::Histogram* allocs;
-};
-
-HeapInstruments heap_instruments(const std::string& scope) {
-  obs::Registry& registry = obs::Registry::global();
-  return {&registry.histogram("ccg.prof.heap." + scope + ".bytes",
-                              {.first_bound = 1024.0, .growth = 4.0,
-                               .buckets = 16}),
-          &registry.histogram("ccg.prof.heap." + scope + ".allocs",
-                              {.first_bound = 1.0, .growth = 4.0,
-                               .buckets = 16})};
-}
-
-/// Times a stage span AND attributes its allocations (including those made
-/// by pool workers on the stage's behalf) to per-stage histograms. The
-/// sink records in the destructor body, while the sink scope is still the
-/// innermost — so a nested stage inside the window sink bills both levels.
-class StageMeter {
- public:
-  StageMeter(obs::Histogram& seconds, const char* name,
-             const HeapInstruments& heap) noexcept
-      : heap_(heap),
-        scope_(obs::prof::heap_tracking_available() ? &sink_ : nullptr),
-        span_(seconds, name) {}
-
-  ~StageMeter() {
-    if (!obs::prof::heap_tracking_available()) return;
-    const obs::prof::HeapUsage usage = sink_.usage();
-    heap_.bytes->record(static_cast<double>(usage.bytes));
-    heap_.allocs->record(static_cast<double>(usage.allocs));
-  }
-
- private:
-  HeapInstruments heap_;
-  obs::prof::HeapSink sink_;
-  obs::prof::HeapSinkScope scope_;
-  obs::ScopedSpan span_;
-};
-
-}  // namespace
 
 AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
                                    std::unordered_set<IpAddr> monitored,
@@ -103,8 +54,7 @@ AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
 void AnalyticsService::on_batch(MinuteBucket time,
                                 const std::vector<ConnectionSummary>& batch) {
   {
-    static const HeapInstruments heap = heap_instruments("stage.build");
-    StageMeter meter(*m_stage_build_, "ccg.analytics.stage.build", heap);
+    obs::ScopedSpan span(*m_stage_build_, "ccg.analytics.stage.build");
     builder_.on_batch(time, batch);
   }
   drain_closed_windows();
@@ -112,8 +62,7 @@ void AnalyticsService::on_batch(MinuteBucket time,
 
 void AnalyticsService::flush() {
   {
-    static const HeapInstruments heap = heap_instruments("stage.build");
-    StageMeter meter(*m_stage_build_, "ccg.analytics.stage.build", heap);
+    obs::ScopedSpan span(*m_stage_build_, "ccg.analytics.stage.build");
     builder_.flush();
   }
   drain_closed_windows();
@@ -141,12 +90,8 @@ void AnalyticsService::deliver(const CommGraph& graph) {
   WindowReport report;
   {
     // Root span of the window's tree: every stage span in analyze() nests
-    // under it, which is what the trace viewer groups by. The window-level
-    // heap sink is the root of the sink chain: stage sinks constructed
-    // inside analyze() chain to it, so `ccg.prof.heap.window.*` carries
-    // the whole window's churn.
-    static const HeapInstruments heap = heap_instruments("window");
-    StageMeter meter(*m_window_, "ccg.analytics.window", heap);
+    // under it, which is what the trace viewer groups by.
+    obs::ScopedSpan span(*m_window_, "ccg.analytics.window");
     report = analyze(graph);
   }
   obs::Watchdog::global().end_window();
@@ -183,13 +128,11 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
 
   // These run from window one: they carry their own baselines.
   {
-    static const HeapInstruments heap = heap_instruments("stage.edges");
-    StageMeter meter(*m_stage_edges_, "ccg.analytics.stage.edges", heap);
+    obs::ScopedSpan span(*m_stage_edges_, "ccg.analytics.stage.edges");
     report.anomalous_edges = edge_detector_.observe(graph);
   }
   {
-    static const HeapInstruments heap = heap_instruments("stage.tracker");
-    StageMeter meter(*m_stage_tracker_, "ccg.analytics.stage.tracker", heap);
+    obs::ScopedSpan span(*m_stage_tracker_, "ccg.analytics.stage.tracker");
     if (incremental_ != nullptr) {
       // Exact mode hands the tracker a segmentation byte-identical to the
       // auto_segment call it would otherwise make itself.
@@ -200,8 +143,7 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
     }
   }
   {
-    static const HeapInstruments heap = heap_instruments("stage.patterns");
-    StageMeter meter(*m_stage_patterns_, "ccg.analytics.stage.patterns", heap);
+    obs::ScopedSpan span(*m_stage_patterns_, "ccg.analytics.stage.patterns");
     report.patterns = mine_patterns(graph);
   }
 
@@ -213,8 +155,7 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
     if (training_graphs_.size() >= options_.training_windows) {
       training_refs_.clear();
       for (const CommGraph& g : training_graphs_) training_refs_.push_back(&g);
-      static const HeapInstruments heap = heap_instruments("spectral_fit");
-      StageMeter meter(*m_spectral_fit_, "ccg.analytics.spectral_fit", heap);
+      obs::ScopedSpan span(*m_spectral_fit_, "ccg.analytics.spectral_fit");
       spectral_.fit(training_refs_);
     }
     report.trained = false;
@@ -223,8 +164,7 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
 
   report.trained = true;
   {
-    static const HeapInstruments heap = heap_instruments("stage.spectral");
-    StageMeter meter(*m_stage_spectral_, "ccg.analytics.stage.spectral", heap);
+    obs::ScopedSpan span(*m_stage_spectral_, "ccg.analytics.stage.spectral");
     report.anomaly = spectral_.score(graph);
     report.alert = spectral_.is_alert(*report.anomaly);
   }

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -60,7 +59,6 @@ void apply_rotation_offblock(Matrix& a, Matrix& vt, std::size_t p,
 EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
                                 int max_sweeps) {
   parallel::ScopedJobTag job_tag("eigen");
-  obs::prof::KernelCounterScope counters("jacobi_eigen");
   CCG_EXPECT(input.square());
   CCG_EXPECT(input.is_symmetric(1e-6 * (1.0 + input.frobenius())));
   const std::size_t n = input.rows();
@@ -162,7 +160,6 @@ EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
 PowerIterationResult power_iteration(const Matrix& m, int max_iterations,
                                      double tolerance) {
   parallel::ScopedJobTag job_tag("eigen");
-  obs::prof::KernelCounterScope counters("power_iteration");
   CCG_EXPECT(m.square());
   const std::size_t n = m.rows();
   PowerIterationResult result;

@@ -6,7 +6,6 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/common/rng.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -145,7 +144,6 @@ KMeansResult lloyd_once(const Matrix& data, std::size_t k, Rng& rng,
 
 KMeansResult kmeans(const Matrix& data, std::size_t k, KMeansOptions options) {
   parallel::ScopedJobTag job_tag("kmeans");
-  obs::prof::KernelCounterScope counters("kmeans");
   CCG_EXPECT(data.rows() > 0);
   CCG_EXPECT(k >= 1 && k <= data.rows());
   CCG_EXPECT(options.restarts >= 1);

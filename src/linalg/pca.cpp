@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -14,7 +13,6 @@ PcaSummary::PcaSummary(const Matrix& m)
 
 Matrix PcaSummary::reconstruct(std::size_t k) const {
   parallel::ScopedJobTag job_tag("pca");
-  obs::prof::KernelCounterScope counters("pca_reconstruct");
   const std::size_t n = dimension();
   CCG_EXPECT(k <= n);
   Matrix out(n, n);
@@ -45,7 +43,6 @@ double PcaSummary::reconstruction_error(std::size_t k) const {
 
 std::vector<double> PcaSummary::error_curve(std::size_t max_k) const {
   parallel::ScopedJobTag job_tag("pca");
-  obs::prof::KernelCounterScope counters("pca_error_curve");
   const std::size_t n = dimension();
   CCG_EXPECT(max_k <= n);
   std::vector<double> errors;

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -144,7 +145,8 @@ bool FrameConn::send(std::span<const std::uint8_t> payload) {
   }
   std::vector<std::uint8_t> buf(payload.size() + 8);
   put_u32le(buf.data(), static_cast<std::uint32_t>(payload.size()));
-  std::memcpy(buf.data() + 4, payload.data(), payload.size());
+  // std::copy, not memcpy: an empty payload may have a null data().
+  std::copy(payload.begin(), payload.end(), buf.begin() + 4);
   put_u32le(buf.data() + 4 + payload.size(), store::crc32(payload));
 
   std::size_t sent = 0;

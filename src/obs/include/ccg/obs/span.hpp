@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/prof.hpp"
 #include "ccg/obs/trace.hpp"
 
 namespace ccg::obs {
@@ -76,10 +75,6 @@ class ScopedSpan {
         name_(name),
         start_(std::chrono::steady_clock::now()) {
     if (TraceRing::global().enabled()) open_trace();
-    if (prof::frames_enabled() && name != nullptr && name[0] != '\0') {
-      prof_framed_ = true;
-      prof::push_frame(name);
-    }
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -103,7 +98,6 @@ class ScopedSpan {
   TraceContext parent_;         // ambient context at construction
   std::uint64_t span_id_ = 0;   // nonzero iff traced_
   bool traced_ = false;
-  bool prof_framed_ = false;    // pushed onto the profiler frame stack
 };
 
 /// TraceRing capacity used when a component enables tracing without an

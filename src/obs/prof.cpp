@@ -1,79 +1,84 @@
 #include "ccg/obs/prof.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
-
-#include "ccg/obs/trace.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define CCG_PROF_HAVE_ITIMER 1
-#include <csignal>
-#include <sys/time.h>
-#else
-#define CCG_PROF_HAVE_ITIMER 0
-#endif
+#include <string_view>
+#include <unordered_map>
 
 namespace ccg::obs::prof {
 
-namespace detail {
-std::atomic<bool> g_frames_on{false};
-}  // namespace detail
-
 namespace {
 
-/// Per-thread attribution stack. Written only by the owning thread; the
-/// sampling handler always runs on the interrupted thread, so it observes
-/// the owner's program order directly. The release stores on depth_ keep
-/// the compiler from sinking the frame-pointer store below the depth bump.
-struct FrameStack {
-  const char* frames[kMaxFrames] = {};
-  std::atomic<std::uint32_t> depth{0};
+const std::string kUntracked = "(untracked)";
+
+/// One weighted stack: frame names outermost first, the window it belongs
+/// to, and the self time it carries.
+struct Stack {
+  std::vector<const std::string*> frames;
+  std::uint64_t trace_id = 0;
+  std::uint64_t weight_ns = 0;
 };
 
-thread_local FrameStack tls_frames;
+/// One stack per span, plus `(untracked)` for interval time outside every
+/// root span.
+std::vector<Stack> stacks(const Profile& profile) {
+  const std::vector<TraceEvent>& spans = profile.spans;
+  std::unordered_map<std::uint64_t, std::size_t> by_id;
+  for (std::size_t i = 0; i < spans.size(); ++i) by_id.emplace(spans[i].span_id, i);
 
-// --- global sampling state ---------------------------------------------------
+  // A span whose parent is not in the ring — a trace root, or a parent that
+  // was evicted or is still open — is a root.
+  constexpr std::size_t kRoot = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> parent(spans.size(), kRoot);
+  std::vector<std::uint64_t> child_ns(spans.size(), 0);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const auto it = by_id.find(spans[i].parent_id);
+    if (spans[i].parent_id == 0 || it == by_id.end()) continue;
+    parent[i] = it->second;
+    child_ns[it->second] += spans[i].duration_ns;
+  }
 
-std::atomic<bool> g_sampling{false};   // handler gate
-std::atomic<int> g_in_handler{0};      // handlers currently executing
-Sample* g_buffer = nullptr;            // preallocated by start()
-std::size_t g_capacity = 0;
-std::atomic<std::size_t> g_next{0};
-std::atomic<std::size_t> g_dropped{0};
-
-ProfilerOptions g_options;
-std::chrono::steady_clock::time_point g_started;
-bool g_running = false;  // start/stop bookkeeping (main-thread only)
-
-#if CCG_PROF_HAVE_ITIMER
-struct sigaction g_prev_action;
-
-extern "C" void ccg_prof_sample_handler(int) {
-  // Touches only preallocated memory and thread-locals: async-signal-safe
-  // by construction (no locks, no allocation, no errno-modifying calls).
-  g_in_handler.fetch_add(1, std::memory_order_acquire);
-  if (g_sampling.load(std::memory_order_acquire)) {
-    const std::size_t idx = g_next.fetch_add(1, std::memory_order_relaxed);
-    if (idx < g_capacity) {
-      Sample& s = g_buffer[idx];
-      s.trace_id = current_trace().trace_id;
-      std::uint32_t depth = tls_frames.depth.load(std::memory_order_acquire);
-      if (depth > kMaxFrames) depth = kMaxFrames;
-      s.depth = depth;
-      for (std::uint32_t i = 0; i < depth; ++i) {
-        s.frames[i] = tls_frames.frames[i];
-      }
-    } else {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t end_ns = profile.start_ns + profile.wall_ns;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> roots;  // clipped
+  std::vector<Stack> out;
+  out.reserve(spans.size() + 1);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const TraceEvent& e = spans[i];
+    Stack s;
+    s.trace_id = e.trace_id;
+    s.weight_ns = e.duration_ns > child_ns[i] ? e.duration_ns - child_ns[i] : 0;
+    // The length bound stops a malformed parent cycle.
+    for (std::size_t j = i; j != kRoot && s.frames.size() <= spans.size();
+         j = parent[j]) {
+      s.frames.push_back(&spans[j].name);
+    }
+    std::reverse(s.frames.begin(), s.frames.end());
+    out.push_back(std::move(s));
+    if (parent[i] == kRoot) {
+      const std::uint64_t begin = std::max(e.start_ns, profile.start_ns);
+      const std::uint64_t end = std::min(e.start_ns + e.duration_ns, end_ns);
+      if (begin < end) roots.emplace_back(begin, end);
     }
   }
-  g_in_handler.fetch_sub(1, std::memory_order_release);
+
+  // Roots on different threads overlap: count their union once.
+  std::sort(roots.begin(), roots.end());
+  std::uint64_t covered = 0;
+  std::uint64_t cursor = profile.start_ns;
+  for (const auto& [begin, end] : roots) {
+    const std::uint64_t from = std::max(begin, cursor);
+    if (end > from) {
+      covered += end - from;
+      cursor = end;
+    }
+  }
+  if (profile.wall_ns > covered) {
+    out.push_back({{&kUntracked}, 0, profile.wall_ns - covered});
+  }
+  return out;
 }
-#endif  // CCG_PROF_HAVE_ITIMER
 
 void json_escape_into(std::string& out, const std::string& s) {
   for (const char c : s) {
@@ -90,199 +95,98 @@ void json_escape_into(std::string& out, const std::string& s) {
   }
 }
 
+double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }
+
 }  // namespace
 
-void push_frame(const char* name) noexcept {
-  FrameStack& stack = tls_frames;
-  const std::uint32_t depth = stack.depth.load(std::memory_order_relaxed);
-  if (depth < kMaxFrames) stack.frames[depth] = name;
-  stack.depth.store(depth + 1, std::memory_order_release);
-}
-
-void pop_frame() noexcept {
-  FrameStack& stack = tls_frames;
-  const std::uint32_t depth = stack.depth.load(std::memory_order_relaxed);
-  if (depth > 0) stack.depth.store(depth - 1, std::memory_order_release);
-}
-
-bool running() noexcept { return g_sampling.load(std::memory_order_acquire); }
-
-bool start(const ProfilerOptions& options) {
-#if CCG_PROF_HAVE_ITIMER
-  if (g_running) return false;
-  g_options = options;
-  g_options.hz = std::clamp(g_options.hz, 1, 1000);
-  if (g_options.max_samples == 0) g_options.max_samples = 1;
-
-  if (g_capacity != g_options.max_samples) {
-    // Raw, untouched memory on purpose: the default 1M-sample buffer is
-    // ~200 MB of address space, and value-initializing it would fault in
-    // every page up front (observable as startup RSS + sys time). malloc
-    // also bypasses the heap hooks, so profiler overhead is never billed
-    // to the workload's allocation accounting. The handler fully writes
-    // frames[0..depth) of each claimed slot; stop() reads nothing else.
-    std::free(g_buffer);
-    g_buffer =
-        static_cast<Sample*>(std::malloc(g_options.max_samples * sizeof(Sample)));
-    if (g_buffer == nullptr) {
-      g_capacity = 0;
-      return false;
-    }
-    g_capacity = g_options.max_samples;
-  }
-  g_next.store(0, std::memory_order_relaxed);
-  g_dropped.store(0, std::memory_order_relaxed);
-  g_started = std::chrono::steady_clock::now();
-
-  // Frames first (threads start maintaining stacks), then the timer.
-  // Threads already inside a span when we arm record partial stacks until
-  // those spans close — attribution converges within one window.
-  detail::g_frames_on.store(true, std::memory_order_release);
-  g_sampling.store(true, std::memory_order_release);
-
-  struct sigaction action = {};
-  action.sa_handler = ccg_prof_sample_handler;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = SA_RESTART;
-  const int sig = g_options.wall ? SIGALRM : SIGPROF;
-  if (sigaction(sig, &action, &g_prev_action) != 0) {
-    g_sampling.store(false, std::memory_order_release);
-    detail::g_frames_on.store(false, std::memory_order_release);
-    return false;
-  }
-
-  itimerval timer = {};
-  const long usec = std::max(1000000L / g_options.hz, 1L);
-  timer.it_interval.tv_sec = usec / 1000000;
-  timer.it_interval.tv_usec = usec % 1000000;
-  timer.it_value = timer.it_interval;
-  const int which = g_options.wall ? ITIMER_REAL : ITIMER_PROF;
-  if (setitimer(which, &timer, nullptr) != 0) {
-    sigaction(sig, &g_prev_action, nullptr);
-    g_sampling.store(false, std::memory_order_release);
-    detail::g_frames_on.store(false, std::memory_order_release);
-    return false;
-  }
-  g_running = true;
-  return true;
-#else
-  (void)options;
-  return false;
-#endif
-}
-
-Profile stop() {
+Profile capture(std::chrono::steady_clock::time_point start) {
+  const auto now = std::chrono::steady_clock::now();
+  const TraceRing& ring = TraceRing::global();
   Profile profile;
-#if CCG_PROF_HAVE_ITIMER
-  if (!g_running) return profile;
-  g_running = false;
-
-  g_sampling.store(false, std::memory_order_release);
-  detail::g_frames_on.store(false, std::memory_order_release);
-  itimerval off = {};
-  setitimer(g_options.wall ? ITIMER_REAL : ITIMER_PROF, &off, nullptr);
-  sigaction(g_options.wall ? SIGALRM : SIGPROF, &g_prev_action, nullptr);
-  // A handler that loaded the gate just before it flipped may still be
-  // copying into the buffer; wait it out before reading.
-  while (g_in_handler.load(std::memory_order_acquire) != 0) {
-  }
-
-  profile.options = g_options;
-  profile.duration_seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - g_started)
-                                 .count();
-  const std::size_t taken =
-      std::min(g_next.load(std::memory_order_relaxed), g_capacity);
-  // Copy only the handler-written prefix of each slot — the buffer is raw
-  // malloc'd memory and frames past `depth` were never initialized.
-  profile.samples.resize(taken);
-  for (std::size_t i = 0; i < taken; ++i) {
-    const Sample& in = g_buffer[i];
-    Sample& out = profile.samples[i];
-    out.trace_id = in.trace_id;
-    out.depth = std::min<std::uint32_t>(in.depth, kMaxFrames);
-    for (std::uint32_t f = 0; f < out.depth; ++f) out.frames[f] = in.frames[f];
-  }
-  profile.dropped = g_dropped.load(std::memory_order_relaxed);
-#endif
+  profile.spans = ring.events();
+  profile.dropped = ring.dropped();
+  profile.start_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          start.time_since_epoch())
+          .count());
+  profile.wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(now - start)
+          .count());
   return profile;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Profile::folded() const {
-  std::map<std::string, std::uint64_t> counts;
+  std::map<std::string, std::uint64_t> weights;
   std::string key;
-  for (const Sample& s : samples) {
+  for (const Stack& s : stacks(*this)) {
     key.clear();
-    for (std::uint32_t i = 0; i < s.depth; ++i) {
+    for (std::size_t i = 0; i < s.frames.size(); ++i) {
       if (i > 0) key.push_back(';');
-      key += s.frames[i] != nullptr ? s.frames[i] : "(null)";
+      key += *s.frames[i];
     }
-    if (key.empty()) key = "(untracked)";
-    ++counts[key];
+    weights[key] += s.weight_ns;
   }
-  return {counts.begin(), counts.end()};
+  return {weights.begin(), weights.end()};
 }
 
 std::vector<FrameCost> Profile::frame_costs() const {
   std::map<std::string, FrameCost> by_name;
-  std::set<std::string> seen;  // per-sample dedupe for total
-  for (const Sample& s : samples) {
+  std::set<std::string_view> seen;  // per-stack dedupe for total
+  for (const Stack& s : stacks(*this)) {
     seen.clear();
-    for (std::uint32_t i = 0; i < s.depth; ++i) {
-      const std::string name = s.frames[i] != nullptr ? s.frames[i] : "(null)";
+    for (std::size_t i = 0; i < s.frames.size(); ++i) {
+      const std::string& name = *s.frames[i];
       FrameCost& cost = by_name[name];
       if (cost.name.empty()) cost.name = name;
-      if (seen.insert(name).second) ++cost.total;
-      if (i + 1 == s.depth) ++cost.self;
+      if (seen.insert(name).second) cost.total_ns += s.weight_ns;
+      if (i + 1 == s.frames.size()) cost.self_ns += s.weight_ns;
     }
   }
   std::vector<FrameCost> out;
   out.reserve(by_name.size());
   for (auto& [name, cost] : by_name) out.push_back(std::move(cost));
   std::sort(out.begin(), out.end(), [](const FrameCost& a, const FrameCost& b) {
-    return a.self != b.self ? a.self > b.self : a.name < b.name;
+    return a.self_ns != b.self_ns ? a.self_ns > b.self_ns : a.name < b.name;
   });
   return out;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> Profile::samples_by_window()
+std::vector<std::pair<std::uint64_t, std::uint64_t>> Profile::window_costs()
     const {
-  std::map<std::uint64_t, std::uint64_t> counts;
-  for (const Sample& s : samples) ++counts[s.trace_id];
-  return {counts.begin(), counts.end()};
+  std::map<std::uint64_t, std::uint64_t> weights;
+  for (const Stack& s : stacks(*this)) weights[s.trace_id] += s.weight_ns;
+  return {weights.begin(), weights.end()};
 }
 
 std::string Profile::folded_text() const {
   std::string out;
-  for (const auto& [stack, count] : folded()) {
+  for (const auto& [stack, ns] : folded()) {
     out += stack;
     out.push_back(' ');
-    out += std::to_string(count);
+    out += std::to_string(ns);
     out.push_back('\n');
   }
   return out;
 }
 
 std::string Profile::table_text() const {
-  const double per_sample = seconds_per_sample();
-  const std::uint64_t n = samples.size();
+  const std::vector<FrameCost> costs = frame_costs();
+  std::uint64_t weight_ns = 0;
+  for (const FrameCost& cost : costs) weight_ns += cost.self_ns;
   char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%zu samples over %.2f s (%s @ %d Hz, %zu dropped)\n",
-                samples.size(), duration_seconds, options.wall ? "wall" : "cpu",
-                options.hz, dropped);
+  std::snprintf(buf, sizeof(buf), "%zu spans over %.3f s wall (%zu dropped)\n",
+                spans.size(), seconds(wall_ns), dropped);
   std::string out = buf;
-  std::snprintf(buf, sizeof(buf), "%-44s %10s %10s %7s %9s\n", "stage",
-                "self(s)", "total(s)", "self%", "samples");
+  std::snprintf(buf, sizeof(buf), "%-44s %10s %10s %7s\n", "stage", "self(s)",
+                "total(s)", "self%");
   out += buf;
-  for (const FrameCost& cost : frame_costs()) {
-    std::snprintf(buf, sizeof(buf), "%-44s %10.3f %10.3f %6.1f%% %9llu\n",
-                  cost.name.c_str(), static_cast<double>(cost.self) * per_sample,
-                  static_cast<double>(cost.total) * per_sample,
-                  n > 0 ? 100.0 * static_cast<double>(cost.self) /
-                              static_cast<double>(n)
-                        : 0.0,
-                  static_cast<unsigned long long>(cost.self));
+  for (const FrameCost& cost : costs) {
+    std::snprintf(buf, sizeof(buf), "%-44s %10.3f %10.3f %6.1f%%\n",
+                  cost.name.c_str(), seconds(cost.self_ns),
+                  seconds(cost.total_ns),
+                  weight_ns > 0 ? 100.0 * static_cast<double>(cost.self_ns) /
+                                      static_cast<double>(weight_ns)
+                                : 0.0);
     out += buf;
   }
   return out;
@@ -292,51 +196,44 @@ std::string Profile::to_json() const {
   char buf[160];
   std::string out = "{\n";
   std::snprintf(buf, sizeof(buf),
-                "  \"mode\": \"%s\",\n  \"hz\": %d,\n  \"samples\": %zu,\n"
-                "  \"dropped\": %zu,\n  \"duration_seconds\": %.6f,\n",
-                options.wall ? "wall" : "cpu", options.hz, samples.size(),
-                dropped, duration_seconds);
+                "  \"spans\": %zu,\n  \"dropped\": %zu,\n"
+                "  \"wall_seconds\": %.6f,\n",
+                spans.size(), dropped, seconds(wall_ns));
   out += buf;
 
   out += "  \"stages\": [";
   bool first = true;
-  const double per_sample = seconds_per_sample();
   for (const FrameCost& cost : frame_costs()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"name\": \"";
     json_escape_into(out, cost.name);
     std::snprintf(buf, sizeof(buf),
-                  "\", \"self_samples\": %llu, \"total_samples\": %llu, "
-                  "\"self_seconds\": %.6f, \"total_seconds\": %.6f}",
-                  static_cast<unsigned long long>(cost.self),
-                  static_cast<unsigned long long>(cost.total),
-                  static_cast<double>(cost.self) * per_sample,
-                  static_cast<double>(cost.total) * per_sample);
+                  "\", \"self_seconds\": %.6f, \"total_seconds\": %.6f}",
+                  seconds(cost.self_ns), seconds(cost.total_ns));
     out += buf;
   }
   out += first ? "],\n" : "\n  ],\n";
 
   out += "  \"windows\": [";
   first = true;
-  for (const auto& [trace, count] : samples_by_window()) {
+  for (const auto& [trace, ns] : window_costs()) {
     out += first ? "\n" : ",\n";
     first = false;
-    std::snprintf(buf, sizeof(buf), "    {\"trace\": \"0x%llx\", \"samples\": %llu}",
-                  static_cast<unsigned long long>(trace),
-                  static_cast<unsigned long long>(count));
+    std::snprintf(buf, sizeof(buf), "    {\"trace\": \"0x%llx\", \"seconds\": %.6f}",
+                  static_cast<unsigned long long>(trace), seconds(ns));
     out += buf;
   }
   out += first ? "],\n" : "\n  ],\n";
 
   out += "  \"folded\": [";
   first = true;
-  for (const auto& [stack, count] : folded()) {
+  for (const auto& [stack, ns] : folded()) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"stack\": \"";
     json_escape_into(out, stack);
-    out += "\", \"count\": " + std::to_string(count) + "}";
+    out += "\", \"ns\": " + std::to_string(ns) + "}";
   }
   out += first ? "]\n" : "\n  ]\n";
   out += "}\n";

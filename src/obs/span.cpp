@@ -91,7 +91,6 @@ ScopedSpan::~ScopedSpan() {
   const double seconds = std::chrono::duration<double>(end - start_).count();
   histogram_->record(seconds);
 
-  if (prof_framed_) prof::pop_frame();
   if (!traced_) return;
   set_current_trace(parent_);
   TraceRing& ring = TraceRing::global();

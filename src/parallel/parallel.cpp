@@ -11,9 +11,7 @@
 #include <string>
 #include <thread>
 
-#include "ccg/obs/heap.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/prof.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
 
@@ -75,8 +73,6 @@ struct Job {
   ChunkLayout layout;
   const std::function<void(std::size_t, std::size_t, std::size_t)>* body = nullptr;
   obs::TraceContext ctx;  // workers run chunks under the job's span
-  const char* prof_frame = nullptr;       // interned job span name, set while profiling
-  obs::prof::HeapSink* heap_sink = nullptr;  // submitter's sink; workers bill it
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> done_chunks{0};
   std::atomic<std::uint64_t> busy_workers{0};
@@ -120,8 +116,6 @@ class Pool {
     job.layout = layout;
     job.body = &body;
     job.ctx = {submit_ctx.trace_id, job_span};
-    if (obs::prof::frames_enabled()) job.prof_frame = tag.span_name->c_str();
-    job.heap_sink = obs::prof::current_heap_sink();
 
     obs_jobs_->add();
     obs_chunks_->add(layout.count);
@@ -237,12 +231,8 @@ class Pool {
   void work(Job& job, std::size_t slot) {
     // Chunk bodies run under the job's trace context, so any span they
     // open nests below the ccg.parallel.job.<tag> span — even though this
-    // thread never saw the submitting code. Profiler samples on this
-    // thread likewise land under the job's frame, and allocations bill the
-    // submitter's heap-sink chain.
+    // thread never saw the submitting code.
     obs::TraceScope trace(job.ctx);
-    obs::prof::FrameScope frame(job.prof_frame);
-    obs::prof::HeapSinkScope heap(job.heap_sink);
     job.busy_workers.fetch_add(1, std::memory_order_relaxed);
     const std::size_t chunks = job.layout.count;
     for (;;) {

@@ -7,7 +7,6 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/graph/csr.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -278,7 +277,6 @@ WeightedGraph similarity_clique(const CommGraph& graph,
                                 const CsrAdjacency& csr,
                                 SimilarityOptions options) {
   parallel::ScopedJobTag job_tag("similarity");
-  obs::prof::KernelCounterScope counters("similarity_clique");
   const std::size_t n = graph.node_count();
   CCG_EXPECT(csr.node_count() == n);
   WeightedGraph clique(n);

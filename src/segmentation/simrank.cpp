@@ -6,7 +6,6 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/graph/csr.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
@@ -54,7 +53,6 @@ std::vector<double> simrank_scores_impl(const CommGraph& graph,
                                         const CsrAdjacency& csr,
                                         SimRankOptions options) {
   parallel::ScopedJobTag job_tag("simrank");
-  obs::prof::KernelCounterScope counters("simrank");
   const std::size_t n = graph.node_count();
   CCG_EXPECT(csr.node_count() == n);
   CCG_EXPECT(n <= 3000);

@@ -10,6 +10,7 @@
 // the initiator bit). An IP is treated as *monitored* iff it ever appears
 // as a record's local endpoint — exactly the set of NICs that produced the
 // log.
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -48,7 +49,6 @@
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/slo.hpp"
 #include "ccg/obs/prof.hpp"
-#include "ccg/obs/prof_counters.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
 #include "ccg/parallel/parallel.hpp"
@@ -153,11 +153,9 @@ int usage() {
                "  store stats   --store DIR prints frame/segment totals plus\n"
                "                per-window patch churn (nodes/edges touched,\n"
                "                churn-ratio histogram)\n"
-               "  profile <command> [options...] runs any command under the\n"
-               "           sampling profiler and prints a per-stage self/total\n"
-               "           cost table plus hardware-counter deltas\n"
-               "           [--profile-hz N]    sample rate (default 197)\n"
-               "           [--profile-wall]    sample wall time, not CPU time\n"
+               "  profile <command> [options...] runs any command with the\n"
+               "           span ring on and prints each span's self/total wall\n"
+               "           time plus the run's CPU and peak RSS (rusage)\n"
                "           [--profile-out F]   write folded stacks (flamegraph.pl)\n"
                "           [--profile-json F]  write the full profile as JSON\n"
                "every command also accepts:\n"
@@ -1304,56 +1302,36 @@ int dispatch(const std::string& command, const std::string& subcommand,
   return usage();
 }
 
-/// `ccgraph profile <command> ...`: runs the inner command under the
-/// sampling profiler plus a whole-run counter scope, prints the per-stage
-/// self/total table, and optionally writes folded stacks / JSON.
+/// `ccgraph profile <command> ...`: runs the inner command with the span
+/// ring on, prints the per-span self/total table built from the ring plus a
+/// whole-run getrusage footer, and optionally writes folded stacks / JSON.
 int run_profiled(const std::string& command, const std::string& subcommand,
                  const Args& args) {
-  namespace prof = ccg::obs::prof;
-  prof::enable_counters();  // before the pool spawns, so workers inherit
+  ccg::obs::TraceRing& ring = ccg::obs::TraceRing::global();
+  if (!ring.enabled()) ring.enable(ccg::obs::default_trace_ring_capacity());
+  rusage before = {};
+  getrusage(RUSAGE_SELF, &before);
+  const auto start = std::chrono::steady_clock::now();
+  int rc = dispatch(command, subcommand, args);
+  const ccg::obs::prof::Profile profile = ccg::obs::prof::capture(start);
+  rusage after = {};
+  getrusage(RUSAGE_SELF, &after);
 
-  prof::ProfilerOptions options;
-  options.hz = static_cast<int>(args.get_long("profile-hz", 197));
-  options.wall = args.get("profile-wall").has_value();
-
-  prof::CounterValues counters;
-  int rc;
-  prof::Profile profile;
-  {
-    prof::CounterScope counter_scope(counters);
-    if (!prof::start(options)) {
-      std::fprintf(stderr,
-                   "ccgraph: sampling profiler unavailable; running the "
-                   "command unprofiled\n");
-    }
-    rc = dispatch(command, subcommand, args);
-    profile = prof::stop();
-  }
-
+  const auto cpu_seconds = [](const timeval& from, const timeval& to) {
+    return static_cast<double>(to.tv_sec - from.tv_sec) +
+           static_cast<double>(to.tv_usec - from.tv_usec) * 1e-6;
+  };
   std::printf("\n==== profile: %s ====\n%s", command.c_str(),
               profile.table_text().c_str());
-  if (counters.tier == prof::CounterTier::kPerfEvent) {
-    std::printf("counters (%s): cycles=%llu instructions=%llu ipc=%.2f "
-                "cache_misses=%llu branch_misses=%llu cpu=%.3fs\n",
-                prof::tier_name(counters.tier),
-                static_cast<unsigned long long>(counters.cycles),
-                static_cast<unsigned long long>(counters.instructions),
-                counters.ipc(),
-                static_cast<unsigned long long>(counters.cache_misses),
-                static_cast<unsigned long long>(counters.branch_misses),
-                counters.cpu_seconds);
-  } else {
-    std::printf("counters (%s): cpu_user=%.3fs cpu_sys=%.3fs "
-                "faults=%llu/%llu ctx=%llu/%llu peak_rss=%.1fMB\n",
-                prof::tier_name(counters.tier), counters.cpu_user_seconds,
-                counters.cpu_system_seconds,
-                static_cast<unsigned long long>(counters.minor_faults),
-                static_cast<unsigned long long>(counters.major_faults),
-                static_cast<unsigned long long>(counters.voluntary_ctx_switches),
-                static_cast<unsigned long long>(
-                    counters.involuntary_ctx_switches),
-                static_cast<double>(counters.max_rss_bytes) / (1024.0 * 1024.0));
-  }
+  std::printf("counters (rusage): cpu_user=%.3fs cpu_sys=%.3fs "
+              "faults=%ld/%ld ctx=%ld/%ld peak_rss=%.1fMB\n",
+              cpu_seconds(before.ru_utime, after.ru_utime),
+              cpu_seconds(before.ru_stime, after.ru_stime),
+              after.ru_minflt - before.ru_minflt,
+              after.ru_majflt - before.ru_majflt,
+              after.ru_nvcsw - before.ru_nvcsw,
+              after.ru_nivcsw - before.ru_nivcsw,
+              static_cast<double>(after.ru_maxrss) / 1024.0);  // KiB on Linux
 
   if (const auto path = args.get("profile-out")) {
     std::ofstream out(*path);

@@ -102,6 +102,14 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT summaries_differ EQUAL 0)
   message(FATAL_ERROR "store replay summaries differ from the direct run")
 endif()
+# Three hours at --window 2 is 90 windows, one summary line each: a short
+# file means windows went missing on both sides.
+file(READ ${WORKDIR}/direct_summaries.txt direct_summaries)
+string(REGEX MATCHALL "\n" direct_newlines "${direct_summaries}")
+list(LENGTH direct_newlines direct_lines)
+if(direct_lines LESS 60)
+  message(FATAL_ERROR "direct run wrote ${direct_lines} summary lines, want >= 60")
+endif()
 
 # Every subcommand honors the global --metrics-out/--metrics-prom flags —
 # including the store family, whose export regressing silently would leave
@@ -159,6 +167,47 @@ if(NOT trace_json MATCHES "ccg.analytics.window")
   message(FATAL_ERROR "trace.json is missing the window root spans")
 endif()
 
+# `ccgraph profile` runs any command with the span ring on and attributes
+# span self time along the same tree `trace` prints: every analysis-stage
+# frame sits under the window frame (stage.build runs at ingest, before its
+# window closes, so it is a root).
+run_cli_rc(profile_rc profile anomaly --in long.csv --window 30 --train 2
+           --profile-out profile_folded.txt --profile-json profile.json)
+if(NOT (profile_rc EQUAL 0 OR profile_rc EQUAL 3))
+  message(FATAL_ERROR "profile anomaly -> rc=${profile_rc} (want 0 or 3)")
+endif()
+string(FIND "${profile_rc_stdout}" "==== profile: anomaly ====" table_at)
+if(table_at EQUAL -1)
+  message(FATAL_ERROR "profile printed no table:\n${profile_rc_stdout}")
+endif()
+string(SUBSTRING "${profile_rc_stdout}" ${table_at} -1 profile_table)
+if(NOT profile_table MATCHES "ccg\\.analytics\\.window")
+  message(FATAL_ERROR "profile table does not name ccg.analytics.window:\n${profile_table}")
+endif()
+file(READ ${WORKDIR}/profile_folded.txt folded_text)
+if(folded_text STREQUAL "")
+  message(FATAL_ERROR "profile wrote no folded stacks")
+endif()
+# Frames are ';'-separated, which is also CMake's list separator: swap them
+# out so each line stays one list element.
+string(REPLACE ";" "|" folded_text "${folded_text}")
+string(REPLACE "\n" ";" folded_lines "${folded_text}")
+foreach(line IN LISTS folded_lines)
+  string(FIND "${line}" "ccg.analytics.stage." stage_at)
+  string(FIND "${line}" "ccg.analytics.stage.build" build_at)
+  if(stage_at EQUAL -1 OR build_at EQUAL stage_at)
+    continue()
+  endif()
+  string(FIND "${line}" "ccg.analytics.window" window_at)
+  if(window_at EQUAL -1 OR window_at GREATER stage_at)
+    message(FATAL_ERROR "profile: stage frame outside its window: ${line}")
+  endif()
+endforeach()
+file(READ ${WORKDIR}/profile.json profile_json)
+if(NOT profile_json MATCHES "\"folded\": \\[\n *{\"stack\": ")
+  message(FATAL_ERROR "profile.json has no folded stacks")
+endif()
+
 # A stalled window (injected) must trip the watchdog into writing a flight
 # record that names the stall.
 file(REMOVE_RECURSE ${WORKDIR}/flightdir)
@@ -176,6 +225,9 @@ if(NOT stall_json MATCHES "window stalled past watchdog deadline")
 endif()
 if(stall_json MATCHES "\"span_count\": 0,")
   message(FATAL_ERROR "flight record captured no spans")
+endif()
+if(NOT stall_json MATCHES "\"metrics\": {[ \t\r\n]*\"counters\"")
+  message(FATAL_ERROR "flight record is missing the metrics snapshot")
 endif()
 
 # Watchdog precedence is flag > $CCG_WATCHDOG_MS > off: the env var alone
