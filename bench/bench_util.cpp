@@ -46,8 +46,8 @@ void emit_resource_summary() {
     }
   }
 
-  // Transport health and SLO-watcher verdicts ride along so a bench run's
-  // artifact shows whether the run was clean end to end.
+  // Transport health rides along so a bench run's artifact shows whether
+  // the run was clean end to end.
   const auto counter_or_zero = [&snapshot](const char* name) {
     for (const obs::CounterSample& c : snapshot.counters) {
       if (c.name == name) return c.value;
@@ -69,12 +69,6 @@ void emit_resource_summary() {
       ", \"timeouts\": " +
       std::to_string(counter_or_zero("ccg.net.timeouts")) +
       ", \"errors\": " + std::to_string(counter_or_zero("ccg.net.errors")) +
-      "}, \"slo\": {\"evaluations\": " +
-      std::to_string(counter_or_zero("ccg.slo.evaluations")) +
-      ", \"breaches\": " +
-      std::to_string(counter_or_zero("ccg.slo.breaches")) +
-      ", \"sustained\": " +
-      std::to_string(counter_or_zero("ccg.slo.sustained")) +
       "}, \"stages\": [";
   bool first = true;
   for (const auto& [name, cost] : stages) {

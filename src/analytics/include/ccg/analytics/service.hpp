@@ -11,13 +11,11 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "ccg/graph/builder.hpp"
-#include "ccg/incremental/engine.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/segmentation/tracker.hpp"
 #include "ccg/store/store.hpp"
@@ -55,19 +53,6 @@ struct AnalyticsServiceOptions {
   EwmaDetectorOptions edge_detector{.suppress_new_node_edges = true};
   SegmentationMethod segmentation = SegmentationMethod::kJaccardLouvain;
   SegmentationOptions segmentation_options;
-  /// Patch-driven incremental segmentation (src/incremental): per-window
-  /// MinHash/score/Louvain state is maintained from exact graph patches
-  /// instead of recomputed. Exact mode — reports stay byte-identical to
-  /// the plain service. CCG_INCREMENTAL=1 in the environment also turns
-  /// this on (any value but "0").
-  bool incremental = false;
-  /// With incremental: check every window against a scratch full
-  /// recompute (docs/INCREMENTAL.md contracts). CI/debug knob — it does
-  /// the very work incrementality skips.
-  bool incremental_verify = false;
-  /// With incremental: warm-start Louvain from the previous communities
-  /// (bounded modularity divergence instead of byte-identity).
-  bool incremental_refine = false;
   /// Debug hook: sleep this long inside every window's analysis. Exists so
   /// tests and the CLI can provoke the obs::Watchdog deliberately; leave 0
   /// in real deployments.
@@ -116,11 +101,6 @@ class AnalyticsService : public TelemetrySink {
   std::size_t windows_reported() const { return windows_reported_; }
   const std::vector<WindowReport>& history() const { return history_; }
 
-  /// Null unless options.incremental (or CCG_INCREMENTAL) is set.
-  const incremental::IncrementalEngine* incremental_engine() const {
-    return incremental_.get();
-  }
-
  private:
   void drain_closed_windows();
   void deliver(const CommGraph& graph);
@@ -135,7 +115,6 @@ class AnalyticsService : public TelemetrySink {
   SpectralAnomalyDetector spectral_;
   EwmaEdgeDetector edge_detector_;
   SegmentTracker tracker_;
-  std::unique_ptr<incremental::IncrementalEngine> incremental_;
   std::size_t windows_reported_ = 0;
   std::vector<WindowReport> history_;
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <string_view>
 #include <thread>
 
 #include "ccg/common/expect.hpp"
 #include "ccg/obs/flight.hpp"
-#include "ccg/obs/slo.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
 
@@ -25,19 +22,6 @@ AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
       tracker_(options.segmentation, options.segmentation_options) {
   CCG_EXPECT(options.training_windows >= 1);
   CCG_EXPECT(on_report_ != nullptr);
-  if (const char* env = std::getenv("CCG_INCREMENTAL");
-      env != nullptr && env[0] != '\0' && std::string_view(env) != "0") {
-    options_.incremental = true;
-  }
-  if (options_.incremental) {
-    incremental::IncrementalOptions iopts;
-    iopts.method = options_.segmentation;
-    iopts.segmentation = options_.segmentation_options;
-    iopts.refine = options_.incremental_refine;
-    iopts.verify_against_full = options_.incremental_verify;
-    incremental_ =
-        std::make_unique<incremental::IncrementalEngine>(std::move(iopts));
-  }
   obs::Registry& registry = obs::Registry::global();
   m_stage_build_ = &obs::span_histogram("ccg.analytics.stage.build");
   m_stage_spectral_ = &obs::span_histogram("ccg.analytics.stage.spectral");
@@ -95,7 +79,6 @@ void AnalyticsService::deliver(const CommGraph& graph) {
     report = analyze(graph);
   }
   obs::Watchdog::global().end_window();
-  obs::SloWatcher::global().note_window();
   history_.push_back(std::move(report));
   ++windows_reported_;
   on_report_(history_.back());
@@ -133,14 +116,7 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
   }
   {
     obs::ScopedSpan span(*m_stage_tracker_, "ccg.analytics.stage.tracker");
-    if (incremental_ != nullptr) {
-      // Exact mode hands the tracker a segmentation byte-identical to the
-      // auto_segment call it would otherwise make itself.
-      report.segments =
-          tracker_.observe(graph, incremental_->observe(graph).segmentation);
-    } else {
-      report.segments = tracker_.observe(graph);
-    }
+    report.segments = tracker_.observe(graph);
   }
   {
     obs::ScopedSpan span(*m_stage_patterns_, "ccg.analytics.stage.patterns");

@@ -101,17 +101,4 @@ void CsrAdjacency::rebuild(const CommGraph& g) {
   });
 }
 
-bool CsrAdjacency::patch_rows(const CommGraph& g, std::span<const NodeId> rows) {
-  if (arena_ == nullptr || g.node_count() != n_) return false;
-  for (NodeId v : rows) {
-    if (v >= n_ || g.degree(v) != degree(v)) return false;
-  }
-  parallel::parallel_for(rows.size(), 64, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      fill_row(g, rows[k]);
-    }
-  });
-  return true;
-}
-
 }  // namespace ccg

@@ -21,10 +21,10 @@
 // function of the graph alone, not of edge insertion order.
 //
 // Build once per window, share across every kernel that reads the window.
-// Long-lived pipelines reuse one CsrAdjacency across windows via rebuild()
-// (grow-only arena: reallocation happens only when a window exceeds every
-// previous window's node or entry count) or, when only edge statistics
-// moved, via patch_rows() which rewrites the touched rows in place.
+// A caller that flattens many graphs in turn (segment_all_methods) reuses
+// one CsrAdjacency via rebuild(): the arena is grow-only, so reallocation
+// happens only when a graph exceeds every previous one's node or entry
+// count.
 #pragma once
 
 #include <cstddef>
@@ -54,13 +54,6 @@ class CsrAdjacency {
   /// ever grows: a window smaller than a previous one reuses the old
   /// allocation, so steady-state windows cost zero allocator traffic.
   void rebuild(const CommGraph& g);
-
-  /// Rewrites the given rows in place from `g`, leaving every other row
-  /// untouched. Only legal when the node count and the degree of every
-  /// listed row are unchanged since the last rebuild (stats-only churn);
-  /// returns false — with the arena untouched — when that doesn't hold
-  /// and the caller must rebuild() instead.
-  bool patch_rows(const CommGraph& g, std::span<const NodeId> rows);
 
   std::size_t node_count() const { return n_; }
   std::size_t edge_entry_count() const {

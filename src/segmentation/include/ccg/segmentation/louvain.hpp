@@ -52,24 +52,10 @@ struct LouvainOptions {
   /// result is order-dependent, the seed makes it reproducible.
   std::uint64_t seed = 17;
   int max_passes_per_level = 32;
-  /// Cap on level-0 local-move passes when warm-starting from seed labels
-  /// (louvain_refine); keeps refinement cost proportional to churn rather
-  /// than graph size.
-  int refine_passes = 4;
 };
 
 /// Runs hierarchical Louvain to a local modularity optimum.
 LouvainResult louvain_cluster(const WeightedGraph& graph, LouvainOptions options = {});
-
-/// Warm-starts Louvain from a previous labeling: level-0 local moving is
-/// initialized with `seed_labels` (bounded to options.refine_passes passes)
-/// instead of singletons, then the normal hierarchy runs to a local
-/// optimum. Deterministic for fixed inputs, but a *different* local optimum
-/// than a cold louvain_cluster in general — callers comparing against full
-/// recompute should bound modularity divergence, not expect equality.
-LouvainResult louvain_refine(const WeightedGraph& graph,
-                             const std::vector<std::uint32_t>& seed_labels,
-                             LouvainOptions options = {});
 
 /// Modularity of a given labeling under resolution gamma.
 double modularity(const WeightedGraph& graph, const std::vector<std::uint32_t>& labels,

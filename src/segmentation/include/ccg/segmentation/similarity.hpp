@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "ccg/graph/comm_graph.hpp"
@@ -71,48 +69,5 @@ WeightedGraph similarity_clique(const CommGraph& graph, const CsrAdjacency& csr,
 /// Pairwise similarity of two specific nodes (exact, for tests/inspection).
 double node_similarity(const CommGraph& graph, NodeId a, NodeId b,
                        SimilarityOptions options = {});
-
-// --- building blocks (namespace sim) ----------------------------------------
-//
-// The pieces similarity_clique is assembled from, exposed so the
-// incremental engine (src/incremental) can maintain signatures, candidate
-// lists, and pair scores across windows while staying byte-identical to
-// the full recompute: each function is a pure, deterministic function of
-// the CSR rows it reads, at any thread count and SIMD tier.
-
-namespace sim {
-
-/// MinHash signature width (u64 lanes per node) and LSH band geometry.
-/// Stable contract values: 24 bands of 4 catch J >~ 0.25 pairs.
-constexpr int kMinHashFunctions = 96;
-constexpr int kLshBandSize = 4;
-
-using CandidatePair = std::pair<std::uint32_t, std::uint32_t>;
-
-/// MinHash signatures over (neighbor, direction-tag, port) features,
-/// flattened n x kMinHashFunctions (row v at sig[v * kMinHashFunctions]).
-std::vector<std::uint64_t> minhash_signatures(const CsrAdjacency& csr,
-                                              bool use_direction);
-
-/// Re-stamps only the given rows of `sig` in place (each reset to the
-/// empty-signature state first). `sig` must already span
-/// csr.node_count() * kMinHashFunctions lanes. A row re-stamped here is
-/// bit-identical to the same row of a fresh minhash_signatures() call —
-/// the incremental engine's exactness hinges on this.
-void minhash_restamp(const CsrAdjacency& csr, std::span<const NodeId> rows,
-                     bool use_direction, std::vector<std::uint64_t>& sig);
-
-/// LSH banding over `sig`: sorted, deduplicated co-bucketed pairs.
-std::vector<CandidatePair> lsh_candidates(const CsrAdjacency& csr,
-                                          const std::vector<std::uint64_t>& sig);
-
-/// Exact scores for an (a-major sorted) candidate list, written to
-/// scores[i] per candidates[i]. Parallel over candidates with per-worker
-/// stamped views; each score is independent of chunk geometry.
-void score_candidates(const CsrAdjacency& csr,
-                      std::span<const CandidatePair> candidates,
-                      const SimilarityOptions& options, double* scores);
-
-}  // namespace sim
 
 }  // namespace ccg

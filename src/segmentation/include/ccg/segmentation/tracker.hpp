@@ -42,11 +42,6 @@ class SegmentTracker {
   /// segment as new and zero churn.
   SegmentTransition observe(const CommGraph& window);
 
-  /// Same matching over a segmentation computed elsewhere (the incremental
-  /// engine hands its labels in here; identical labels give identical
-  /// transitions and stable ids).
-  SegmentTransition observe(const CommGraph& window, const Segmentation& seg);
-
   /// Monitored IP -> stable segment id, as of the last observe().
   const std::unordered_map<IpAddr, std::uint32_t>& assignment() const {
     return assignment_;
@@ -55,6 +50,9 @@ class SegmentTracker {
   std::size_t windows_observed() const { return windows_; }
 
  private:
+  /// The matching step: maps `seg`'s raw labels onto stable ids.
+  SegmentTransition observe(const CommGraph& window, const Segmentation& seg);
+
   SegmentationMethod method_;
   SegmentationOptions options_;
   double match_overlap_;

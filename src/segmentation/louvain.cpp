@@ -37,31 +37,22 @@ struct LevelResult {
 
 LevelResult local_moving(const WeightedGraph& graph, double resolution,
                          Rng& rng, int max_passes,
-                         const std::vector<double>& self_loops,
-                         const std::vector<std::uint32_t>* initial = nullptr) {
+                         const std::vector<double>& self_loops) {
   const std::size_t n = graph.size();
   double loop_total = 0.0;
   for (double s : self_loops) loop_total += s;
   const double m2 = 2.0 * (graph.total_weight() + loop_total);  // 2m
 
-  // Communities start as singletons, or — when warm-starting — as the
-  // caller's seed labeling (dense ids < n).
   std::vector<std::uint32_t> community(n);
-  if (initial != nullptr) {
-    community = *initial;
-  } else {
-    std::iota(community.begin(), community.end(), 0);
-  }
-  std::vector<double> strength(n), community_strength(n, 0.0);
+  std::iota(community.begin(), community.end(), 0);
+  std::vector<double> strength(n), community_strength(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     // A super-node's self-loop (intra-community weight from lower levels)
     // contributes 2w to its strength but never to weight_to, since the
     // loop moves with the node and cancels out of the gain comparison.
     strength[i] = graph.strength(i) +
                   (i < self_loops.size() ? 2.0 * self_loops[i] : 0.0);
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    community_strength[community[i]] += strength[i];
+    community_strength[i] = strength[i];
   }
 
   std::vector<std::uint32_t> order(n);
@@ -214,66 +205,6 @@ LouvainResult louvain_cluster(const WeightedGraph& graph, LouvainOptions options
     result.community_count = lr.community_count;
 
     if (!lr.improved || lr.community_count == level.size()) break;
-    std::vector<double> next_loops;
-    level = aggregate(level, lr.labels, lr.community_count, self_loops, next_loops);
-    self_loops = std::move(next_loops);
-  }
-
-  result.labels = node_to_super;
-  result.modularity = modularity(graph, result.labels, options.resolution);
-  return result;
-}
-
-LouvainResult louvain_refine(const WeightedGraph& graph,
-                             const std::vector<std::uint32_t>& seed_labels,
-                             LouvainOptions options) {
-  CCG_EXPECT(options.resolution > 0.0);
-  CCG_EXPECT(seed_labels.size() == graph.size());
-  const std::size_t n = graph.size();
-  Rng rng(options.seed);
-
-  LouvainResult result;
-  result.labels.resize(n);
-  std::iota(result.labels.begin(), result.labels.end(), 0);
-  result.community_count = n;
-  if (n == 0) return result;
-
-  // Densify the seed labels so they are valid community ids (< n).
-  std::vector<std::uint32_t> seeds = seed_labels;
-  {
-    std::unordered_map<std::uint32_t, std::uint32_t> renumber;
-    for (auto& c : seeds) {
-      auto [it, inserted] =
-          renumber.try_emplace(c, static_cast<std::uint32_t>(renumber.size()));
-      c = it->second;
-    }
-  }
-
-  std::vector<std::uint32_t> node_to_super(n);
-  std::iota(node_to_super.begin(), node_to_super.end(), 0);
-  WeightedGraph level = graph;
-  std::vector<double> self_loops;
-
-  for (int depth = 0; depth < 64; ++depth) {
-    // Level 0 starts from the seed labeling with a tighter pass budget —
-    // on low-churn windows most nodes are already home, so the pass loop
-    // converges after touching little more than the churned frontier.
-    const bool seeded = depth == 0;
-    LevelResult lr = local_moving(
-        level, options.resolution, rng,
-        seeded ? options.refine_passes : options.max_passes_per_level,
-        self_loops, seeded ? &seeds : nullptr);
-    for (std::size_t i = 0; i < n; ++i) {
-      node_to_super[i] = lr.labels[node_to_super[i]];
-    }
-    result.levels = depth + 1;
-    result.community_count = lr.community_count;
-
-    // The seeded level still aggregates when the seed grouped anything
-    // (its grouping is itself progress); later levels stop exactly as a
-    // cold run does.
-    if (!lr.improved && lr.community_count == level.size()) break;
-    if (depth > 0 && (!lr.improved || lr.community_count == level.size())) break;
     std::vector<double> next_loops;
     level = aggregate(level, lr.labels, lr.community_count, self_loops, next_loops);
     self_loops = std::move(next_loops);

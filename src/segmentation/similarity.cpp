@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "ccg/common/expect.hpp"
 #include "ccg/graph/csr.hpp"
@@ -14,8 +15,12 @@ namespace ccg {
 
 namespace {
 
-using sim::kLshBandSize;
-using sim::kMinHashFunctions;
+/// MinHash signature width (u64 lanes per node) and LSH band geometry.
+/// Stable contract values: 24 bands of 4 catch J >~ 0.25 pairs.
+constexpr int kMinHashFunctions = 96;
+constexpr int kLshBandSize = 4;
+
+using CandidatePair = std::pair<std::uint32_t, std::uint32_t>;
 
 /// State for scoring pairs (a, *): a's neighborhood stamped into arrays.
 /// Column types match the simd primitives (stamp/tag/port are gatherable
@@ -107,8 +112,6 @@ double score_pair(const CsrAdjacency& csr, const StampedView& view,
   return 0.0;
 }
 
-using CandidatePair = sim::CandidatePair;
-
 /// The MinHash salt table: one fixed 32-bit salt per hash function.
 const std::uint64_t* minhash_salts() {
   static const auto salts = [] {
@@ -122,7 +125,7 @@ const std::uint64_t* minhash_salts() {
   return salts.data();
 }
 
-/// (Re)stamps one signature row from v's CSR row. The per-feature lane
+/// Stamps one signature row from v's CSR row. The per-feature lane
 /// updates run on the simd tier (min over exact u64 hashes, so any lane
 /// order gives the same signature).
 void minhash_stamp_row(const CsrAdjacency& csr, NodeId v, bool use_direction,
@@ -141,10 +144,8 @@ void minhash_stamp_row(const CsrAdjacency& csr, NodeId v, bool use_direction,
   }
 }
 
-}  // namespace
-
-namespace sim {
-
+/// MinHash signatures over (neighbor, direction-tag, port) features,
+/// flattened n x kMinHashFunctions (row v at sig[v * kMinHashFunctions]).
 /// Rows are independent -> parallel over nodes.
 std::vector<std::uint64_t> minhash_signatures(const CsrAdjacency& csr,
                                               bool use_direction) {
@@ -157,18 +158,6 @@ std::vector<std::uint64_t> minhash_signatures(const CsrAdjacency& csr,
     }
   });
   return sig;
-}
-
-void minhash_restamp(const CsrAdjacency& csr, std::span<const NodeId> rows,
-                     bool use_direction, std::vector<std::uint64_t>& sig) {
-  CCG_EXPECT(sig.size() == csr.node_count() * kMinHashFunctions);
-  parallel::parallel_for(rows.size(), 32,
-                         [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      minhash_stamp_row(csr, rows[k], use_direction,
-                        sig.data() + rows[k] * std::size_t{kMinHashFunctions});
-    }
-  });
 }
 
 /// LSH banding: each band buckets nodes by a hash of its signature slice
@@ -222,9 +211,8 @@ std::vector<CandidatePair> lsh_candidates(const CsrAdjacency& csr,
 /// Chunks partition the (a-major sorted) candidate list; each worker keeps
 /// one reusable StampedView and re-stamps whenever the first endpoint
 /// changes inside its chunk, so the stamp arrays are rebuilt at most once
-/// per (node, chunk). Scores land in per-candidate slots — byte-identical
-/// at any thread count, and each slot is independent of which other pairs
-/// are in the list (the incremental engine scores subsets).
+/// per (node, chunk). Scores land in per-candidate slots, so the result is
+/// byte-identical at any thread count.
 void score_candidates(const CsrAdjacency& csr,
                       std::span<const CandidatePair> candidates,
                       const SimilarityOptions& options, double* scores) {
@@ -257,7 +245,7 @@ void score_candidates(const CsrAdjacency& csr,
       });
 }
 
-}  // namespace sim
+}  // namespace
 
 double node_similarity(const CommGraph& graph, NodeId a, NodeId b,
                        SimilarityOptions options) {
@@ -293,13 +281,13 @@ WeightedGraph similarity_clique(const CommGraph& graph,
     }
   } else {
     candidates =
-        sim::lsh_candidates(csr, sim::minhash_signatures(csr, options.use_direction));
+        lsh_candidates(csr, minhash_signatures(csr, options.use_direction));
   }
 
   // Exact scoring of candidates; the clique is assembled serially in
   // candidate order afterwards — byte-identical output at any thread count.
   std::vector<double> scores(candidates.size());
-  sim::score_candidates(csr, candidates, options, scores.data());
+  score_candidates(csr, candidates, options, scores.data());
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (scores[i] >= options.min_score) {

@@ -278,6 +278,11 @@ std::optional<FrameHeader> peek_frame(std::span<const std::uint8_t> payload) {
                      static_cast<std::int64_t>(*len)};
 }
 
+namespace {
+
+/// Decodes the frame into the GraphPatch that decode_frame applies. A
+/// keyframe's patch is expressed against the empty graph and ignores
+/// `base`. nullopt on corrupt payloads or refs inconsistent with `base`.
 std::optional<GraphPatch> decode_frame_patch(
     std::span<const std::uint8_t> payload, const CommGraph& base) {
   static const CommGraph empty_base;
@@ -385,6 +390,8 @@ std::optional<GraphPatch> decode_frame_patch(
 
   return patch;
 }
+
+}  // namespace
 
 std::optional<CommGraph> decode_frame(std::span<const std::uint8_t> payload,
                                       const CommGraph& base) {

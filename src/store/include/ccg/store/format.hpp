@@ -73,12 +73,4 @@ std::optional<FrameHeader> peek_frame(std::span<const std::uint8_t> payload);
 std::optional<CommGraph> decode_frame(std::span<const std::uint8_t> payload,
                                       const CommGraph& base);
 
-/// Decodes the frame into its GraphPatch without applying it — the patch
-/// stream consumed by incremental analytics (StoreReader::patches). For
-/// keyframes the patch is expressed against the empty graph and `base` is
-/// ignored; for deltas it is against `base`. nullopt on corrupt payloads
-/// or refs inconsistent with `base`.
-std::optional<GraphPatch> decode_frame_patch(
-    std::span<const std::uint8_t> payload, const CommGraph& base);
-
 }  // namespace ccg::store

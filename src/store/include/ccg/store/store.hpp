@@ -152,40 +152,6 @@ class StoreReader {
   Range range(std::int64_t t0 = std::numeric_limits<std::int64_t>::min(),
               std::int64_t t1 = std::numeric_limits<std::int64_t>::max()) const;
 
-  /// One window of the patch stream: the frame's GraphPatch plus the graph
-  /// it produces. Keyframe patches are expressed against the empty graph
-  /// (every node/edge new); delta patches against the previous window.
-  struct PatchEntry {
-    GraphPatch patch;
-    FrameKind kind = FrameKind::kKeyframe;
-    CommGraph graph;  // the window the patch materializes
-  };
-
-  /// Iterator over patches with t0 <= window_begin < t1, oldest first —
-  /// the delta stream incremental analytics consume. Folding the stream
-  /// (apply_patch per entry, resetting to the empty graph at keyframes)
-  /// reconstructs every window byte-identically to window_at(). Shares the
-  /// rolling-base decode state of Range, so a full scan stays one decode
-  /// per frame.
-  class Patches {
-   public:
-    std::optional<PatchEntry> next();
-
-   private:
-    friend class StoreReader;
-    Patches(const StoreReader* reader, std::size_t index, std::size_t end);
-    const StoreReader* reader_;
-    std::size_t index_;  // next entry to yield
-    std::size_t end_;
-    std::optional<CommGraph> base_;  // graph of entries_[index_ - 1]
-    std::unique_ptr<std::ifstream> stream_;
-    std::uint32_t stream_segment_ = 0;
-  };
-
-  Patches patches(
-      std::int64_t t0 = std::numeric_limits<std::int64_t>::min(),
-      std::int64_t t1 = std::numeric_limits<std::int64_t>::max()) const;
-
   /// Materializes the single window starting at `begin`, if stored.
   std::optional<CommGraph> window_at(std::int64_t begin) const;
 

@@ -430,72 +430,6 @@ std::optional<CommGraph> StoreReader::Range::next() {
   return *base_;
 }
 
-StoreReader::Patches::Patches(const StoreReader* reader, std::size_t index,
-                              std::size_t end)
-    : reader_(reader), index_(index), end_(end) {}
-
-StoreReader::Patches StoreReader::patches(std::int64_t t0,
-                                          std::int64_t t1) const {
-  const Range r = range(t0, t1);
-  return Patches(this, r.index_, r.end_);
-}
-
-std::optional<StoreReader::PatchEntry> StoreReader::Patches::next() {
-  static obs::Counter& frame_errors =
-      obs::Registry::global().counter("ccg.store.frame_errors");
-
-  if (index_ >= end_) return std::nullopt;
-
-  const auto& entries = reader_->entries_;
-  // Same rolling-base discipline as Range::next: the first call restarts
-  // the delta chain at the governing keyframe, rolling graphs (not patches)
-  // forward up to the range start.
-  std::size_t from = index_;
-  if (!base_) {
-    while (from > 0 && entries[from].kind != FrameKind::kKeyframe) --from;
-    if (entries[from].kind != FrameKind::kKeyframe) {
-      frame_errors.add();
-      return std::nullopt;  // no keyframe governs this range
-    }
-  }
-
-  PatchEntry out;
-  for (std::size_t i = from; i <= index_; ++i) {
-    const IndexEntry& entry = entries[i];
-    if (!stream_ || stream_segment_ != entry.segment) {
-      stream_ = std::make_unique<std::ifstream>(
-          segment_path(reader_->dir_, entry.segment), std::ios::binary);
-      stream_segment_ = entry.segment;
-    }
-    const auto payload = read_frame(*stream_, entry.offset);
-    if (!payload) {
-      frame_errors.add();
-      return std::nullopt;
-    }
-    auto patch = decode_frame_patch(*payload, base_ ? *base_ : CommGraph{});
-    if (!patch) {
-      frame_errors.add();
-      return std::nullopt;
-    }
-    static const CommGraph empty_base;
-    const CommGraph& patch_base =
-        entry.kind == FrameKind::kKeyframe || !base_ ? empty_base : *base_;
-    auto graph = apply_patch(patch_base, *patch);
-    if (!graph) {
-      frame_errors.add();
-      return std::nullopt;
-    }
-    base_ = std::move(*graph);
-    if (i == index_) {
-      out.patch = std::move(*patch);
-      out.kind = entry.kind;
-    }
-  }
-  ++index_;
-  out.graph = *base_;
-  return out;
-}
-
 std::optional<CommGraph> StoreReader::window_at(std::int64_t begin) const {
   Range r = range(begin, begin + 1);
   return r.next();

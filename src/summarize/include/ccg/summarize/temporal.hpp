@@ -32,6 +32,11 @@ struct SeriesStability {
   std::string summary() const;
 };
 
+/// Stability of the transition from `before` to the next window `after`.
+TransitionStability transition_stability(const CommGraph& before,
+                                         const CommGraph& after,
+                                         double volume_change_factor = 4.0);
+
 /// Analyzes a chronological series of graphs (>= 2).
 SeriesStability analyze_series(const std::vector<CommGraph>& series,
                                double volume_change_factor = 4.0);

@@ -8,31 +8,37 @@
 
 namespace ccg {
 
+TransitionStability transition_stability(const CommGraph& before,
+                                         const CommGraph& after,
+                                         double volume_change_factor) {
+  const GraphDelta d = diff_graphs(before, after, volume_change_factor);
+
+  const std::size_t added = d.nodes_added.size();
+  const std::size_t removed = d.nodes_removed.size();
+  const std::size_t after_nodes = after.node_count();
+  const std::size_t common_nodes = after_nodes - added;
+  const std::size_t union_nodes = after_nodes + removed;
+
+  return {.from = before.window(),
+          .to = after.window(),
+          .edge_jaccard = d.edge_jaccard,
+          .byte_weighted_overlap = d.byte_weighted_overlap,
+          .node_jaccard = union_nodes == 0 ? 1.0
+                                           : static_cast<double>(common_nodes) /
+                                                 static_cast<double>(union_nodes),
+          .edges_added = d.edges_added.size(),
+          .edges_removed = d.edges_removed.size(),
+          .edges_changed = d.edges_changed.size()};
+}
+
 SeriesStability analyze_series(const std::vector<CommGraph>& series,
                                double volume_change_factor) {
   CCG_EXPECT(series.size() >= 2);
   SeriesStability out;
   double jac_sum = 0.0, byte_sum = 0.0;
   for (std::size_t i = 0; i + 1 < series.size(); ++i) {
-    const GraphDelta d = diff_graphs(series[i], series[i + 1], volume_change_factor);
-
-    const std::size_t added = d.nodes_added.size();
-    const std::size_t removed = d.nodes_removed.size();
-    const std::size_t after_nodes = series[i + 1].node_count();
-    const std::size_t common_nodes = after_nodes - added;
-    const std::size_t union_nodes = after_nodes + removed;
-
-    TransitionStability t{
-        .from = series[i].window(),
-        .to = series[i + 1].window(),
-        .edge_jaccard = d.edge_jaccard,
-        .byte_weighted_overlap = d.byte_weighted_overlap,
-        .node_jaccard = union_nodes == 0 ? 1.0
-                                         : static_cast<double>(common_nodes) /
-                                               static_cast<double>(union_nodes),
-        .edges_added = d.edges_added.size(),
-        .edges_removed = d.edges_removed.size(),
-        .edges_changed = d.edges_changed.size()};
+    const TransitionStability t =
+        transition_stability(series[i], series[i + 1], volume_change_factor);
     jac_sum += t.edge_jaccard;
     byte_sum += t.byte_weighted_overlap;
     out.min_edge_jaccard = std::min(out.min_edge_jaccard, t.edge_jaccard);

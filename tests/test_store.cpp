@@ -272,98 +272,6 @@ TEST(Store, CompactRekeyframesAndAppliesRetention) {
   }
 }
 
-TEST(Store, PatchStreamReconstructsEveryWindow) {
-  // The incremental engine's input: fold the patch stream (reset to the
-  // empty graph at keyframes, apply deltas in place otherwise) and demand
-  // every folded window be byte-identical to window_at() — before and
-  // after compaction moves the keyframe boundaries.
-  const auto dir = fresh_dir("patches");
-  const auto windows = build_windows(simulate(120, 31));
-  ASSERT_GE(windows.size(), 20u);
-  {
-    auto writer = store::StoreWriter::open(dir, {.keyframe_interval = 4});
-    ASSERT_TRUE(writer.has_value());
-    for (const auto& g : windows) ASSERT_TRUE(writer->append(g));
-  }
-
-  const auto verify_stream = [&](std::size_t first_window) {
-    auto reader = store::StoreReader::open(dir);
-    ASSERT_TRUE(reader.has_value());
-    auto patches = reader->patches();
-    std::optional<CommGraph> folded;
-    std::size_t i = first_window;
-    std::size_t keyframes = 0;
-    while (const auto entry = patches.next()) {
-      ASSERT_LT(i, windows.size());
-      if (entry->kind == store::FrameKind::kKeyframe) {
-        ++keyframes;
-        folded = apply_patch(CommGraph{}, entry->patch);
-      } else {
-        ASSERT_TRUE(folded.has_value()) << "delta before any keyframe";
-        folded = apply_patch(*folded, entry->patch);
-      }
-      ASSERT_TRUE(folded.has_value()) << "window " << i;
-      EXPECT_TRUE(graphs_identical(windows[i], *folded)) << "window " << i;
-      EXPECT_TRUE(graphs_identical(entry->graph, *folded)) << "window " << i;
-      const auto direct =
-          reader->window_at(windows[i].window().begin().index());
-      ASSERT_TRUE(direct.has_value()) << "window " << i;
-      EXPECT_TRUE(graphs_identical(*direct, *folded)) << "window " << i;
-      ++i;
-    }
-    EXPECT_EQ(i, windows.size());
-    EXPECT_GE(keyframes, 2u) << "stream must cross keyframe boundaries";
-  };
-
-  verify_stream(0);
-
-  // Re-keyframe on a different cadence and drop the oldest windows: the
-  // stream must still fold byte-identically with the new boundaries.
-  const std::size_t drop = 5;
-  const auto stats = store::compact_store(
-      dir, {.keyframe_interval = 3,
-            .retain_from = windows[drop].window().begin().index()});
-  ASSERT_TRUE(stats.has_value());
-  const auto windows_after =
-      std::vector<CommGraph>(windows.begin() + drop, windows.end());
-  {
-    auto reader = store::StoreReader::open(dir);
-    ASSERT_TRUE(reader.has_value());
-    auto patches = reader->patches();
-    std::optional<CommGraph> folded;
-    std::size_t i = 0;
-    while (const auto entry = patches.next()) {
-      ASSERT_LT(i, windows_after.size());
-      folded = entry->kind == store::FrameKind::kKeyframe
-                   ? apply_patch(CommGraph{}, entry->patch)
-                   : apply_patch(*folded, entry->patch);
-      ASSERT_TRUE(folded.has_value()) << "window " << i;
-      EXPECT_TRUE(graphs_identical(windows_after[i], *folded))
-          << "window " << i;
-      ++i;
-    }
-    EXPECT_EQ(i, windows_after.size());
-  }
-
-  // Mid-stream ranges decode against the rolling base, so an entry's graph
-  // matches the point lookup even when its patch is a delta whose base the
-  // caller never saw.
-  {
-    auto reader = store::StoreReader::open(dir);
-    ASSERT_TRUE(reader.has_value());
-    const std::int64_t t0 = windows_after[3].window().begin().index();
-    auto patches = reader->patches(t0);
-    std::size_t i = 3;
-    while (const auto entry = patches.next()) {
-      ASSERT_LT(i, windows_after.size());
-      EXPECT_TRUE(graphs_identical(windows_after[i], entry->graph))
-          << "window " << i;
-      ++i;
-    }
-    EXPECT_EQ(i, windows_after.size());
-  }
-}
-
 TEST(Store, StoreSinkPersistsTheStream) {
   const auto dir = fresh_dir("sink");
   const Workload w = simulate(60, 29);

@@ -38,7 +38,6 @@
 #include "ccg/graph/builder.hpp"
 #include "ccg/graph/delta.hpp"
 #include "ccg/graph/metrics.hpp"
-#include "ccg/incremental/dirty.hpp"
 #include "ccg/graph/serialize.hpp"
 #include "ccg/net/frame.hpp"
 #include "ccg/net/http.hpp"
@@ -47,7 +46,6 @@
 #include "ccg/obs/flight.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
-#include "ccg/obs/slo.hpp"
 #include "ccg/obs/prof.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
@@ -118,12 +116,7 @@ int usage() {
                "           [--min-support N] [--save policy.txt]\n"
                "  diff     --before a.csv --after b.csv [--factor F]\n"
                "  anomaly  --in flows.csv [--window MIN] [--train N] [--rank K]\n"
-               "           [--summary-out FILE] [--incremental] patch-driven\n"
-               "           incremental segmentation ($CCG_INCREMENTAL=1 too;\n"
-               "           output is byte-identical to a plain run)\n"
-               "           [--incremental-verify] check each window against a\n"
-               "           full recompute  [--incremental-refine] warm-start\n"
-               "           Louvain (bounded divergence)\n"
+               "           [--summary-out FILE]\n"
                "  serve    --in flows.csv --shards N [--window MIN] [--train N]\n"
                "           [--rank K] [--collapse F] [--summary-out FILE]\n"
                "           [--store DIR] [--stall-ms MS] forks N local shard\n"
@@ -151,8 +144,8 @@ int usage() {
                "  store compact --store DIR [--keyframe K] [--retain-from MIN]\n"
                "                [--segment-mb MB]\n"
                "  store stats   --store DIR prints frame/segment totals plus\n"
-               "                per-window patch churn (nodes/edges touched,\n"
-               "                churn-ratio histogram)\n"
+               "                window-to-window churn (1 - node/edge Jaccard,\n"
+               "                edge-churn histogram)\n"
                "  profile <command> [options...] runs any command with the\n"
                "           span ring on and prints each span's self/total wall\n"
                "           time plus the run's CPU and peak RSS (rusage)\n"
@@ -172,16 +165,6 @@ int usage() {
                "                       (0 = ephemeral; also $CCG_OPS_PORT);\n"
                "                       aggregators expose per-shard series with\n"
                "                       shard=\"N\" labels\n"
-               "  --slo-watch          evaluate pipeline SLOs in the background:\n"
-               "                       window lag, watchdog stalls, net errors,\n"
-               "                       incremental fallbacks; breaches log warn,\n"
-               "                       sustained burns log error + flight dump\n"
-               "  --slo-interval-ms N  SLO evaluation cadence (default 1000)\n"
-               "  --slo-window-lag-ms N  max silence between windows (default\n"
-               "                       5000) before the lag SLO breaches\n"
-               "  --slo-burn N         consecutive breach intervals before a\n"
-               "                       burn is sustained (default 3); env twins\n"
-               "                       $CCG_SLO_WATCH/_INTERVAL_MS/_WINDOW_LAG_MS/_BURN\n"
                "  --log-level LVL      stderr log threshold debug|info|warn|error\n"
                "                       (default: $CCG_LOG_LEVEL, else warn)\n"
                "  --flight-dir DIR     install crash handlers; flight records\n"
@@ -275,11 +258,10 @@ std::string ops_metrics_text() {
   return obs::to_prometheus(snapshot);
 }
 
-/// /tracez body: SLO watcher state plus span-ring and fleet occupancy.
+/// /tracez body: span-ring and fleet occupancy.
 std::string ops_tracez_text() {
-  std::string out = obs::SloWatcher::global().status_text();
   obs::TraceRing& ring = obs::TraceRing::global();
-  out += "trace ring: ";
+  std::string out = "trace ring: ";
   out += ring.enabled() ? "enabled" : "disabled";
   out += ", " + std::to_string(ring.events().size()) + " spans retained, " +
          std::to_string(ring.dropped()) + " dropped\n";
@@ -599,9 +581,6 @@ int cmd_anomaly(const Args& args) {
                  .collapse_threshold = args.get_double("collapse", 0.001)},
        .training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
        .spectral = {.rank = static_cast<std::size_t>(args.get_long("rank", 20))},
-       .incremental = args.get("incremental").has_value(),
-       .incremental_verify = args.get("incremental-verify").has_value(),
-       .incremental_refine = args.get("incremental-refine").has_value(),
        .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
       monitored_from(*records), [&](const WindowReport& report) {
         std::printf("%s\n", report.summary().c_str());
@@ -1203,51 +1182,49 @@ int cmd_store_stats(const Args& args) {
   }
   std::printf("%s\n", reader->stats().to_string().c_str());
 
-  // Window-to-window churn: how much of each window a patch actually
-  // touches — the number that predicts incremental-analytics speedup.
-  // Computed against the true previous window (keyframes are a storage
-  // artifact, not a workload change), so it reads the same after
+  // Window-to-window churn as paper Fig. 5 measures it: the share of the
+  // graph that does not persist into the next window (1 - node / edge
+  // Jaccard). Computed against the true previous window (keyframes are a
+  // storage artifact, not a workload change), so it reads the same after
   // compaction reshuffles frame kinds.
-  CommGraph prev;
-  bool has_prev = false;
+  std::optional<CommGraph> prev;
   std::size_t windows = 0;
   double node_churn_sum = 0.0, edge_churn_sum = 0.0;
-  std::size_t nodes_touched = 0, edges_touched = 0;
-  std::size_t nodes_touched_max = 0, edges_touched_max = 0;
+  std::size_t edges_added = 0, edges_removed = 0, edges_changed = 0;
   // Edge-churn ratio buckets: <=1%, 2%, 5%, 10%, 25%, 50%, >50%.
   constexpr double kBounds[] = {0.01, 0.02, 0.05, 0.10, 0.25, 0.50};
   std::size_t buckets[7] = {0};
-  auto patches = reader->patches();
-  while (const auto entry = patches.next()) {
-    if (has_prev) {
-      const incremental::ChurnStats churn =
-          incremental::patch_churn(prev, make_patch(prev, entry->graph));
+  auto range = reader->range();
+  while (auto graph = range.next()) {
+    if (prev) {
+      const TransitionStability t = transition_stability(*prev, *graph);
+      const double edge_churn = 1.0 - t.edge_jaccard;
       ++windows;
-      node_churn_sum += churn.node_churn();
-      edge_churn_sum += churn.edge_churn();
-      nodes_touched += churn.nodes_touched;
-      edges_touched += churn.edges_touched;
-      nodes_touched_max = std::max(nodes_touched_max, churn.nodes_touched);
-      edges_touched_max = std::max(edges_touched_max, churn.edges_touched);
+      node_churn_sum += 1.0 - t.node_jaccard;
+      edge_churn_sum += edge_churn;
+      edges_added += t.edges_added;
+      edges_removed += t.edges_removed;
+      edges_changed += t.edges_changed;
       std::size_t b = 0;
-      while (b < 6 && churn.edge_churn() > kBounds[b]) ++b;
+      while (b < 6 && edge_churn > kBounds[b]) ++b;
       ++buckets[b];
     }
-    prev = entry->graph;
-    has_prev = true;
+    prev = std::move(graph);
   }
   if (windows > 0) {
     const double n = static_cast<double>(windows);
     std::printf(
         "churn: %zu window transitions, mean node churn %.1f%%, mean edge "
         "churn %.1f%%\n"
-        "  touched/window: nodes mean %.1f max %zu, edges mean %.1f max %zu\n"
+        "  edges/window: added mean %.1f, removed mean %.1f, volume-changed "
+        "mean %.1f\n"
         "  edge churn histogram: <=1%%: %zu  <=2%%: %zu  <=5%%: %zu  "
         "<=10%%: %zu  <=25%%: %zu  <=50%%: %zu  >50%%: %zu\n",
         windows, 100.0 * node_churn_sum / n, 100.0 * edge_churn_sum / n,
-        static_cast<double>(nodes_touched) / n, nodes_touched_max,
-        static_cast<double>(edges_touched) / n, edges_touched_max, buckets[0],
-        buckets[1], buckets[2], buckets[3], buckets[4], buckets[5], buckets[6]);
+        static_cast<double>(edges_added) / n,
+        static_cast<double>(edges_removed) / n,
+        static_cast<double>(edges_changed) / n, buckets[0], buckets[1],
+        buckets[2], buckets[3], buckets[4], buckets[5], buckets[6]);
   }
   return 0;
 }
@@ -1416,28 +1393,6 @@ void configure_diagnostics(const Args& args) {
         std::chrono::milliseconds(watchdog_ms),
         flight_dir.empty() ? "." : flight_dir);
   }
-
-  // SLO watcher: flag wins, then the CCG_SLO_* env twins.
-  bool slo_watch = args.get("slo-watch").has_value();
-  if (!slo_watch) {
-    const char* env = std::getenv("CCG_SLO_WATCH");
-    slo_watch = env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
-  }
-  if (slo_watch) {
-    ccg::obs::SloOptions slo;
-    slo.interval_ms = static_cast<std::uint64_t>(std::max(
-        10L, args.get_long("slo-interval-ms",
-                           env_long("CCG_SLO_INTERVAL_MS", 1000))));
-    slo.window_lag_seconds =
-        static_cast<double>(std::max(
-            1L, args.get_long("slo-window-lag-ms",
-                              env_long("CCG_SLO_WINDOW_LAG_MS", 5000)))) *
-        1e-3;
-    slo.burn_intervals = static_cast<std::uint32_t>(std::max(
-        1L, args.get_long("slo-burn", env_long("CCG_SLO_BURN", 3))));
-    slo.flight_dir = flight_dir.empty() ? "." : flight_dir;
-    ccg::obs::SloWatcher::global().start(slo);
-  }
 }
 
 }  // namespace
@@ -1476,7 +1431,6 @@ int main(int argc, char** argv) {
   try {
     const int rc = profiled ? run_profiled(command, subcommand, args)
                             : dispatch(command, subcommand, args);
-    ccg::obs::SloWatcher::global().stop();
     ccg::obs::Watchdog::global().stop();
     const int metrics_rc = export_metrics(args);
     const int trace_rc = export_trace(args);
@@ -1485,7 +1439,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "ccgraph: %s\n", e.what());
     ccg::obs::log_error("ccgraph terminated by exception",
                         {ccg::obs::field("what", e.what())});
-    ccg::obs::SloWatcher::global().stop();
     ccg::obs::Watchdog::global().stop();
     export_metrics(args);  // best-effort evidence from the failed run
     export_trace(args);

@@ -53,7 +53,41 @@ function(run_cli_rc out_var)
   set(${out_var}_stdout "${out}" PARENT_SCOPE)
 endfunction()
 
-run_cli(0 --version)
+run_cli_rc(version_rc --version)
+if(NOT version_rc_stdout MATCHES "simd: compiled=")
+  message(FATAL_ERROR "--version does not report the simd tiers:\n${version_rc_stdout}")
+endif()
+
+# Kernel determinism: the scalar simd tier prints the same anomaly report
+# as auto dispatch (stdout, --summary-out bytes, exit code), and `simulate`
+# writes the same bytes at one thread as at the default thread count.
+foreach(tier scalar auto)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_SIMD=${tier} ${CLI}
+                          anomaly --in long.csv --window 30 --train 2
+                          --summary-out simd_${tier}.txt
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE simd_rc_${tier} OUTPUT_VARIABLE simd_out_${tier})
+endforeach()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/simd_scalar.txt ${WORKDIR}/simd_auto.txt
+                RESULT_VARIABLE simd_summary_differs)
+file(SIZE ${WORKDIR}/simd_scalar.txt simd_summary_size)
+if(simd_rc_scalar GREATER 3 OR NOT simd_rc_scalar EQUAL simd_rc_auto OR
+   NOT simd_out_scalar STREQUAL simd_out_auto OR
+   NOT simd_summary_differs EQUAL 0 OR simd_summary_size EQUAL 0)
+  message(FATAL_ERROR "CCG_SIMD=scalar anomaly (rc ${simd_rc_scalar}) differs from auto (rc ${simd_rc_auto})")
+endif()
+foreach(threads 1 0)  # CCG_THREADS=0 means the default thread count
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_THREADS=${threads} ${CLI}
+                          simulate --preset tiny --hours 2 --seed 7 --out sim_t${threads}.csv
+                  WORKING_DIRECTORY ${WORKDIR} OUTPUT_QUIET COMMAND_ERROR_IS_FATAL ANY)
+endforeach()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/sim_t1.csv ${WORKDIR}/sim_t0.csv
+                RESULT_VARIABLE sim_threads_differ)
+if(NOT sim_threads_differ EQUAL 0)
+  message(FATAL_ERROR "CCG_THREADS=1 simulate differs from the default thread count")
+endif()
 
 # The sharding contract: `serve` forks N shard-worker processes, merges
 # their partial graphs, and must match single-process `anomaly` byte for
@@ -87,7 +121,23 @@ endforeach()
 file(REMOVE_RECURSE ${WORKDIR}/winstore)
 run_cli(0 simulate --preset tiny --hours 3 --seed 11 --out store_flows.csv)
 run_cli(0 store append --in store_flows.csv --store winstore --window 2)
-run_cli(0 store stats --store winstore)
+# store stats reports Fig. 5 churn, the share of the graph that does not
+# persist into the next window (1 - node/edge Jaccard): every percentage
+# on its churn line lies in [0, 100].
+run_cli_rc(stats_rc store stats --store winstore)
+string(REGEX MATCH "churn: [^\n]*" churn_line "${stats_rc_stdout}")
+string(REGEX MATCHALL "[-0-9.]+%" churn_pcts "${churn_line}")
+list(LENGTH churn_pcts churn_pct_count)
+if(NOT stats_rc EQUAL 0 OR NOT churn_pct_count EQUAL 2 OR
+   NOT stats_rc_stdout MATCHES "edge churn histogram")
+  message(FATAL_ERROR "store stats printed no churn report:\n${stats_rc_stdout}")
+endif()
+foreach(pct IN LISTS churn_pcts)
+  string(REPLACE "%" "" pct "${pct}")
+  if(pct LESS 0 OR pct GREATER 100)
+    message(FATAL_ERROR "store stats churn ${pct}% outside [0, 100]: ${churn_line}")
+  endif()
+endforeach()
 run_cli(0 store query --store winstore --from 60 --to 120)
 run_cli_rc(direct_rc anomaly --in store_flows.csv --window 2 --train 5
            --summary-out direct_summaries.txt)
