@@ -2,8 +2,9 @@
 // complex analyses be factored to meet the COGS constraints?") needs
 // per-kernel costs, and these guard against performance regressions.
 //
-// The parallelized kernels (similarity, SimRank, Jacobi, PCA, k-means,
-// power iteration, MinHash) are swept across thread counts AND simd tiers:
+// The vectorized kernels (similarity, SimRank, Jacobi, PCA, k-means,
+// power iteration, MinHash) are swept across simd tiers, and the two that
+// run on the thread pool (similarity, SimRank) across thread counts too:
 // after the google-benchmark tables a speedup sweep is printed as a
 // delimited JSON block (and written to --kernels-json PATH when given, for
 // the CI baseline artifact). Each kernel entry carries per-tier timings,
@@ -125,27 +126,26 @@ Matrix random_symmetric(std::size_t n, std::uint64_t seed) {
 void BM_JacobiEigen(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Matrix m = random_symmetric(n, 5);
-  const BenchThreads threads(state, /*index=*/1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(jacobi_eigen(m).values.size());
   }
 }
-// 256 is the Jacobi parallel cutoff; 64/128 document the inline sizes.
 BENCHMARK(BM_JacobiEigen)
-    ->ArgNames({"n", "threads"})
-    ->ArgsProduct({{64, 128, 256}, {1, hardware_threads()}})
+    ->ArgName("n")
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PcaReconstructionCurve(benchmark::State& state) {
   const NodeIndex index = NodeIndex::from_graph(k8s_graph());
   const Matrix m = adjacency_matrix(k8s_graph(), index);
   const PcaSummary pca(m);
-  const BenchThreads threads(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(pca.error_curve(25).back());
   }
 }
-BENCHMARK(BM_PcaReconstructionCurve)->Apply(ThreadArg);
+BENCHMARK(BM_PcaReconstructionCurve)->Unit(benchmark::kMillisecond);
 
 void BM_PatternMining(benchmark::State& state) {
   const CommGraph& g = k8s_graph();
@@ -222,8 +222,8 @@ double best_speedup(const std::vector<std::pair<int, double>>& by_threads) {
 /// metrics snapshot) and optionally into `json_path` for CI artifacts.
 ///
 /// Every kernel is swept across simd tiers (scalar plus the dispatched
-/// tier when different) × thread counts. Because every tier is
-/// byte-identical, the scalar-vs-simd ratio at threads=1 is a pure
+/// tier when different), the pooled ones × thread counts. Because every
+/// tier is byte-identical, the scalar-vs-simd ratio at threads=1 is a pure
 /// vectorization speedup — same work, same reduction geometry.
 void emit_kernel_speedups(const std::string& json_path) {
   const int hw = hardware_threads();
@@ -254,13 +254,14 @@ void emit_kernel_speedups(const std::string& json_path) {
     return m;
   }();
 
+  // Only the pooled kernels get a thread axis; the rest run serially.
   std::vector<KernelSweep> kernels;
-  const auto run = [&](const std::string& name, auto&& fn) {
+  const auto run = [&](const std::string& name, bool pooled, auto&& fn) {
     KernelSweep k{name, {}};
     for (const std::string& tier : tiers) {
       simd::set_tier(tier);
       TierSweep ts{tier, {}};
-      for (const int t : sweep) {
+      for (const int t : pooled ? sweep : std::vector<int>{1}) {
         ts.seconds_by_threads.emplace_back(t, time_at_threads(t, fn));
       }
       k.tiers.push_back(std::move(ts));
@@ -268,18 +269,18 @@ void emit_kernel_speedups(const std::string& json_path) {
     simd::set_tier(dispatched);
     kernels.push_back(std::move(k));
   };
-  run("similarity_clique", [&] { similarity_clique(g, csr); });
-  run("simrank", [&] { simrank_scores(g, csr, {.iterations = 2}); });
-  run("jacobi_eigen_300", [&] { jacobi_eigen(jacobi_m); });
-  run("power_iteration_300", [&] { power_iteration(jacobi_m); });
-  run("pca_error_curve", [&] {
+  run("similarity_clique", true, [&] { similarity_clique(g, csr); });
+  run("simrank", true, [&] { simrank_scores(g, csr, {.iterations = 2}); });
+  run("jacobi_eigen_300", false, [&] { jacobi_eigen(jacobi_m); });
+  run("power_iteration_300", false, [&] { power_iteration(jacobi_m); });
+  run("pca_error_curve", false, [&] {
     const PcaSummary pca(adj);
     pca.error_curve(25);
   });
-  run("kmeans", [&] {
+  run("kmeans", false, [&] {
     kmeans(km_data, 8, {.max_iterations = 15, .restarts = 2});
   });
-  run("minhash", [&] {
+  run("minhash", false, [&] {
     // Synthetic signature stream: the per-neighbor update is the whole
     // kernel, so drive it directly instead of through a graph.
     constexpr std::size_t kHashes = 96;

@@ -99,7 +99,6 @@ class AnalyticsService : public TelemetrySink {
                      std::int64_t t1 = std::numeric_limits<std::int64_t>::max());
 
   std::size_t windows_reported() const { return windows_reported_; }
-  const std::vector<WindowReport>& history() const { return history_; }
 
  private:
   void drain_closed_windows();
@@ -116,7 +115,6 @@ class AnalyticsService : public TelemetrySink {
   EwmaEdgeDetector edge_detector_;
   SegmentTracker tracker_;
   std::size_t windows_reported_ = 0;
-  std::vector<WindowReport> history_;
 
   // Per-window stage latencies in the global registry, registered at
   // construction so every stage appears in exports even before it first

@@ -79,9 +79,8 @@ void AnalyticsService::deliver(const CommGraph& graph) {
     report = analyze(graph);
   }
   obs::Watchdog::global().end_window();
-  history_.push_back(std::move(report));
   ++windows_reported_;
-  on_report_(history_.back());
+  on_report_(report);
 }
 
 std::size_t AnalyticsService::replay(store::StoreReader& reader,

@@ -5,8 +5,6 @@
 #include <new>
 #include <vector>
 
-#include "ccg/parallel/parallel.hpp"
-
 namespace ccg {
 
 namespace {
@@ -34,25 +32,6 @@ struct Entry {
 };
 
 }  // namespace
-
-void CsrAdjacency::fill_row(const CommGraph& g, NodeId v) {
-  thread_local std::vector<Entry> row;
-  row.clear();
-  row.reserve(g.degree(v));
-  for (const auto& [peer, edge] : g.neighbors(v)) {
-    row.push_back({peer, tag_of(g, v, edge), g.edge(edge).stats.server_port_hint,
-                   std::log1p(static_cast<double>(g.edge(edge).stats.bytes()))});
-  }
-  std::sort(row.begin(), row.end(),
-            [](const Entry& a, const Entry& b) { return a.id < b.id; });
-  const std::uint64_t base = offsets_[v];
-  for (std::size_t k = 0; k < row.size(); ++k) {
-    ids_[base + k] = row[k].id;
-    tags_[base + k] = row[k].tag;
-    ports_[base + k] = row[k].port;
-    weights_[base + k] = row[k].weight;
-  }
-}
 
 void CsrAdjacency::rebuild(const CommGraph& g) {
   n_ = g.node_count();
@@ -91,14 +70,26 @@ void CsrAdjacency::rebuild(const CommGraph& g) {
     offsets_[v + 1] = offsets_[v] + g.degree(v);
   }
 
-  // Rows are independent: flatten and id-sort each one in parallel. Sorted
-  // rows make iteration order a function of the graph, not of edge
-  // insertion order.
-  parallel::parallel_for(n_, 64, [&](std::size_t begin, std::size_t end) {
-    for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
-      fill_row(g, v);
+  // Flatten each row and sort it by neighbor id: sorted rows make
+  // iteration order a function of the graph, not of edge insertion order.
+  std::vector<Entry> row;
+  for (NodeId v = 0; v < n_; ++v) {
+    row.clear();
+    for (const auto& [peer, edge] : g.neighbors(v)) {
+      row.push_back({peer, tag_of(g, v, edge),
+                     g.edge(edge).stats.server_port_hint,
+                     std::log1p(static_cast<double>(g.edge(edge).stats.bytes()))});
     }
-  });
+    std::sort(row.begin(), row.end(),
+              [](const Entry& a, const Entry& b) { return a.id < b.id; });
+    const std::uint64_t base = offsets_[v];
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      ids_[base + k] = row[k].id;
+      tags_[base + k] = row[k].tag;
+      ports_[base + k] = row[k].port;
+      weights_[base + k] = row[k].weight;
+    }
+  }
 }
 
 }  // namespace ccg

@@ -92,8 +92,6 @@ class CsrAdjacency {
     void operator()(void* p) const noexcept { ::operator delete[](p, std::align_val_t{64}); }
   };
 
-  void fill_row(const CommGraph& g, NodeId v);
-
   std::size_t n_ = 0;
   std::size_t node_capacity_ = 0;
   std::size_t entry_capacity_ = 0;

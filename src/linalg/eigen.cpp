@@ -5,47 +5,39 @@
 #include <numeric>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
 namespace ccg {
 
 namespace {
 
-// Below this dimension a Jacobi rotation is too small to amortize a pool
-// dispatch; the rotation's element updates run inline. The off-diagonal
-// scan and the rotation bodies are element-wise independent either way, so
-// the cutoff affects speed only, never the result.
-constexpr std::size_t kJacobiParallelMinDim = 256;
+/// Convergence: every off-diagonal magnitude at most this share of the
+/// Frobenius norm, or kMaxSweeps full sweeps.
+constexpr double kTolerance = 1e-10;
+constexpr int kMaxSweeps = 64;
 
-/// Applies the (p, q) rotation to rows p/q of `a` (contiguous — vectorized
-/// with simd::rotate_pair, which is element-wise exact), to columns p/q of
-/// `a` (strided — scalar), and to rows p/q of `vt` (the eigenvector matrix
-/// stored TRANSPOSED precisely so its rotation touches two contiguous rows
-/// instead of two strided columns). Each k reads and writes only a(k,p),
-/// a(k,q), a(p,k), a(q,k), vt(p,k), vt(q,k) — disjoint across k and
-/// untouched by the serial 2x2 block fix-up that follows — so the loop
-/// parallelizes with byte-identical results.
+/// Applies the (p, q) rotation, p < q, to rows p/q of `a` (contiguous —
+/// vectorized with simd::rotate_pair, which is element-wise exact), to
+/// columns p/q of `a` (strided — scalar), and to rows p/q of `vt` (the
+/// eigenvector matrix stored TRANSPOSED precisely so its rotation touches
+/// two contiguous rows instead of two strided columns). Entries with
+/// k ∈ {p, q} are left to the 2x2 block fix-up that follows.
 void apply_rotation_offblock(Matrix& a, Matrix& vt, std::size_t p,
-                             std::size_t q, double c, double s,
-                             std::size_t k_begin, std::size_t k_end) {
-  const std::size_t len = k_end - k_begin;
-  simd::rotate_pair(&vt(p, k_begin), &vt(q, k_begin), c, s, len);
+                             std::size_t q, double c, double s) {
+  const std::size_t n = a.rows();
+  simd::rotate_pair(&vt(p, 0), &vt(q, 0), c, s, n);
 
-  // Row segments of `a`, skipping k ∈ {p, q} (handled by the 2x2 fix-up).
-  // rotate_pair is element-wise, so splitting at p/q changes nothing.
-  std::size_t seg = k_begin;
-  for (const std::size_t stop : {std::min(p, q), std::max(p, q), k_end}) {
-    const std::size_t hi = std::min(stop, k_end);
-    if (seg < hi) {
-      simd::rotate_pair(&a(p, seg), &a(q, seg), c, s, hi - seg);
-    }
-    seg = std::max(seg, std::min(hi + 1, k_end));
+  // Row segments of `a` on either side of p and q. rotate_pair is
+  // element-wise, so splitting at p/q changes nothing.
+  std::size_t seg = 0;
+  for (const std::size_t stop : {p, q, n}) {
+    if (seg < stop) simd::rotate_pair(&a(p, seg), &a(q, seg), c, s, stop - seg);
+    seg = stop + 1;
   }
 
   // Column updates stay scalar: stride-n access defeats vector loads, and
   // the element arithmetic is identical either way.
-  for (std::size_t k = k_begin; k < k_end; ++k) {
+  for (std::size_t k = 0; k < n; ++k) {
     if (k == p || k == q) continue;
     const double akp = a(k, p);
     const double akq = a(k, q);
@@ -56,9 +48,7 @@ void apply_rotation_offblock(Matrix& a, Matrix& vt, std::size_t p,
 
 }  // namespace
 
-EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
-                                int max_sweeps) {
-  parallel::ScopedJobTag job_tag("eigen");
+EigenDecomposition jacobi_eigen(const Matrix& input) {
   CCG_EXPECT(input.square());
   CCG_EXPECT(input.is_symmetric(1e-6 * (1.0 + input.frobenius())));
   const std::size_t n = input.rows();
@@ -68,24 +58,14 @@ EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
                                     // row j of vt is eigenvector column j
 
   const double frob = std::max(a.frobenius(), 1e-300);
-  const double threshold = tolerance * frob;
-  const bool parallel_rotations =
-      n >= kJacobiParallelMinDim && parallel::thread_count() > 1;
+  const double threshold = kTolerance * frob;
 
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    // max is associative and commutative, so the chunked reduction matches
-    // the serial scan exactly (chunk geometry is thread-count independent),
-    // and simd::max_abs over each row tail is exact at any vector width.
-    const double off = parallel::parallel_reduce(
-        n, 16, 0.0,
-        [&](double& part, std::size_t begin, std::size_t end) {
-          for (std::size_t p = begin; p < end; ++p) {
-            if (p + 1 < n) {
-              part = std::max(part, simd::max_abs(&a(p, p + 1), n - p - 1));
-            }
-          }
-        },
-        [](double& acc, double part) { acc = std::max(acc, part); });
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    // simd::max_abs over each row tail is exact at any vector width.
+    double off = 0.0;
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      off = std::max(off, simd::max_abs(&a(p, p + 1), n - p - 1));
+    }
     if (off <= threshold) break;
 
     for (std::size_t p = 0; p < n; ++p) {
@@ -102,13 +82,7 @@ EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
         const double c = 1.0 / std::sqrt(t * t + 1.0);
         const double s = t * c;
 
-        if (parallel_rotations) {
-          parallel::parallel_for(n, 64, [&](std::size_t begin, std::size_t end) {
-            apply_rotation_offblock(a, vt, p, q, c, s, begin, end);
-          });
-        } else {
-          apply_rotation_offblock(a, vt, p, q, c, s, 0, n);
-        }
+        apply_rotation_offblock(a, vt, p, q, c, s);
 
         // The 2x2 pivot block, applied in the serial algorithm's exact
         // order: column update at k = p, q, then row update at k = p, q.
@@ -159,7 +133,6 @@ EigenDecomposition jacobi_eigen(const Matrix& input, double tolerance,
 
 PowerIterationResult power_iteration(const Matrix& m, int max_iterations,
                                      double tolerance) {
-  parallel::ScopedJobTag job_tag("eigen");
   CCG_EXPECT(m.square());
   const std::size_t n = m.rows();
   PowerIterationResult result;
@@ -171,17 +144,14 @@ PowerIterationResult power_iteration(const Matrix& m, int max_iterations,
     x[i] = 1.0 + 0.001 * static_cast<double>(i % 7);
   }
 
-  // Mat-vec rows write disjoint outputs and each row is one canonical-
-  // geometry simd::dot (fixed by n alone), so the parallel sweep is
-  // byte-identical to the serial one at any tier and thread count; the
-  // O(n) norm and Rayleigh reductions are single canonical dots.
+  // Each mat-vec row, the norm and the Rayleigh quotient are one
+  // canonical-geometry simd::dot (fixed by n alone), so the result is
+  // identical at any tier.
   const double* rows = m.data().data();
   const auto matvec = [&](const std::vector<double>& in, std::vector<double>& out) {
-    parallel::parallel_for(n, 16, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        out[i] = simd::dot(rows + i * n, in.data(), n);
-      }
-    });
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = simd::dot(rows + i * n, in.data(), n);
+    }
   };
 
   double lambda = 0.0;

@@ -21,10 +21,9 @@ struct EigenDecomposition {
 
 /// Full eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps.
 /// Preconditions: m is square and symmetric. Converges when all
-/// off-diagonal magnitudes fall below `tolerance` (relative to the
-/// Frobenius norm) or `max_sweeps` is hit.
-EigenDecomposition jacobi_eigen(const Matrix& m, double tolerance = 1e-10,
-                                int max_sweeps = 64);
+/// off-diagonal magnitudes fall below 1e-10 of the Frobenius norm, or
+/// after 64 sweeps.
+EigenDecomposition jacobi_eigen(const Matrix& m);
 
 /// Dominant eigenpair via power iteration (used for quick spectral radius
 /// estimates and as a cross-check on Jacobi).

@@ -38,8 +38,6 @@ class Matrix {
   double abs_sum() const;
   /// Frobenius norm.
   double frobenius() const;
-  /// Largest |a_ij| over off-diagonal entries. Precondition: square.
-  double max_offdiagonal() const;
 
   bool is_symmetric(double tolerance = 1e-9) const;
 

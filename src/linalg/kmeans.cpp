@@ -6,7 +6,6 @@
 
 #include "ccg/common/expect.hpp"
 #include "ccg/common/rng.hpp"
-#include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
 namespace ccg {
@@ -16,7 +15,7 @@ namespace {
 double sq_distance(const Matrix& data, std::size_t row, const Matrix& centroids,
                    std::size_t centroid) {
   // Canonical-geometry simd reduction: the result depends only on cols(),
-  // never on the dispatched tier or thread count.
+  // never on the dispatched tier.
   return simd::squared_distance(data.data().data() + row * data.cols(),
                                 centroids.data().data() + centroid * centroids.cols(),
                                 data.cols());
@@ -68,22 +67,17 @@ KMeansResult lloyd_once(const Matrix& data, std::size_t k, Rng& rng,
   result.labels.assign(n, 0);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Assign. Each point's label is independent (first-best tie-breaking in
-    // the same c order), so the O(n·k·d) scan parallelizes over points with
-    // byte-identical labels; the cheap O(n·d) centroid update stays serial
-    // to keep its accumulation order.
-    parallel::parallel_for(n, 32, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < k; ++c) {
-          const double d2 = sq_distance(data, r, result.centroids, c);
-          if (d2 < best) {
-            best = d2;
-            result.labels[r] = static_cast<std::uint32_t>(c);
-          }
+    // Assign: first-best tie-breaking in ascending c order.
+    for (std::size_t r = 0; r < n; ++r) {
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < k; ++c) {
+        const double d2 = sq_distance(data, r, result.centroids, c);
+        if (d2 < best) {
+          best = d2;
+          result.labels[r] = static_cast<std::uint32_t>(c);
         }
       }
-    });
+    }
     // Update.
     Matrix next(k, data.cols());
     std::vector<std::size_t> counts(k, 0);
@@ -143,7 +137,6 @@ KMeansResult lloyd_once(const Matrix& data, std::size_t k, Rng& rng,
 }  // namespace
 
 KMeansResult kmeans(const Matrix& data, std::size_t k, KMeansOptions options) {
-  parallel::ScopedJobTag job_tag("kmeans");
   CCG_EXPECT(data.rows() > 0);
   CCG_EXPECT(k >= 1 && k <= data.rows());
   CCG_EXPECT(options.restarts >= 1);

@@ -85,17 +85,6 @@ double Matrix::frobenius() const {
   return std::sqrt(total);
 }
 
-double Matrix::max_offdiagonal() const {
-  CCG_EXPECT(square());
-  double best = 0.0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (r != c) best = std::max(best, std::abs((*this)(r, c)));
-    }
-  }
-  return best;
-}
-
 bool Matrix::is_symmetric(double tolerance) const {
   if (!square()) return false;
   for (std::size_t r = 0; r < rows_; ++r) {

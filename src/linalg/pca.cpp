@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "ccg/common/expect.hpp"
-#include "ccg/parallel/parallel.hpp"
 #include "ccg/simd/simd.hpp"
 
 namespace ccg {
@@ -12,26 +11,21 @@ PcaSummary::PcaSummary(const Matrix& m)
     : original_(m), eig_(jacobi_eigen(m)), original_abs_sum_(m.abs_sum()) {}
 
 Matrix PcaSummary::reconstruct(std::size_t k) const {
-  parallel::ScopedJobTag job_tag("pca");
   const std::size_t n = dimension();
   CCG_EXPECT(k <= n);
   Matrix out(n, n);
   // One component at a time: eigenvector column j is copied into a
   // contiguous buffer once, then every row adds its rank-1 term with
-  // simd::rank1_update (element-wise exact, so tier- and thread-count-
-  // independent). Row r only touches out(r, ·), and components apply in
-  // the same j order for every row.
+  // simd::rank1_update (element-wise exact, so tier-independent).
   std::vector<double> col(n);
   for (std::size_t j = 0; j < k; ++j) {
     const double lambda = eig_.values[j];
     for (std::size_t c = 0; c < n; ++c) col[c] = eig_.vectors(c, j);
-    parallel::parallel_for(n, 8, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        const double vr = col[r] * lambda;
-        if (vr == 0.0) continue;
-        simd::rank1_update(&out(r, 0), col.data(), vr, n);
-      }
-    });
+    for (std::size_t r = 0; r < n; ++r) {
+      const double vr = col[r] * lambda;
+      if (vr == 0.0) continue;
+      simd::rank1_update(&out(r, 0), col.data(), vr, n);
+    }
   }
   return out;
 }
@@ -42,7 +36,6 @@ double PcaSummary::reconstruction_error(std::size_t k) const {
 }
 
 std::vector<double> PcaSummary::error_curve(std::size_t max_k) const {
-  parallel::ScopedJobTag job_tag("pca");
   const std::size_t n = dimension();
   CCG_EXPECT(max_k <= n);
   std::vector<double> errors;
@@ -52,23 +45,19 @@ std::vector<double> PcaSummary::error_curve(std::size_t max_k) const {
   // per step, accumulating the L1 norm in the same pass. O(n^2) per k.
   // The component column is copied contiguous once per k; each row then
   // runs one fused simd::rank1_update_abs_sum whose canonical-geometry
-  // row sum depends only on n. Row chunks are fixed by n alone and their
-  // |·| partials are summed in ascending chunk order, so the curve is
-  // identical at any tier and thread count.
+  // row sum depends only on n, and the row sums add up in row order, so
+  // the curve is identical at any tier.
   Matrix residual = original_;
   std::vector<double> col(n);
   const auto residual_abs_l1 = [&](std::size_t component) {
     const double lambda = eig_.values[component];
     for (std::size_t c = 0; c < n; ++c) col[c] = eig_.vectors(c, component);
-    return parallel::parallel_reduce(
-        n, 8, 0.0,
-        [&](double& part, std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            part += simd::rank1_update_abs_sum(&residual(r, 0), col.data(),
-                                               col[r] * lambda, n);
-          }
-        },
-        [](double& acc, double part) { acc += part; });
+    double l1 = 0.0;
+    for (std::size_t r = 0; r < n; ++r) {
+      l1 += simd::rank1_update_abs_sum(&residual(r, 0), col.data(),
+                                       col[r] * lambda, n);
+    }
+    return l1;
   };
 
   // At k = 0 the residual IS the original, so the ratio is exactly 1.

@@ -1,25 +1,25 @@
-// Shared fork-join thread pool for the analysis kernels.
+// Shared fork-join thread pool for the pairwise scorers.
 //
 // The paper flags the "super-quadratic complexity" of all-pairs similarity
 // as the scaling obstacle for micro-segmentation (§2.1); the per-minute
-// window budget cannot be burned on one core. Every hot kernel (similarity
-// scoring, MinHash/LSH, SimRank sweeps, Jacobi/PCA, k-means assignment)
-// funnels through this facility instead of spawning ad-hoc threads.
+// window budget cannot be burned on one core. Segmentation's pairwise
+// kernels (similarity scoring, MinHash/LSH, SimRank sweeps) funnel through
+// this facility instead of spawning ad-hoc threads. Everything else runs
+// serially: the linear algebra's per-rotation and per-row loops are too
+// fine-grained to amortize a pool job (docs/PERFORMANCE.md).
 //
 // Determinism contract: results are bit-identical across thread counts.
 // Work is split into *chunks whose boundaries depend only on the problem
 // size*, never on the worker count. Chunks may be claimed by any worker in
-// any order (dynamic scheduling for load balance), but:
-//   - parallel_for bodies write disjoint state per index, so scheduling
-//     cannot be observed;
-//   - parallel_reduce stores one partial per chunk and merges the partials
-//     serially in ascending chunk order after the join.
-// Hence `--threads 1` and `--threads N` produce byte-identical output.
+// any order (dynamic scheduling for load balance), but bodies write
+// disjoint state per index, and results that must be combined (LSH's
+// per-band pair lists) are merged serially in index order after the join,
+// so scheduling cannot be observed. Hence `--threads 1` and `--threads N`
+// produce byte-identical output.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace ccg::parallel {
 
@@ -87,26 +87,5 @@ class ScopedJobTag {
  private:
   const char* prev_;
 };
-
-/// The innermost active tag on this thread, or nullptr.
-const char* current_job_tag() noexcept;
-
-/// Deterministic chunked reduction: `fill(chunk_partial, begin, end)`
-/// accumulates chunk [begin, end) into its own zero-initialized partial of
-/// type T; partials are merged serially in ascending chunk order via
-/// `merge(acc, partial)` after the parallel join. Bit-identical across
-/// thread counts because the partials and the merge order are fixed.
-template <typename T, typename Fill, typename Merge>
-T parallel_reduce(std::size_t n, std::size_t min_grain, T init, Fill fill,
-                  Merge merge) {
-  const ChunkLayout layout = chunk_layout(n, min_grain);
-  std::vector<T> partials(layout.count);
-  parallel_for(n, min_grain, [&](std::size_t begin, std::size_t end) {
-    fill(partials[begin / layout.grain], begin, end);
-  });
-  T acc = std::move(init);
-  for (T& partial : partials) merge(acc, partial);
-  return acc;
-}
 
 }  // namespace ccg::parallel

@@ -293,8 +293,6 @@ ScopedJobTag::ScopedJobTag(const char* tag) noexcept : prev_(tls_job_tag) {
 
 ScopedJobTag::~ScopedJobTag() { tls_job_tag = prev_; }
 
-const char* current_job_tag() noexcept { return tls_job_tag; }
-
 void parallel_for(std::size_t n, std::size_t min_grain,
                   const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;

@@ -54,11 +54,11 @@ struct SimilarityOptions {
 };
 
 /// Computes the scored clique: a WeightedGraph over the same NodeIds where
-/// edge weights are pairwise similarities. The paper calls out the
-/// super-quadratic cost of this step as an open issue; this implementation
-/// only scores pairs sharing at least one neighbor (candidate generation by
-/// neighbor inversion), which is exact for Jaccard-style scores since
-/// disjoint pairs score zero.
+/// edge weights are pairwise similarities of at least `min_score`. The
+/// paper calls out the super-quadratic cost of this step as an open issue.
+/// Up to `exact_pair_limit` nodes every one of the n(n−1)/2 pairs is scored
+/// (split across the thread pool); above it, MinHash/LSH banding proposes
+/// the candidate pairs and only those are scored, exactly.
 WeightedGraph similarity_clique(const CommGraph& graph, SimilarityOptions options = {});
 
 /// Same, over a prebuilt CSR flattening of `graph` — the window's CSR is

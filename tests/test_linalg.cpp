@@ -61,7 +61,6 @@ TEST(Matrix, NormsAndSymmetry) {
   EXPECT_DOUBLE_EQ(m.abs_sum(), 7.0);
   EXPECT_FALSE(m.is_symmetric());
   EXPECT_TRUE(random_symmetric(4, 2).is_symmetric());
-  EXPECT_DOUBLE_EQ(m.max_offdiagonal(), 4.0);
 }
 
 TEST(Matrix, Log1pElementwise) {

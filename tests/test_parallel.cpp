@@ -1,17 +1,15 @@
 // The shared thread pool's contracts: full coverage of the index space,
-// deterministic chunk geometry, bit-identical reductions at any thread
-// count, nested-call safety, and exception propagation.
+// deterministic chunk geometry, dense worker slots, nested-call safety,
+// exception propagation, and concurrent submitters.
 #include "ccg/parallel/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "ccg/common/rng.hpp"
 
 namespace ccg {
 namespace {
@@ -82,49 +80,6 @@ TEST(ParallelPool, WorkerSlotsAreDense) {
   EXPECT_EQ(total, 1000);
 }
 
-/// The headline guarantee: a floating-point reduction produces the same
-/// bits at 1, 2, 3, and 8 threads, because partials are per fixed chunk and
-/// merged in ascending chunk order.
-TEST(ParallelPool, ReduceIsBitIdenticalAcrossThreadCounts) {
-  ThreadCountGuard guard;
-  constexpr std::size_t kN = 10007;
-  std::vector<double> values(kN);
-  Rng rng(99);
-  for (auto& v : values) v = rng.normal() * std::exp(rng.normal());
-
-  const auto reduce = [&] {
-    return parallel::parallel_reduce(
-        kN, 64, 0.0,
-        [&](double& part, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) part += values[i];
-        },
-        [](double& acc, double part) { acc += part; });
-  };
-
-  parallel::set_thread_count(1);
-  const double serial = reduce();
-  for (const int threads : {2, 3, 8}) {
-    parallel::set_thread_count(threads);
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      const double parallel_sum = reduce();
-      ASSERT_EQ(serial, parallel_sum)
-          << "threads=" << threads << " repeat=" << repeat;
-    }
-  }
-}
-
-TEST(ParallelPool, ReduceHandlesIntegers) {
-  ThreadCountGuard guard;
-  parallel::set_thread_count(4);
-  const std::uint64_t total = parallel::parallel_reduce(
-      1000, 9, std::uint64_t{0},
-      [](std::uint64_t& part, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) part += i;
-      },
-      [](std::uint64_t& acc, std::uint64_t part) { acc += part; });
-  EXPECT_EQ(total, 1000u * 999u / 2);
-}
-
 TEST(ParallelPool, NestedCallsRunInlineWithoutDeadlock) {
   ThreadCountGuard guard;
   parallel::set_thread_count(4);
@@ -168,19 +123,18 @@ TEST(ParallelPool, ConcurrentSubmittersSerializeSafely) {
   // External threads submitting jobs at once must not corrupt each other:
   // each job's sum is still exact.
   std::vector<std::thread> submitters;
-  std::vector<std::uint64_t> sums(4, 0);
+  std::vector<std::atomic<std::uint64_t>> sums(4);
   for (int t = 0; t < 4; ++t) {
     submitters.emplace_back([&, t] {
-      sums[t] = parallel::parallel_reduce(
-          5000, 16, std::uint64_t{0},
-          [](std::uint64_t& part, std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) part += i;
-          },
-          [](std::uint64_t& acc, std::uint64_t part) { acc += part; });
+      parallel::parallel_for(5000, 16, [&](std::size_t begin, std::size_t end) {
+        std::uint64_t part = 0;
+        for (std::size_t i = begin; i < end; ++i) part += i;
+        sums[t].fetch_add(part, std::memory_order_relaxed);
+      });
     });
   }
   for (auto& s : submitters) s.join();
-  for (const std::uint64_t sum : sums) EXPECT_EQ(sum, 5000ull * 4999ull / 2);
+  for (const auto& sum : sums) EXPECT_EQ(sum.load(), 5000ull * 4999ull / 2);
 }
 
 }  // namespace

@@ -2,9 +2,10 @@
 // agreement between similarity_clique's exact and LSH candidate paths.
 //
 // The contract under test is strict: `--threads N` must be BYTE-identical
-// to `--threads 1` for similarity, SimRank, and PCA (plus power iteration,
-// Jacobi and k-means, which ride the same pool). Every comparison below is
-// exact double equality, not tolerance.
+// to `--threads 1` for similarity and SimRank, which run on the pool, and
+// for Jacobi, PCA, power iteration and k-means, which run serially at any
+// thread count. Every comparison below is exact double equality, not
+// tolerance.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -234,8 +235,7 @@ Matrix random_symmetric(std::size_t n, std::uint64_t seed) {
 
 TEST(ParallelKernels, JacobiEigenBitIdenticalAcrossThreads) {
   ThreadCountGuard guard;
-  // 300 >= the Jacobi parallel cutoff (256), so threads>1 exercises the
-  // pooled rotation path against the inline one.
+  // n = 300, near the spectral fit's width on the k8s preset.
   const Matrix m = random_symmetric(300, 41);
   const EigenDecomposition serial =
       at_threads(1, [&] { return jacobi_eigen(m); });

@@ -160,8 +160,7 @@ TEST(SimdKernels, SimRankIdenticalAcrossTierGrid) {
 
 TEST(SimdKernels, JacobiEigenIdenticalAcrossTierGrid) {
   GridGuard guard;
-  // 300 >= the Jacobi parallel cutoff (256), so threads>1 exercises the
-  // pooled rotation path in combination with each tier.
+  // n = 300, near the spectral fit's width on the k8s preset.
   const Matrix m = random_symmetric(300, 41);
   expect_grid_identical(
       [&] {

@@ -115,32 +115,30 @@ int usage() {
                "  policy   --baseline a.csv --check b.csv [--coverage F]\n"
                "           [--min-support N] [--save policy.txt]\n"
                "  diff     --before a.csv --after b.csv [--factor F]\n"
-               "  anomaly  --in flows.csv [--window MIN] [--train N] [--rank K]\n"
-               "           [--summary-out FILE]\n"
-               "  serve    --in flows.csv --shards N [--window MIN] [--train N]\n"
-               "           [--rank K] [--collapse F] [--summary-out FILE]\n"
-               "           [--store DIR] [--stall-ms MS] forks N local shard\n"
-               "           workers and aggregates; output is byte-identical\n"
-               "           to `anomaly`\n"
-               "  aggregate --shards N [--listen PORT] [--window MIN]\n"
-               "           [--train N] [--rank K] [--summary-out FILE]\n"
-               "           [--store DIR] waits for N shard workers\n"
+               "  anomaly  --in flows.csv [ANALYSIS] [--summary-out FILE]\n"
+               "  serve    --in flows.csv --shards N [ANALYSIS]\n"
+               "           [--summary-out FILE] [--store DIR] forks N local\n"
+               "           shard workers and aggregates; output is\n"
+               "           byte-identical to `anomaly`\n"
+               "  aggregate --shards N [--listen PORT] [ANALYSIS]\n"
+               "           [--summary-out FILE] [--store DIR] waits for N\n"
+               "           shard workers\n"
                "  shard-worker --in flows.csv --connect PORT --shard I\n"
                "           --shards N [--window MIN] [--facet ip|ipport]\n"
                "           [--collapse F] ships its partition to an aggregator\n"
-               "           (serve/aggregate also take --net-timeout-ms MS;\n"
-               "           $CCG_NET_RETRIES / $CCG_NET_TIMEOUT_MS tune the\n"
-               "           transport everywhere)\n"
-               "  report   --in flows.csv [--collapse F]\n"
-               "  trace    --in flows.csv [--window MIN] [--train N]\n"
-               "           [--stall-ms MS] runs the anomaly pipeline with\n"
-               "           tracing forced on and prints each window's span tree\n"
+               "           (serve/aggregate also take --net-timeout-ms MS for\n"
+               "           accept and recv, default $CCG_NET_TIMEOUT_MS, else\n"
+               "           30000; $CCG_NET_RETRIES tunes connect retries)\n"
+               "  report   --in flows.csv [ANALYSIS]\n"
+               "  trace    --in flows.csv [ANALYSIS] runs the anomaly\n"
+               "           pipeline with tracing forced on and prints each\n"
+               "           window's span tree\n"
                "  store append  --in flows.csv --store DIR [--window MIN]\n"
                "                [--facet ip|ipport] [--collapse F]\n"
                "                [--keyframe K] [--segment-mb MB]\n"
                "  store query   --store DIR [--from MIN] [--to MIN]\n"
                "  store replay  --store DIR [--from MIN] [--to MIN]\n"
-               "                [--train N] [--rank K] [--summary-out FILE]\n"
+               "                [ANALYSIS] [--summary-out FILE]\n"
                "  store compact --store DIR [--keyframe K] [--retain-from MIN]\n"
                "                [--segment-mb MB]\n"
                "  store stats   --store DIR prints frame/segment totals plus\n"
@@ -151,6 +149,11 @@ int usage() {
                "           time plus the run's CPU and peak RSS (rusage)\n"
                "           [--profile-out F]   write folded stacks (flamegraph.pl)\n"
                "           [--profile-json F]  write the full profile as JSON\n"
+               "ANALYSIS: the options anomaly, serve, aggregate, store replay,\n"
+               "  report and trace share: [--window MIN] [--facet ip|ipport]\n"
+               "  [--collapse F] [--train N] [--rank K] [--stall-ms MS]\n"
+               "  (defaults 60, ip, 0.001, 3, 20, 0; store replay reads its\n"
+               "  windows as stored)\n"
                "every command also accepts:\n"
                "  --metrics-out FILE   write a JSON metrics snapshot on exit\n"
                "  --metrics-prom FILE  same registry in Prometheus text format\n"
@@ -172,9 +175,10 @@ int usage() {
                "  --watchdog-ms N      dump a flight record when one window\n"
                "                       stalls longer than N ms; 0 = off\n"
                "                       (default: $CCG_WATCHDOG_MS, else off)\n"
-               "  --threads N          analysis-kernel worker threads (default:\n"
-               "                       $CCG_THREADS, else all hardware threads;\n"
-               "                       output is bit-identical for every N)\n"
+               "  --threads N          pool threads for segmentation's pairwise\n"
+               "                       scorers (default: $CCG_THREADS, else all\n"
+               "                       hardware threads; output is bit-identical\n"
+               "                       for every N)\n"
                "  --simd TIER          kernel simd tier auto|scalar|avx2\n"
                "                       (default: $CCG_SIMD, else auto; output\n"
                "                       is bit-identical for every tier)\n"
@@ -216,13 +220,78 @@ std::unordered_set<IpAddr> monitored_from(const std::vector<ConnectionSummary>& 
   return out;
 }
 
+/// The window build configuration of `graph`, `store append`, `serve`'s
+/// roles and every analysis command: --facet ip|ipport, --window MIN and
+/// --collapse F. Windows built from it diff cleanly across commands.
+GraphBuildConfig graph_config(const Args& args) {
+  return {.facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
+                                                          : GraphFacet::kIp,
+          .window_minutes = args.get_long("window", 60),
+          .collapse_threshold = args.get_double("collapse", 0.001)};
+}
+
+/// The one analysis configuration of anomaly, serve/aggregate, store
+/// replay, trace and report: graph_config plus --train N, --rank K and the
+/// --stall-ms debug hook.
+AnalyticsServiceOptions analysis_options(const Args& args) {
+  AnalyticsServiceOptions options;
+  options.graph = graph_config(args);
+  options.training_windows = static_cast<std::size_t>(args.get_long("train", 3));
+  options.spectral.rank = static_cast<std::size_t>(args.get_long("rank", 20));
+  options.stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0));
+  return options;
+}
+
+/// Prints what anomaly, serve/aggregate and store replay report per
+/// window, byte for byte alike: the summary line (also to --summary-out)
+/// and, for an alerting window, its top five localized edges.
+class ReportSink {
+ public:
+  ReportSink() = default;
+  ReportSink(const ReportSink&) = delete;  // callback() captures `this`
+  ReportSink& operator=(const ReportSink&) = delete;
+
+  /// Opens --summary-out when given; false when it cannot be written.
+  bool open(const Args& args) {
+    const auto path = args.get("summary-out");
+    if (!path) return true;
+    summary_out_.open(*path);
+    if (!summary_out_) {
+      std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
+      return false;
+    }
+    return true;
+  }
+
+  AnalyticsService::ReportCallback callback() {
+    return [this](const WindowReport& report) { print(report); };
+  }
+
+  /// Prints the closing tally and returns the exit code: 3 on any alert.
+  int finish(const char* verb, std::size_t windows) const {
+    std::printf("%zu windows %s, %zu alerts\n", windows, verb, alerts_);
+    return alerts_ > 0 ? 3 : 0;
+  }
+
+ private:
+  void print(const WindowReport& report) {
+    std::printf("%s\n", report.summary().c_str());
+    if (summary_out_.is_open()) summary_out_ << report.summary() << '\n';
+    if (!report.alert) return;
+    ++alerts_;
+    for (std::size_t i = 0;
+         i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
+      std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
+    }
+  }
+
+  std::ofstream summary_out_;
+  std::size_t alerts_ = 0;
+};
+
 std::vector<CommGraph> build_graphs(const std::vector<ConnectionSummary>& records,
-                                    GraphFacet facet, double collapse,
-                                    std::int64_t window_minutes) {
-  GraphBuilder builder({.facet = facet,
-                        .window_minutes = window_minutes,
-                        .collapse_threshold = collapse},
-                       monitored_from(records));
+                                    const GraphBuildConfig& config) {
+  GraphBuilder builder(config, monitored_from(records));
   for (const auto& r : records) builder.ingest(r);
   builder.flush();
   return builder.take_graphs();
@@ -376,16 +445,13 @@ int cmd_graph(const Args& args) {
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  const GraphFacet facet =
-      args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort : GraphFacet::kIp;
-  const auto graphs = build_graphs(*records, facet,
-                                   args.get_double("collapse", 0.001),
-                                   args.get_long("window", 60));
+  const GraphBuildConfig config = graph_config(args);
+  const auto graphs = build_graphs(*records, config);
   for (const auto& g : graphs) {
     const GraphMetrics m = compute_metrics(g);
     std::printf("window %s: %s\n", g.window().to_string().c_str(),
                 m.to_string().c_str());
-    if (facet == GraphFacet::kIp && g.node_count() >= 2) {
+    if (config.facet == GraphFacet::kIp && g.node_count() >= 2) {
       std::printf("%s\n", ascii_adjacency(g, 32).c_str());
     }
   }
@@ -424,8 +490,9 @@ int cmd_diff(const Args& args) {
 
   // One graph per log, whole-file windows, no collapsing (diffs should see
   // every endpoint).
-  const auto before = build_graphs(*before_records, GraphFacet::kIp, 0.0, 1 << 20);
-  const auto after = build_graphs(*after_records, GraphFacet::kIp, 0.0, 1 << 20);
+  const GraphBuildConfig whole_log{.window_minutes = 1 << 20};
+  const auto before = build_graphs(*before_records, whole_log);
+  const auto after = build_graphs(*after_records, whole_log);
   const GraphDelta delta = diff_graphs(before.back(), after.back(),
                                        args.get_double("factor", 4.0));
   std::printf("%s\n", delta.summary().c_str());
@@ -460,9 +527,9 @@ int cmd_segment(const Args& args) {
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  const auto graphs = build_graphs(*records, GraphFacet::kIp,
-                                   args.get_double("collapse", 0.001),
-                                   args.get_long("window", 60));
+  const auto graphs = build_graphs(
+      *records, {.window_minutes = args.get_long("window", 60),
+                 .collapse_threshold = args.get_double("collapse", 0.001)});
   const CommGraph& g = graphs.back();
   const Segmentation seg = auto_segment(
       g, SegmentationMethod::kJaccardLouvain,
@@ -495,7 +562,8 @@ int cmd_policy(const Args& args) {
 
   // Segment the baseline graph, mine the default-deny policy from the
   // baseline stream, then check the second stream.
-  const auto graphs = build_graphs(*baseline, GraphFacet::kIp, 0.001, 1 << 20);
+  const auto graphs = build_graphs(
+      *baseline, {.window_minutes = 1 << 20, .collapse_threshold = 0.001});
   const CommGraph& g = graphs.back();
   const Segmentation seg = auto_segment(g, SegmentationMethod::kJaccardLouvain);
   const SegmentMap segments = SegmentMap::from_segmentation(g, seg);
@@ -561,73 +629,34 @@ int cmd_anomaly(const Args& args) {
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  std::ofstream summary_out;
-  if (const auto path = args.get("summary-out")) {
-    summary_out.open(*path);
-    if (!summary_out) {
-      std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
-      return 1;
-    }
-  }
+  ReportSink sink;
+  if (!sink.open(args)) return 1;
 
   int ops_rc = 0;
   const auto ops = start_ops_server(args, &ops_rc);
   if (ops_rc != 0) return ops_rc;
 
-  std::size_t alerts = 0;
-  AnalyticsService service(
-      {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = args.get_long("window", 60),
-                 .collapse_threshold = args.get_double("collapse", 0.001)},
-       .training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_long("rank", 20))},
-       .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      monitored_from(*records), [&](const WindowReport& report) {
-        std::printf("%s\n", report.summary().c_str());
-        if (summary_out.is_open()) summary_out << report.summary() << '\n';
-        if (report.alert) {
-          ++alerts;
-          for (std::size_t i = 0;
-               i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
-            std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
-          }
-        }
-      });
+  AnalyticsService service(analysis_options(args), monitored_from(*records),
+                           sink.callback());
   if (ops) ops->set_ready(true);
   // Records arrive sorted by minute from simulate/collectors; group them.
   replay_minutes(*records, service);
   service.flush();
   if (ops) ops->set_ready(false);
-  std::printf("%zu windows analyzed, %zu alerts\n", service.windows_reported(),
-              alerts);
-  return alerts > 0 ? 3 : 0;
+  return sink.finish("analyzed", service.windows_reported());
 }
 
 // --- distributed commands (docs/DISTRIBUTED.md) ------------------------------
-
-/// The build config every distributed role must agree on. Same defaults as
-/// `anomaly`, so a distributed run diffs cleanly against a single-process
-/// one.
-GraphBuildConfig dist_graph_config(const Args& args) {
-  return {.facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
-                                                          : GraphFacet::kIp,
-          .window_minutes = args.get_long("window", 60),
-          .collapse_threshold = args.get_double("collapse", 0.001)};
-}
 
 std::string flight_dir_from(const Args& args) {
   const char* env = std::getenv("CCG_FLIGHT_DIR");
   return args.get_or("flight-dir", env != nullptr ? env : "");
 }
 
-/// Aggregator-side recv timeout. Workers connect before parsing their
-/// flow log, so the silence between handshake and the first window frame
-/// includes a full CSV parse — the CLI default is therefore far above the
-/// library's 30 s. --net-timeout-ms and CCG_NET_TIMEOUT_MS override.
-int aggregator_timeout_ms(const Args& args) {
-  if (const auto v = args.get("net-timeout-ms")) return std::stoi(*v);
-  if (std::getenv("CCG_NET_TIMEOUT_MS") != nullptr) return -1;  // env wins
-  return 300000;
+/// Accept and recv timeout of `serve` and `aggregate`: --net-timeout-ms,
+/// else -1, which the transport resolves to $CCG_NET_TIMEOUT_MS, else 30 s.
+int net_timeout_ms(const Args& args) {
+  return static_cast<int>(args.get_long("net-timeout-ms", -1));
 }
 
 /// Aggregator side shared by `aggregate` and `serve`: handshake the
@@ -636,34 +665,11 @@ int aggregator_timeout_ms(const Args& args) {
 /// stdout, --summary-out contents and the exit code must be byte-identical
 /// to the single-process command on the same log.
 int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
-  const GraphBuildConfig config = dist_graph_config(args);
+  ReportSink sink;
+  if (!sink.open(args)) return 1;
 
-  std::ofstream summary_out;
-  if (const auto path = args.get("summary-out")) {
-    summary_out.open(*path);
-    if (!summary_out) {
-      std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
-      return 1;
-    }
-  }
-
-  std::size_t alerts = 0;
-  AnalyticsService service(
-      {.graph = config,
-       .training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_long("rank", 20))},
-       .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      {}, [&](const WindowReport& report) {
-        std::printf("%s\n", report.summary().c_str());
-        if (summary_out.is_open()) summary_out << report.summary() << '\n';
-        if (report.alert) {
-          ++alerts;
-          for (std::size_t i = 0;
-               i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
-            std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
-          }
-        }
-      });
+  const AnalyticsServiceOptions options = analysis_options(args);
+  AnalyticsService service(options, {}, sink.callback());
 
   std::optional<store::StoreWriter> writer;
   if (const auto store_dir = args.get("store")) {
@@ -683,8 +689,8 @@ int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
   if (ops_rc != 0) return ops_rc;
 
   const std::size_t shard_count = conns.size();
-  dist::Aggregator aggregator({.graph = config,
-                               .recv_timeout_ms = aggregator_timeout_ms(args),
+  dist::Aggregator aggregator({.graph = options.graph,
+                               .recv_timeout_ms = net_timeout_ms(args),
                                .flight_dir = flight_dir_from(args)},
                               std::move(conns));
   if (!aggregator.handshake()) {
@@ -705,9 +711,7 @@ int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
                "ccgraph: aggregated %llu records / %llu windows from %zu shards\n",
                static_cast<unsigned long long>(result->records),
                static_cast<unsigned long long>(result->windows), shard_count);
-  std::printf("%zu windows analyzed, %zu alerts\n", service.windows_reported(),
-              alerts);
-  return alerts > 0 ? 3 : 0;
+  return sink.finish("analyzed", service.windows_reported());
 }
 
 int cmd_shard_worker(const Args& args) {
@@ -739,7 +743,7 @@ int cmd_shard_worker(const Args& args) {
   // partition internally via shard_of_record.
   dist::ShardWorker worker({.shard_id = static_cast<std::uint32_t>(shard_id),
                             .shard_count = static_cast<std::uint32_t>(shard_count),
-                            .graph = dist_graph_config(args)},
+                            .graph = graph_config(args)},
                            monitored_from(*records), std::move(*conn));
   if (!worker.handshake()) {
     std::fprintf(stderr, "ccgraph: shard %ld: handshake refused\n", shard_id);
@@ -772,7 +776,7 @@ int cmd_aggregate(const Args& args) {
   std::fflush(stderr);
   std::vector<net::FrameConn> conns;
   for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(aggregator_timeout_ms(args));
+    auto conn = listener->accept(net_timeout_ms(args));
     if (!conn) {
       std::fprintf(stderr, "ccgraph: accept failed (%ld of %ld shards connected)\n",
                    i, shard_count);
@@ -801,7 +805,7 @@ int cmd_serve(const Args& args) {
   // Pre-build every worker's argv before any fork: between fork and execv
   // only async-signal-safe work is allowed, so no allocation there. Flags
   // the user left at defaults are not forwarded — the worker's defaults
-  // are identical by construction (dist_graph_config).
+  // are identical by construction (graph_config).
   std::vector<std::vector<std::string>> worker_cmds(
       static_cast<std::size_t>(shard_count));
   for (long i = 0; i < shard_count; ++i) {
@@ -852,7 +856,7 @@ int cmd_serve(const Args& args) {
 
   std::vector<net::FrameConn> conns;
   for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(aggregator_timeout_ms(args));
+    auto conn = listener->accept(net_timeout_ms(args));
     if (!conn) {
       std::fprintf(stderr, "ccgraph: worker accept failed (%ld of %ld connected)\n",
                    i, shard_count);
@@ -881,8 +885,8 @@ int cmd_report(const Args& args) {
   if (!in_path) return usage();
   const auto records = load_csv(*in_path);
   if (!records) return 1;
-  const double collapse = args.get_double("collapse", 0.001);
-  const auto graphs = build_graphs(*records, GraphFacet::kIp, collapse, 60);
+  const AnalyticsServiceOptions options = analysis_options(args);
+  const auto graphs = build_graphs(*records, options.graph);
   if (graphs.empty()) {
     std::fprintf(stderr, "ccgraph: no complete windows in %s\n", in_path->c_str());
     return 1;
@@ -892,15 +896,10 @@ int cmd_report(const Args& args) {
   // One analytics pass over the same log populates the per-stage latency
   // histograms (build/spectral/edges/tracker/patterns) and, when the log
   // is long enough to finish training, an anomaly verdict per window.
-  std::vector<WindowReport> window_reports;
+  std::vector<std::string> timeline;
   AnalyticsService service(
-      {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = 60,
-                 .collapse_threshold = collapse},
-       .training_windows =
-           static_cast<std::size_t>(args.get_long("train", 3))},
-      monitored_from(*records),
-      [&](const WindowReport& report) { window_reports.push_back(report); });
+      options, monitored_from(*records),
+      [&](const WindowReport& report) { timeline.push_back(report.summary()); });
   replay_minutes(*records, service);
   service.flush();
   const GraphMetrics m = compute_metrics(g);
@@ -934,11 +933,9 @@ int cmd_report(const Args& args) {
     std::printf("\n== stability ==\n%s\n", analyze_series(graphs).summary().c_str());
   }
 
-  if (window_reports.size() >= 2) {
+  if (timeline.size() >= 2) {
     std::printf("\n== window timeline ==\n");
-    for (const auto& report : window_reports) {
-      std::printf("%s\n", report.summary().c_str());
-    }
+    for (const std::string& line : timeline) std::printf("%s\n", line.c_str());
   }
 
   std::printf("\n== metrics ==\n%s",
@@ -958,13 +955,8 @@ int cmd_trace(const Args& args) {
     obs::TraceRing::global().enable(obs::default_trace_ring_capacity());
   }
 
-  AnalyticsService service(
-      {.graph = {.facet = GraphFacet::kIp,
-                 .window_minutes = args.get_long("window", 60),
-                 .collapse_threshold = args.get_double("collapse", 0.001)},
-       .training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
-       .stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0))},
-      monitored_from(*records), [](const WindowReport&) {});
+  AnalyticsService service(analysis_options(args), monitored_from(*records),
+                           [](const WindowReport&) {});
   replay_minutes(*records, service);
   service.flush();
 
@@ -1031,11 +1023,7 @@ int cmd_store_append(const Args& args) {
 
   // Same build configuration defaults as `anomaly`, so a stored log replays
   // into byte-identical windows.
-  const GraphFacet facet =
-      args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort : GraphFacet::kIp;
-  const auto graphs = build_graphs(*records, facet,
-                                   args.get_double("collapse", 0.001),
-                                   args.get_long("window", 60));
+  const auto graphs = build_graphs(*records, graph_config(args));
   store::WriterOptions options{
       .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
       .segment_bytes =
@@ -1114,35 +1102,13 @@ int cmd_store_replay(const Args& args) {
   const std::int64_t to =
       minute_arg(args, "to", std::numeric_limits<std::int64_t>::max());
 
-  std::ofstream summary_out;
-  if (const auto path = args.get("summary-out")) {
-    summary_out.open(*path);
-    if (!summary_out) {
-      std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());
-      return 1;
-    }
-  }
+  ReportSink sink;
+  if (!sink.open(args)) return 1;
 
   // Same analytics stack as `anomaly`, fed from stored windows instead of a
   // flow log: the two paths must produce identical per-window summaries.
-  std::size_t alerts = 0;
-  AnalyticsService service(
-      {.training_windows = static_cast<std::size_t>(args.get_long("train", 3)),
-       .spectral = {.rank = static_cast<std::size_t>(args.get_long("rank", 20))}},
-      {}, [&](const WindowReport& report) {
-        std::printf("%s\n", report.summary().c_str());
-        if (summary_out.is_open()) summary_out << report.summary() << '\n';
-        if (report.alert) {
-          ++alerts;
-          for (std::size_t i = 0;
-               i < std::min<std::size_t>(5, report.anomalous_edges.size()); ++i) {
-            std::printf("  %s\n", report.anomalous_edges[i].to_string().c_str());
-          }
-        }
-      });
-  const std::size_t replayed = service.replay(*reader, from, to);
-  std::printf("%zu windows replayed, %zu alerts\n", replayed, alerts);
-  return alerts > 0 ? 3 : 0;
+  AnalyticsService service(analysis_options(args), {}, sink.callback());
+  return sink.finish("replayed", service.replay(*reader, from, to));
 }
 
 int cmd_store_compact(const Args& args) {

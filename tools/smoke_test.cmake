@@ -59,8 +59,7 @@ if(NOT version_rc_stdout MATCHES "simd: compiled=")
 endif()
 
 # Kernel determinism: the scalar simd tier prints the same anomaly report
-# as auto dispatch (stdout, --summary-out bytes, exit code), and `simulate`
-# writes the same bytes at one thread as at the default thread count.
+# as auto dispatch (stdout, --summary-out bytes, exit code).
 foreach(tier scalar auto)
   execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_SIMD=${tier} ${CLI}
                           anomaly --in long.csv --window 30 --train 2
@@ -77,16 +76,34 @@ if(simd_rc_scalar GREATER 3 OR NOT simd_rc_scalar EQUAL simd_rc_auto OR
    NOT simd_summary_differs EQUAL 0 OR simd_summary_size EQUAL 0)
   message(FATAL_ERROR "CCG_SIMD=scalar anomaly (rc ${simd_rc_scalar}) differs from auto (rc ${simd_rc_auto})")
 endif()
-foreach(threads 1 0)  # CCG_THREADS=0 means the default thread count
+
+# Thread-count determinism where the pool runs: a Portal log whose ~500-node
+# windows give similarity scoring more than one chunk, so CCG_THREADS=4
+# submits pool jobs (checked in its metrics) even on a one-CPU host. Its
+# anomaly report must equal CCG_THREADS=1's: stdout, --summary-out bytes
+# and exit code.
+run_cli(0 simulate --preset portal --hours 2 --rate-scale 0.05 --seed 7 --out portal.csv)
+foreach(threads 1 4)
   execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_THREADS=${threads} ${CLI}
-                          simulate --preset tiny --hours 2 --seed 7 --out sim_t${threads}.csv
-                  WORKING_DIRECTORY ${WORKDIR} OUTPUT_QUIET COMMAND_ERROR_IS_FATAL ANY)
+                          anomaly --in portal.csv --window 30 --train 2
+                          --summary-out threads_${threads}.txt
+                          --metrics-out threads_${threads}.json
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE threads_rc_${threads}
+                  OUTPUT_VARIABLE threads_out_${threads})
 endforeach()
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                ${WORKDIR}/sim_t1.csv ${WORKDIR}/sim_t0.csv
-                RESULT_VARIABLE sim_threads_differ)
-if(NOT sim_threads_differ EQUAL 0)
-  message(FATAL_ERROR "CCG_THREADS=1 simulate differs from the default thread count")
+                ${WORKDIR}/threads_1.txt ${WORKDIR}/threads_4.txt
+                RESULT_VARIABLE threads_summary_differs)
+file(SIZE ${WORKDIR}/threads_1.txt threads_summary_size)
+if(threads_rc_1 GREATER 3 OR NOT threads_rc_1 EQUAL threads_rc_4 OR
+   NOT threads_out_1 STREQUAL threads_out_4 OR
+   NOT threads_summary_differs EQUAL 0 OR threads_summary_size EQUAL 0)
+  message(FATAL_ERROR "CCG_THREADS=4 anomaly (rc ${threads_rc_4}) differs from CCG_THREADS=1 (rc ${threads_rc_1})")
+endif()
+file(READ ${WORKDIR}/threads_4.json threads_json)
+if(NOT threads_json MATCHES "\"ccg\\.parallel\\.jobs\": [1-9]")
+  message(FATAL_ERROR "CCG_THREADS=4 anomaly submitted no pool jobs")
 endif()
 
 # The sharding contract: `serve` forks N shard-worker processes, merges
