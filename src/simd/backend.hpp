@@ -28,6 +28,9 @@ struct Backend {
   double (*max_abs)(const double*, std::size_t);
   void (*rotate_pair)(double*, double*, double, double, std::size_t);
   void (*rank1_update)(double*, const double*, double, std::size_t);
+  void (*combine_rows)(double*, std::size_t, const double*, std::size_t,
+                       const double*, std::size_t, std::size_t, std::size_t,
+                       std::size_t);
   double (*rank1_update_abs_sum)(double*, const double*, double, std::size_t);
   std::uint32_t (*count_stamped)(const std::uint32_t*, std::size_t,
                                  const std::uint32_t*, std::uint32_t);

@@ -185,6 +185,12 @@ void rank1_update(double* row, const double* vec, double vr, std::size_t n) {
   detail::current_backend()->rank1_update(row, vec, vr, n);
 }
 
+void combine_rows(double* out, std::size_t ldo, const double* w,
+                  std::size_t ldw, const double* rows, std::size_t ldr,
+                  std::size_t m, std::size_t k, std::size_t n) {
+  detail::current_backend()->combine_rows(out, ldo, w, ldw, rows, ldr, m, k, n);
+}
+
 double rank1_update_abs_sum(double* row, const double* vec, double vr,
                             std::size_t n) {
   return detail::current_backend()->rank1_update_abs_sum(row, vec, vr, n);

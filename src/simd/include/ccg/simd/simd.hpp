@@ -14,7 +14,8 @@
 // every primitive. Two mechanisms make that possible:
 //
 //   1. Exact primitives (integer counts, u64 MinHash hashing, max of
-//      non-negative doubles, element-wise rotate/rank-1 updates) are
+//      non-negative doubles, element-wise rotate/rank-1 updates, row
+//      combinations summed in a fixed term order) are
 //      order-insensitive or element-independent: IEEE-754 guarantees each
 //      lane op matches its scalar counterpart bit for bit, so any
 //      vectorization strategy agrees with any other.
@@ -106,6 +107,15 @@ void rotate_pair(double* x, double* y, double c, double s, std::size_t n);
 
 /// row[i] += vr·vec[i] (element-wise, exact).
 void rank1_update(double* row, const double* vec, double vr, std::size_t n);
+
+/// out[r][i] = Σ_j w[r][j]·rows[j][i] for r < m, i < n, j < k, with
+/// row-major operands of leading dimensions ldo, ldw, ldr (element-wise,
+/// exact). Each output adds its k products in ascending j to +0.0: the
+/// same bits as zero-filling out[r] and applying
+/// rank1_update(out[r], rows[j], w[r][j], n) for j = 0..k−1.
+void combine_rows(double* out, std::size_t ldo, const double* w,
+                  std::size_t ldw, const double* rows, std::size_t ldr,
+                  std::size_t m, std::size_t k, std::size_t n);
 
 /// row[i] −= vr·vec[i]; returns Σ |row[i]| (canonical 4-lane sum).
 double rank1_update_abs_sum(double* row, const double* vec, double vr,

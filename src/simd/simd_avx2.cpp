@@ -154,6 +154,56 @@ void rank1_update_impl(double* row, const double* vec, double vr,
   for (; i < n; ++i) row[i] += vr * vec[i];
 }
 
+// One output element, summed in ascending j like every vector lane below:
+// the column tail of each tile and the last m % 4 rows.
+inline double combine_one(const double* w, const double* col, std::size_t ldr,
+                          std::size_t k) {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < k; ++j) acc += w[j] * col[j * ldr];
+  return acc;
+}
+
+void combine_rows_impl(double* out, std::size_t ldo, const double* w,
+                       std::size_t ldw, const double* rows, std::size_t ldr,
+                       std::size_t m, std::size_t k, std::size_t n) {
+  std::size_t r = 0;
+  // Four output rows x eight columns per tile: each load of `rows` feeds
+  // four rows' accumulators, which stay in registers across all k terms.
+  for (; r + 4 <= m; r += 4) {
+    const double* w0 = w + r * ldw;
+    double* o0 = out + r * ldo;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      __m256d acc[4][2];
+      for (auto& a : acc) a[0] = a[1] = _mm256_setzero_pd();
+      for (std::size_t j = 0; j < k; ++j) {
+        const double* x = rows + j * ldr + i;
+        const __m256d x0 = _mm256_loadu_pd(x);
+        const __m256d x1 = _mm256_loadu_pd(x + 4);
+        for (std::size_t q = 0; q < 4; ++q) {
+          const __m256d wv = _mm256_set1_pd(w0[q * ldw + j]);
+          acc[q][0] = _mm256_add_pd(acc[q][0], _mm256_mul_pd(wv, x0));
+          acc[q][1] = _mm256_add_pd(acc[q][1], _mm256_mul_pd(wv, x1));
+        }
+      }
+      for (std::size_t q = 0; q < 4; ++q) {
+        _mm256_storeu_pd(o0 + q * ldo + i, acc[q][0]);
+        _mm256_storeu_pd(o0 + q * ldo + i + 4, acc[q][1]);
+      }
+    }
+    for (; i < n; ++i) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        o0[q * ldo + i] = combine_one(w0 + q * ldw, rows + i, ldr, k);
+      }
+    }
+  }
+  for (; r < m; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[r * ldo + i] = combine_one(w + r * ldw, rows + i, ldr, k);
+    }
+  }
+}
+
 double rank1_update_abs_sum_impl(double* row, const double* vec, double vr,
                                  std::size_t n) {
   const __m256d vrv = _mm256_set1_pd(vr);
@@ -365,6 +415,7 @@ constexpr Backend kAvx2Backend = {
     max_abs_impl,
     rotate_pair_impl,
     rank1_update_impl,
+    combine_rows_impl,
     rank1_update_abs_sum_impl,
     count_stamped_impl,
     jaccard_counts_impl,

@@ -115,6 +115,18 @@ void rank1_update_impl(double* row, const double* vec, double vr,
   for (std::size_t i = 0; i < n; ++i) row[i] += vr * vec[i];
 }
 
+void combine_rows_impl(double* out, std::size_t ldo, const double* w,
+                       std::size_t ldw, const double* rows, std::size_t ldr,
+                       std::size_t m, std::size_t k, std::size_t n) {
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < k; ++j) acc += w[r * ldw + j] * rows[j * ldr + i];
+      out[r * ldo + i] = acc;
+    }
+  }
+}
+
 double rank1_update_abs_sum_impl(double* row, const double* vec, double vr,
                                  std::size_t n) {
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
@@ -237,6 +249,7 @@ constexpr Backend kScalarBackend = {
     max_abs_impl,
     rotate_pair_impl,
     rank1_update_impl,
+    combine_rows_impl,
     rank1_update_abs_sum_impl,
     count_stamped_impl,
     jaccard_counts_impl,

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccg/graph/comm_graph.hpp"
@@ -48,7 +49,8 @@ class SpectralAnomalyDetector {
   /// consecutive hours). Precondition: graphs non-empty.
   void fit(const std::vector<const CommGraph*>& baseline);
 
-  /// Scores a window. Remembers it as "previous" for churn scoring.
+  /// Scores a window. Remembers its edge set as "previous" for churn
+  /// scoring.
   AnomalyScore score(const CommGraph& window);
 
   bool is_alert(const AnomalyScore& score) const;
@@ -60,11 +62,15 @@ class SpectralAnomalyDetector {
 
   SpectralDetectorOptions options_;
   NodeIndex index_;
-  Matrix basis_;  // n x k top eigenvectors of the mean baseline matrix
+  Matrix basis_;    // n x k top eigenvectors of the mean baseline matrix
+  Matrix basis_t_;  // k x n, basis_ transposed
   double baseline_mean_ = 0.0;
   double baseline_std_ = 0.0;
   bool fitted_ = false;
-  std::optional<CommGraph> previous_;
+  /// The last scored window's edges as sorted, distinct endpoint-key
+  /// pairs (smaller key first), which stay comparable when the next
+  /// window numbers its nodes differently.
+  std::optional<std::vector<std::pair<NodeKey, NodeKey>>> previous_edges_;
 };
 
 }  // namespace ccg

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "ccg/common/expect.hpp"
 #include "ccg/common/rng.hpp"
+#include "ccg/graph/builder.hpp"
+#include "ccg/graph/delta.hpp"
+#include "ccg/linalg/eigen.hpp"
+#include "ccg/simd/simd.hpp"
 #include "ccg/summarize/anomaly.hpp"
+#include "ccg/workload/driver.hpp"
+#include "ccg/workload/presets.hpp"
 
 namespace ccg {
 namespace {
@@ -175,12 +184,168 @@ TEST(SpectralDetector, TracksEdgeChurnAcrossScores) {
   EXPECT_LT(third.edge_jaccard_vs_prev, 0.1);
 }
 
+/// Per-window graphs of a simulated k8s slice, cut like the CLI cuts them.
+std::vector<CommGraph> k8s_windows(std::int64_t minutes, std::int64_t window_minutes,
+                                   std::uint64_t seed) {
+  Cluster cluster(presets::k8s_paas(0.02), seed);
+  TelemetryHub hub(ProviderProfile::azure(), seed);
+  SimulationDriver driver(cluster, hub);
+  const auto ips = cluster.monitored_ips();
+  GraphBuilder builder({.facet = GraphFacet::kIp,
+                        .window_minutes = window_minutes,
+                        .collapse_threshold = 0.001},
+                       {ips.begin(), ips.end()});
+  hub.set_sink(&builder);
+  driver.run(TimeWindow::minutes(0, minutes));
+  builder.flush();
+  return builder.take_graphs();
+}
+
+TEST(SpectralDetector, EdgeChurnEqualsDiffGraphsOnK8sWindows) {
+  const auto windows = k8s_windows(30, 3, 7);
+  ASSERT_GE(windows.size(), 8u);
+
+  // The premise: consecutive windows number the same node differently, and
+  // their node and edge sets differ.
+  bool renumbered = false, nodes_churned = false, edges_churned = false;
+  for (std::size_t i = 1; i < windows.size(); ++i) {
+    const CommGraph& prev = windows[i - 1];
+    const CommGraph& cur = windows[i];
+    for (NodeId v = 0; v < cur.node_count(); ++v) {
+      const auto before = prev.find_node(cur.key(v));
+      renumbered |= before.has_value() && *before != v;
+    }
+    const GraphDelta delta = diff_graphs(prev, cur);
+    nodes_churned |= !delta.nodes_added.empty() || !delta.nodes_removed.empty();
+    edges_churned |= delta.edge_jaccard < 1.0;
+  }
+  ASSERT_TRUE(renumbered && nodes_churned && edges_churned);
+
+  // Churn ignores the fitted subspace, so a small baseline keeps this fast.
+  const CommGraph baseline = block_graph(2, 4, 10'000);
+  SpectralDetectorOptions options;
+  options.rank = 2;
+  SpectralAnomalyDetector detector(options);
+  detector.fit({&baseline});
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const double got = detector.score(windows[i]).edge_jaccard_vs_prev;
+    const double want = i == 0 ? 1.0 : diff_graphs(windows[i - 1], windows[i]).edge_jaccard;
+    EXPECT_EQ(got, want) << "window " << i;
+  }
+
+  // A refit forgets the previous window.
+  detector.fit({&baseline});
+  EXPECT_EQ(detector.score(windows[3]).edge_jaccard_vs_prev, 1.0);
+  EXPECT_EQ(detector.score(windows[5]).edge_jaccard_vs_prev,
+            diff_graphs(windows[3], windows[5]).edge_jaccard);
+}
+
 TEST(SpectralDetector, RequiresFitBeforeScore) {
   SpectralAnomalyDetector detector;
   const CommGraph g = block_graph(1, 4, 1000);
   EXPECT_THROW(detector.score(g), ContractViolation);
   EXPECT_THROW(detector.fit({}), ContractViolation);
 }
+
+/// Window over nodes [first_ip, last_ip] joined with probability p, plus
+/// `isolated` edgeless nodes: seeded, with log-spread byte volumes.
+CommGraph random_window(Rng& rng, std::uint32_t first_ip, std::uint32_t last_ip,
+                        double p, std::uint32_t isolated) {
+  CommGraph g;
+  std::vector<NodeId> nodes;
+  for (std::uint32_t ip = first_ip; ip <= last_ip; ++ip) nodes.push_back(ip_node(g, ip));
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      if (rng.chance(p)) edge(g, nodes[i], nodes[j], 1 + rng.uniform(1ull << rng.uniform(30)));
+    }
+  }
+  for (std::uint32_t i = 0; i < isolated; ++i) ip_node(g, 900 + first_ip + i);
+  return g;
+}
+
+/// The dense definition of the score: |M − B(BᵀMB)Bᵀ|₁ / |M|₁.
+double dense_spectral_error(const Matrix& m, const Matrix& basis) {
+  const Matrix bt = basis.transpose();
+  const Matrix s = bt.multiply(m).multiply(basis);
+  const Matrix recon = basis.multiply(s).multiply(bt);
+  const double denom = m.abs_sum();
+  return denom == 0.0 ? 0.0 : (m - recon).abs_sum() / denom;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// (rank, simd tier): the detector's score must equal the dense chain bit
+/// for bit at every tier, both when k < n and when k = n (the tiny preset's
+/// case, where the residual is rounding noise).
+class SpectralScoreBits
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::string>> {};
+
+TEST_P(SpectralScoreBits, SparseScoreEqualsDenseChain) {
+  const auto [rank, tier] = GetParam();
+  if (tier != "scalar" && !simd::tier_available(simd::Tier::kAvx2)) {
+    GTEST_SKIP() << tier << " is not available on this host";
+  }
+  ASSERT_TRUE(simd::set_tier(tier));
+  struct TierGuard {
+    ~TierGuard() { simd::set_tier("auto"); }
+  } guard;
+
+  // Fit windows over nodes 1..40, each with its own edgeless nodes.
+  Rng rng(2024);
+  std::vector<CommGraph> fit_windows;
+  for (std::uint32_t w = 0; w < 3; ++w) {
+    fit_windows.push_back(random_window(rng, 1, 40, 0.15, 2 + w));
+  }
+  const std::vector<const CommGraph*> baseline = {&fit_windows[0], &fit_windows[1],
+                                                  &fit_windows[2]};
+  SpectralDetectorOptions options;
+  options.rank = rank;
+  SpectralAnomalyDetector detector(options);
+  detector.fit(baseline);
+
+  // The basis fit() computes, rebuilt from the same jacobi_eigen call.
+  const NodeIndex& index = detector.index();
+  const std::size_t n = index.size();
+  const std::size_t k = std::min(rank, n);
+  ASSERT_EQ(rank < n, rank == 6) << "n=" << n;
+  Matrix mean(n, n);
+  for (const CommGraph* g : baseline) mean = mean + adjacency_matrix(*g, index);
+  mean = mean.scaled(1.0 / static_cast<double>(baseline.size()));
+  const EigenDecomposition eig = jacobi_eigen(mean);
+  Matrix basis(n, k);
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < n; ++i) basis(i, j) = eig.vectors(i, j);
+  }
+  double sum = 0.0;
+  for (const CommGraph* g : baseline) {
+    sum += dense_spectral_error(adjacency_matrix(*g, index), basis);
+  }
+
+  // Scored windows: nodes 1..4 absent (zero rows), 41..48 unknown to the
+  // fit, and last a window whose every edge touches an unknown node.
+  std::vector<CommGraph> scored;
+  for (int w = 0; w < 4; ++w) scored.push_back(random_window(rng, 5, 48, 0.15, 3));
+  scored.push_back(random_window(rng, 41, 60, 0.3, 0));
+  for (std::size_t w = 0; w < scored.size(); ++w) {
+    const AnomalyScore score = detector.score(scored[w]);
+    const double want = dense_spectral_error(adjacency_matrix(scored[w], index), basis);
+    EXPECT_EQ(bits(score.spectral_error), bits(want))
+        << "window " << w << ": " << score.spectral_error << " vs " << want;
+    EXPECT_EQ(bits(score.baseline_mean), bits(sum / 3.0));
+    EXPECT_GT(score.new_node_byte_share, 0.0);
+  }
+  EXPECT_EQ(detector.score(scored.back()).spectral_error, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankAndTier, SpectralScoreBits,
+    ::testing::Combine(::testing::Values(std::size_t{6}, std::size_t{64}),
+                       ::testing::Values(std::string("scalar"), std::string("avx2"))),
+    [](const ::testing::TestParamInfo<SpectralScoreBits::ParamType>& info) {
+      return (std::get<0>(info.param) == 6 ? std::string("RankBelowN_")
+                                           : std::string("RankAtLeastN_")) +
+             std::get<1>(info.param);
+    });
 
 }  // namespace
 }  // namespace ccg

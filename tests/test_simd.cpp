@@ -125,6 +125,47 @@ TEST(SimdPrimitives, ElementwiseUpdatesBitIdenticalAcrossTiers) {
   }
 }
 
+TEST(SimdPrimitives, CombineRowsEqualsRank1UpdatesAcrossTiers) {
+  TierGuard guard;
+  Rng rng(43);
+  for (const std::size_t m : {1u, 3u, 4u, 5u, 9u}) {
+    for (const std::size_t k : {0u, 1u, 6u, 20u}) {
+      for (const std::size_t n : {1u, 3u, 4u, 8u, 13u, 31u}) {
+        // Padded leading dimensions, and weights with exact zeros of both
+        // signs, as the spectral score feeds it.
+        const std::size_t ldw = k + 2, ldr = n + 3, ldo = n + 1;
+        std::vector<double> w(m * ldw), rows(k * ldr);
+        for (auto& v : w) v = rng.chance(0.2) ? (rng.chance(0.5) ? 0.0 : -0.0) : rng.normal();
+        for (auto& v : rows) v = rng.normal();
+        simd::set_tier("scalar");
+        std::vector<std::uint64_t> want;
+        for (std::size_t r = 0; r < m; ++r) {
+          std::vector<double> out(n, 0.0);
+          for (std::size_t j = 0; j < k; ++j) {
+            simd::rank1_update(out.data(), &rows[j * ldr], w[r * ldw + j], n);
+          }
+          for (const double v : out) want.push_back(bits(v));
+        }
+        expect_tier_identical(
+            [&] {
+              std::vector<double> out(m * ldo, 7.0);
+              simd::combine_rows(out.data(), ldo, w.data(), ldw, rows.data(), ldr,
+                                 m, k, n);
+              std::vector<std::uint64_t> got;
+              for (std::size_t r = 0; r < m; ++r) {
+                for (std::size_t i = 0; i < n; ++i) got.push_back(bits(out[r * ldo + i]));
+                EXPECT_EQ(out[r * ldo + n], 7.0) << "wrote past row " << r;
+              }
+              EXPECT_EQ(got, want) << "m=" << m << " k=" << k << " n=" << n;
+              return got;
+            },
+            "combine_rows m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                " n=" + std::to_string(n));
+      }
+    }
+  }
+}
+
 TEST(SimdPrimitives, StampedCountsBitIdenticalAcrossTiers) {
   TierGuard guard;
   Rng rng(41);

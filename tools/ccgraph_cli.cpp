@@ -152,8 +152,8 @@ int usage() {
                "ANALYSIS: the options anomaly, serve, aggregate, store replay,\n"
                "  report and trace share: [--window MIN] [--facet ip|ipport]\n"
                "  [--collapse F] [--train N] [--rank K] [--stall-ms MS]\n"
-               "  (defaults 60, ip, 0.001, 3, 20, 0; store replay reads its\n"
-               "  windows as stored)\n"
+               "  (defaults 60, ip, 0.001, 3, 20, 0; --train and --rank must be\n"
+               "  >= 1; store replay reads its windows as stored)\n"
                "every command also accepts:\n"
                "  --metrics-out FILE   write a JSON metrics snapshot on exit\n"
                "  --metrics-prom FILE  same registry in Prometheus text format\n"
@@ -232,12 +232,20 @@ GraphBuildConfig graph_config(const Args& args) {
 
 /// The one analysis configuration of anomaly, serve/aggregate, store
 /// replay, trace and report: graph_config plus --train N, --rank K and the
-/// --stall-ms debug hook.
-AnalyticsServiceOptions analysis_options(const Args& args) {
+/// --stall-ms debug hook. nullopt, after naming the flag on stderr, when
+/// --train or --rank is below 1 (callers exit 2, usage).
+std::optional<AnalyticsServiceOptions> analysis_options(const Args& args) {
+  const long train = args.get_long("train", 3);
+  const long rank = args.get_long("rank", 20);
+  if (train < 1 || rank < 1) {
+    std::fprintf(stderr, "ccgraph: --%s must be >= 1 (got %ld)\n",
+                 train < 1 ? "train" : "rank", train < 1 ? train : rank);
+    return std::nullopt;
+  }
   AnalyticsServiceOptions options;
   options.graph = graph_config(args);
-  options.training_windows = static_cast<std::size_t>(args.get_long("train", 3));
-  options.spectral.rank = static_cast<std::size_t>(args.get_long("rank", 20));
+  options.training_windows = static_cast<std::size_t>(train);
+  options.spectral.rank = static_cast<std::size_t>(rank);
   options.stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0));
   return options;
 }
@@ -626,6 +634,8 @@ int cmd_policy(const Args& args) {
 int cmd_anomaly(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
+  const auto options = analysis_options(args);
+  if (!options) return 2;
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
@@ -636,8 +646,7 @@ int cmd_anomaly(const Args& args) {
   const auto ops = start_ops_server(args, &ops_rc);
   if (ops_rc != 0) return ops_rc;
 
-  AnalyticsService service(analysis_options(args), monitored_from(*records),
-                           sink.callback());
+  AnalyticsService service(*options, monitored_from(*records), sink.callback());
   if (ops) ops->set_ready(true);
   // Records arrive sorted by minute from simulate/collectors; group them.
   replay_minutes(*records, service);
@@ -664,11 +673,11 @@ int net_timeout_ms(const Args& args) {
 /// window through an AnalyticsService configured exactly like `anomaly` —
 /// stdout, --summary-out contents and the exit code must be byte-identical
 /// to the single-process command on the same log.
-int run_aggregation(const Args& args, std::vector<net::FrameConn> conns) {
+int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
+                    std::vector<net::FrameConn> conns) {
   ReportSink sink;
   if (!sink.open(args)) return 1;
 
-  const AnalyticsServiceOptions options = analysis_options(args);
   AnalyticsService service(options, {}, sink.callback());
 
   std::optional<store::StoreWriter> writer;
@@ -763,6 +772,8 @@ int cmd_shard_worker(const Args& args) {
 int cmd_aggregate(const Args& args) {
   const long shard_count = args.get_long("shards", 0);
   if (shard_count < 1) return usage();
+  const auto options = analysis_options(args);
+  if (!options) return 2;
   auto listener = net::Listener::bind_loopback(
       static_cast<std::uint16_t>(args.get_long("listen", 0)));
   if (!listener) {
@@ -784,7 +795,7 @@ int cmd_aggregate(const Args& args) {
     }
     conns.push_back(std::move(*conn));
   }
-  return run_aggregation(args, std::move(conns));
+  return run_aggregation(args, *options, std::move(conns));
 }
 
 int cmd_serve(const Args& args) {
@@ -795,6 +806,8 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr, "ccgraph: --shards must be in [1, 64]\n");
     return 2;
   }
+  const auto options = analysis_options(args);
+  if (!options) return 2;
 
   auto listener = net::Listener::bind_loopback();
   if (!listener) {
@@ -867,7 +880,7 @@ int cmd_serve(const Args& args) {
     conns.push_back(std::move(*conn));
   }
 
-  int rc = run_aggregation(args, std::move(conns));
+  int rc = run_aggregation(args, *options, std::move(conns));
   for (std::size_t i = 0; i < children.size(); ++i) {
     int status = 0;
     ::waitpid(children[i], &status, 0);
@@ -883,10 +896,11 @@ int cmd_serve(const Args& args) {
 int cmd_report(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
+  const auto options = analysis_options(args);
+  if (!options) return 2;
   const auto records = load_csv(*in_path);
   if (!records) return 1;
-  const AnalyticsServiceOptions options = analysis_options(args);
-  const auto graphs = build_graphs(*records, options.graph);
+  const auto graphs = build_graphs(*records, options->graph);
   if (graphs.empty()) {
     std::fprintf(stderr, "ccgraph: no complete windows in %s\n", in_path->c_str());
     return 1;
@@ -898,7 +912,7 @@ int cmd_report(const Args& args) {
   // is long enough to finish training, an anomaly verdict per window.
   std::vector<std::string> timeline;
   AnalyticsService service(
-      options, monitored_from(*records),
+      *options, monitored_from(*records),
       [&](const WindowReport& report) { timeline.push_back(report.summary()); });
   replay_minutes(*records, service);
   service.flush();
@@ -946,6 +960,8 @@ int cmd_report(const Args& args) {
 int cmd_trace(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
+  const auto options = analysis_options(args);
+  if (!options) return 2;
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
@@ -955,7 +971,7 @@ int cmd_trace(const Args& args) {
     obs::TraceRing::global().enable(obs::default_trace_ring_capacity());
   }
 
-  AnalyticsService service(analysis_options(args), monitored_from(*records),
+  AnalyticsService service(*options, monitored_from(*records),
                            [](const WindowReport&) {});
   replay_minutes(*records, service);
   service.flush();
@@ -1092,6 +1108,8 @@ int cmd_store_query(const Args& args) {
 int cmd_store_replay(const Args& args) {
   const auto store_dir = args.get("store");
   if (!store_dir) return usage();
+  const auto options = analysis_options(args);
+  if (!options) return 2;
   auto reader = store::StoreReader::open(*store_dir);
   if (!reader) {
     std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
@@ -1107,7 +1125,7 @@ int cmd_store_replay(const Args& args) {
 
   // Same analytics stack as `anomaly`, fed from stored windows instead of a
   // flow log: the two paths must produce identical per-window summaries.
-  AnalyticsService service(analysis_options(args), {}, sink.callback());
+  AnalyticsService service(*options, {}, sink.callback());
   return sink.finish("replayed", service.replay(*reader, from, to));
 }
 

@@ -34,6 +34,12 @@ endif()
 
 run_cli(0 simulate --preset tiny --hours 5 --seed 9 --out long.csv)
 run_cli(0 anomaly --in long.csv --train 3 --rank 8)
+# --train and --rank below 1 are usage errors, named on stderr.
+run_cli(2 anomaly --in long.csv --train -1)
+run_cli(2 anomaly --in long.csv --train 0)
+run_cli(2 anomaly --in long.csv --rank -1)
+run_cli(2 anomaly --in long.csv --rank 0)
+run_cli(2 serve --in long.csv --shards 2 --rank 0)
 run_cli(0 simulate --preset tiny --hours 5 --seed 9 --attack lateral --attack-hour 4 --out long_attacked.csv)
 run_cli(3 anomaly --in long_attacked.csv --train 3 --rank 8)
 
@@ -104,6 +110,25 @@ endif()
 file(READ ${WORKDIR}/threads_4.json threads_json)
 if(NOT threads_json MATCHES "\"ccg\\.parallel\\.jobs\": [1-9]")
   message(FATAL_ERROR "CCG_THREADS=4 anomaly submitted no pool jobs")
+endif()
+
+# The scalar simd tier where the spectral score has k < n. long.csv has
+# 10 nodes, fewer than rank 20, so the compare above only runs k = n; the
+# Portal windows (n ~ 500, k = 20) run the low-rank reconstruction. Same
+# stdout, summary bytes and rc as the auto-tier threads_1 run.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_SIMD=scalar CCG_THREADS=1 ${CLI}
+                        anomaly --in portal.csv --window 30 --train 2
+                        --summary-out portal_scalar.txt
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE portal_scalar_rc
+                OUTPUT_VARIABLE portal_scalar_out)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/threads_1.txt ${WORKDIR}/portal_scalar.txt
+                RESULT_VARIABLE portal_scalar_differs)
+if(NOT portal_scalar_rc EQUAL threads_rc_1 OR
+   NOT portal_scalar_out STREQUAL threads_out_1 OR
+   NOT portal_scalar_differs EQUAL 0)
+  message(FATAL_ERROR "CCG_SIMD=scalar Portal anomaly (rc ${portal_scalar_rc}) differs from the auto tier (rc ${threads_rc_1})")
 endif()
 
 # The sharding contract: `serve` forks N shard-worker processes, merges
