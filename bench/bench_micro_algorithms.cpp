@@ -82,9 +82,14 @@ void BM_SimilarityClique(benchmark::State& state) {
 BENCHMARK(BM_SimilarityClique)->Apply(ThreadArg);
 
 void BM_LouvainOnSimilarityClique(benchmark::State& state) {
-  const WeightedGraph clique = similarity_clique(k8s_graph());
+  // The resolution and seed the segment tracker runs with.
+  const SegmentationOptions product;
+  const WeightedGraph clique =
+      similarity_clique(k8s_graph(), {.min_score = product.min_similarity});
+  const LouvainOptions options{.resolution = product.louvain_resolution,
+                               .seed = product.seed};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(louvain_cluster(clique).community_count);
+    benchmark::DoNotOptimize(louvain_cluster(clique, options).community_count);
   }
 }
 BENCHMARK(BM_LouvainOnSimilarityClique)->Unit(benchmark::kMillisecond);

@@ -31,9 +31,9 @@ enum class SimilarityKind {
 
 struct SimilarityOptions {
   SimilarityKind kind = SimilarityKind::kJaccard;
-  /// Pairs scoring below this are dropped from the scored clique: keeps the
-  /// Louvain input near-linear in practice without changing the clusters
-  /// (scores below ~0.05 are noise).
+  /// Pairs scoring below this are dropped from the scored clique (scores
+  /// below ~0.05 are noise). The floor does not make the Louvain input
+  /// sparse: a 3-min k8s window keeps ~35.7k of its ~72.4k pairs (49%).
   double min_score = 0.02;
   /// When scoring a's and b's neighbor sets, exclude a and b themselves
   /// (direct conversation should not make two nodes 'similar').

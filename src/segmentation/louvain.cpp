@@ -1,7 +1,9 @@
 #include "ccg/segmentation/louvain.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 
 #include "ccg/common/expect.hpp"
@@ -35,6 +37,53 @@ struct LevelResult {
   bool improved;
 };
 
+/// Breaks a near-tie between candidate communities the way a per-pass
+/// std::unordered_map<community, link weight> breaks it: the first candidate
+/// in the map's iteration order that beats the best so far by more than
+/// 1e-12 wins. That order depends on the map's bucket count, which depends
+/// only on the largest number of keys the map has held this pass. So the
+/// map here is grown with dummy keys to every earlier visit's distinct
+/// count (recorded after that visit's decision, never before), then
+/// refilled with this visit's keys in first-touch order.
+class MapOrderTies {
+ public:
+  /// Records that a visit summed links to `distinct` communities.
+  void visited(std::size_t distinct) { high_water_ = std::max(high_water_, distinct); }
+
+  /// The community the map-order scan picks for a visit from `current`
+  /// that touched `touched`, in first-touch order.
+  template <typename Gain>
+  std::uint32_t best(std::span<const std::uint32_t> touched, std::uint32_t current,
+                     double current_gain, const Gain& gain) {
+    if (grown_ < high_water_) {
+      map_.clear();
+      for (std::uint32_t key = 0; key < high_water_; ++key) map_.emplace(key, 0.0);
+      grown_ = high_water_;
+    }
+    map_.clear();
+    for (const std::uint32_t c : touched) map_.emplace(c, 0.0);
+    map_.emplace(current, 0.0);  // inserted last when no link reaches it
+    grown_ = std::max(grown_, map_.size());
+
+    std::uint32_t best = current;
+    double best_gain = current_gain;
+    for (const auto& [candidate, unused] : map_) {
+      if (candidate == current) continue;
+      const double g = gain(candidate);
+      if (g > best_gain + 1e-12) {
+        best_gain = g;
+        best = candidate;
+      }
+    }
+    return best;
+  }
+
+ private:
+  std::unordered_map<std::uint32_t, double> map_;
+  std::size_t high_water_ = 0;  // most distinct keys of any visit this pass
+  std::size_t grown_ = 0;       // most keys map_ has held
+};
+
 LevelResult local_moving(const WeightedGraph& graph, double resolution,
                          Rng& rng, int max_passes,
                          const std::vector<double>& self_loops) {
@@ -58,6 +107,13 @@ LevelResult local_moving(const WeightedGraph& graph, double resolution,
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
+  // Links from the visited node to each community, summed in neighbor
+  // order, and the communities in first-touch order. WeightedGraph keeps
+  // only positive weights, so a zero entry has not been touched. There are
+  // n community labels, so the write at index `distinct` stays below n + 1.
+  std::vector<double> weight_to(n, 0.0);
+  std::vector<std::uint32_t> first_touch(n + 1);
+
   bool any_move = false;
   if (m2 > 0.0) {
     for (int pass = 0; pass < max_passes; ++pass) {
@@ -67,32 +123,53 @@ LevelResult local_moving(const WeightedGraph& graph, double resolution,
       }
 
       bool moved_this_pass = false;
-      std::unordered_map<std::uint32_t, double> weight_to;
+      MapOrderTies ties;
       for (const std::uint32_t node : order) {
         const std::uint32_t current = community[node];
 
-        // Links from node to each neighboring community.
-        weight_to.clear();
+        std::size_t distinct = 0;
         for (const auto& [peer, w] : graph.neighbors(node)) {
-          weight_to[community[peer]] += w;
+          const std::uint32_t c = community[peer];
+          first_touch[distinct] = c;  // kept only when c is new (no branch)
+          distinct += weight_to[c] == 0.0;
+          weight_to[c] += w;
         }
+        const std::span<const std::uint32_t> touched(first_touch.data(), distinct);
 
         // Remove node from its community.
         community_strength[current] -= strength[node];
 
-        // Best gain: dQ = w_to_c/m - gamma * k_i * K_c / (2m^2)  (x2m scale).
-        std::uint32_t best = current;
-        double best_gain = weight_to[current] -
-                           resolution * strength[node] * community_strength[current] / m2;
-        for (const auto& [candidate, w] : weight_to) {
-          if (candidate == current) continue;
-          const double gain =
-              w - resolution * strength[node] * community_strength[candidate] / m2;
-          if (gain > best_gain + 1e-12) {
-            best_gain = gain;
-            best = candidate;
+        // Gain: dQ = w_to_c/m - gamma * k_i * K_c / (2m^2)  (x2m scale).
+        const auto gain = [&](std::uint32_t c) {
+          return weight_to[c] - resolution * strength[node] * community_strength[c] / m2;
+        };
+        const double current_gain = gain(current);
+        std::uint32_t top = current;
+        double top_gain = -std::numeric_limits<double>::infinity();
+        double second_gain = top_gain;
+        for (const std::uint32_t c : touched) {
+          if (c == current) continue;
+          const double g = gain(c);
+          if (g > top_gain) {
+            second_gain = top_gain;
+            top_gain = g;
+            top = c;
+          } else if (g > second_gain) {
+            second_gain = g;
           }
         }
+
+        // Stay unless some community beats the current one by 1e-12. Move
+        // to the top one when it also beats the runner-up by 1e-12: then
+        // any scan order picks it. Otherwise scan in the map's order.
+        std::uint32_t best = current;
+        if (top_gain > current_gain + 1e-12) {
+          best = top_gain > std::max(current_gain, second_gain) + 1e-12
+                     ? top
+                     : ties.best(touched, current, current_gain, gain);
+        }
+        ties.visited(distinct + (weight_to[current] == 0.0 ? 1 : 0));
+        for (const std::uint32_t c : touched) weight_to[c] = 0.0;
 
         community_strength[best] += strength[node];
         if (best != current) {
@@ -105,13 +182,15 @@ LevelResult local_moving(const WeightedGraph& graph, double resolution,
     }
   }
 
-  // Renumber communities densely.
-  std::unordered_map<std::uint32_t, std::uint32_t> renumber;
+  // Renumber communities densely, in order of first appearance.
+  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> renumber(n, kUnset);
+  std::uint32_t communities = 0;
   for (auto& c : community) {
-    auto [it, inserted] = renumber.try_emplace(c, static_cast<std::uint32_t>(renumber.size()));
-    c = it->second;
+    if (renumber[c] == kUnset) renumber[c] = communities++;
+    c = renumber[c];
   }
-  return {std::move(community), renumber.size(), any_move};
+  return {std::move(community), communities, any_move};
 }
 
 /// Collapses communities into super-nodes; self-loop weights are dropped —
@@ -188,14 +267,16 @@ LouvainResult louvain_cluster(const WeightedGraph& graph, LouvainOptions options
   std::vector<std::uint32_t> node_to_super(n);
   std::iota(node_to_super.begin(), node_to_super.end(), 0);
 
-  // Working graph at the current level. WeightedGraph forbids self-loops,
-  // so intra-community weight absorbed by aggregation is carried in a
-  // parallel per-super-node vector and folded into node strengths.
-  WeightedGraph level = graph;
+  // Working graph at the current level: the input, then each aggregate.
+  // WeightedGraph forbids self-loops, so intra-community weight absorbed by
+  // aggregation is carried in a parallel per-super-node vector and folded
+  // into node strengths.
+  const WeightedGraph* level = &graph;
+  WeightedGraph aggregated(0);
   std::vector<double> self_loops;  // per super-node, current level
 
   for (int depth = 0; depth < 64; ++depth) {
-    LevelResult lr = local_moving(level, options.resolution, rng,
+    LevelResult lr = local_moving(*level, options.resolution, rng,
                                   options.max_passes_per_level, self_loops);
     // Project this level's communities down to original nodes.
     for (std::size_t i = 0; i < n; ++i) {
@@ -204,9 +285,10 @@ LouvainResult louvain_cluster(const WeightedGraph& graph, LouvainOptions options
     result.levels = depth + 1;
     result.community_count = lr.community_count;
 
-    if (!lr.improved || lr.community_count == level.size()) break;
+    if (!lr.improved || lr.community_count == level->size()) break;
     std::vector<double> next_loops;
-    level = aggregate(level, lr.labels, lr.community_count, self_loops, next_loops);
+    aggregated = aggregate(*level, lr.labels, lr.community_count, self_loops, next_loops);
+    level = &aggregated;
     self_loops = std::move(next_loops);
   }
 

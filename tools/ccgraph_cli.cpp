@@ -152,8 +152,9 @@ int usage() {
                "ANALYSIS: the options anomaly, serve, aggregate, store replay,\n"
                "  report and trace share: [--window MIN] [--facet ip|ipport]\n"
                "  [--collapse F] [--train N] [--rank K] [--stall-ms MS]\n"
-               "  (defaults 60, ip, 0.001, 3, 20, 0; --train and --rank must be\n"
-               "  >= 1; store replay reads its windows as stored)\n"
+               "  (defaults 60, ip, 0.001, 3, 20, 0; --window, --train and\n"
+               "  --rank must be >= 1 and --collapse in [0, 1), as in every\n"
+               "  command; store replay reads its windows as stored)\n"
                "every command also accepts:\n"
                "  --metrics-out FILE   write a JSON metrics snapshot on exit\n"
                "  --metrics-prom FILE  same registry in Prometheus text format\n"
@@ -220,21 +221,44 @@ std::unordered_set<IpAddr> monitored_from(const std::vector<ConnectionSummary>& 
   return out;
 }
 
+/// False, after naming the flag on stderr, when --window or --collapse is
+/// outside what GraphBuilder accepts (callers exit 2, usage).
+bool window_flags_valid(const GraphBuildConfig& config) {
+  if (config.window_minutes < 1) {
+    std::fprintf(stderr, "ccgraph: --window must be >= 1 (got %lld)\n",
+                 static_cast<long long>(config.window_minutes));
+    return false;
+  }
+  if (!(config.collapse_threshold >= 0.0 && config.collapse_threshold < 1.0)) {
+    std::fprintf(stderr, "ccgraph: --collapse must be in [0, 1) (got %g)\n",
+                 config.collapse_threshold);
+    return false;
+  }
+  return true;
+}
+
 /// The window build configuration of `graph`, `store append`, `serve`'s
 /// roles and every analysis command: --facet ip|ipport, --window MIN and
 /// --collapse F. Windows built from it diff cleanly across commands.
-GraphBuildConfig graph_config(const Args& args) {
-  return {.facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
-                                                          : GraphFacet::kIp,
-          .window_minutes = args.get_long("window", 60),
-          .collapse_threshold = args.get_double("collapse", 0.001)};
+/// nullopt when window_flags_valid rejects it.
+std::optional<GraphBuildConfig> graph_config(const Args& args) {
+  const GraphBuildConfig config{
+      .facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
+                                                      : GraphFacet::kIp,
+      .window_minutes = args.get_long("window", 60),
+      .collapse_threshold = args.get_double("collapse", 0.001)};
+  if (!window_flags_valid(config)) return std::nullopt;
+  return config;
 }
 
 /// The one analysis configuration of anomaly, serve/aggregate, store
 /// replay, trace and report: graph_config plus --train N, --rank K and the
 /// --stall-ms debug hook. nullopt, after naming the flag on stderr, when
-/// --train or --rank is below 1 (callers exit 2, usage).
+/// graph_config fails or --train or --rank is below 1 (callers exit 2,
+/// usage).
 std::optional<AnalyticsServiceOptions> analysis_options(const Args& args) {
+  const auto graph = graph_config(args);
+  if (!graph) return std::nullopt;
   const long train = args.get_long("train", 3);
   const long rank = args.get_long("rank", 20);
   if (train < 1 || rank < 1) {
@@ -243,7 +267,7 @@ std::optional<AnalyticsServiceOptions> analysis_options(const Args& args) {
     return std::nullopt;
   }
   AnalyticsServiceOptions options;
-  options.graph = graph_config(args);
+  options.graph = *graph;
   options.training_windows = static_cast<std::size_t>(train);
   options.spectral.rank = static_cast<std::size_t>(rank);
   options.stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0));
@@ -450,16 +474,17 @@ int cmd_simulate(const Args& args) {
 int cmd_graph(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
+  const auto config = graph_config(args);
+  if (!config) return 2;
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  const GraphBuildConfig config = graph_config(args);
-  const auto graphs = build_graphs(*records, config);
+  const auto graphs = build_graphs(*records, *config);
   for (const auto& g : graphs) {
     const GraphMetrics m = compute_metrics(g);
     std::printf("window %s: %s\n", g.window().to_string().c_str(),
                 m.to_string().c_str());
-    if (config.facet == GraphFacet::kIp && g.node_count() >= 2) {
+    if (config->facet == GraphFacet::kIp && g.node_count() >= 2) {
       std::printf("%s\n", ascii_adjacency(g, 32).c_str());
     }
   }
@@ -532,12 +557,13 @@ int cmd_diff(const Args& args) {
 int cmd_segment(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
+  const GraphBuildConfig config{.window_minutes = args.get_long("window", 60),
+                                .collapse_threshold = args.get_double("collapse", 0.001)};
+  if (!window_flags_valid(config)) return 2;
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  const auto graphs = build_graphs(
-      *records, {.window_minutes = args.get_long("window", 60),
-                 .collapse_threshold = args.get_double("collapse", 0.001)});
+  const auto graphs = build_graphs(*records, config);
   const CommGraph& g = graphs.back();
   const Segmentation seg = auto_segment(
       g, SegmentationMethod::kJaccardLouvain,
@@ -735,6 +761,8 @@ int cmd_shard_worker(const Args& args) {
     std::fprintf(stderr, "ccgraph: --shard must be in [0, --shards)\n");
     return 2;
   }
+  const auto config = graph_config(args);
+  if (!config) return 2;
   // Connect before the (potentially long) CSV parse so the aggregator's
   // accept loop completes immediately; its recv timeout then covers the
   // load-to-first-frame gap.
@@ -752,7 +780,7 @@ int cmd_shard_worker(const Args& args) {
   // partition internally via shard_of_record.
   dist::ShardWorker worker({.shard_id = static_cast<std::uint32_t>(shard_id),
                             .shard_count = static_cast<std::uint32_t>(shard_count),
-                            .graph = graph_config(args)},
+                            .graph = *config},
                            monitored_from(*records), std::move(*conn));
   if (!worker.handshake()) {
     std::fprintf(stderr, "ccgraph: shard %ld: handshake refused\n", shard_id);
@@ -1034,12 +1062,14 @@ int cmd_store_append(const Args& args) {
   const auto in_path = args.get("in");
   const auto store_dir = args.get("store");
   if (!in_path || !store_dir) return usage();
+  // Same build configuration defaults as `anomaly`, so a stored log replays
+  // into byte-identical windows.
+  const auto config = graph_config(args);
+  if (!config) return 2;
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  // Same build configuration defaults as `anomaly`, so a stored log replays
-  // into byte-identical windows.
-  const auto graphs = build_graphs(*records, graph_config(args));
+  const auto graphs = build_graphs(*records, *config);
   store::WriterOptions options{
       .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
       .segment_bytes =

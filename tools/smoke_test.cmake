@@ -40,6 +40,19 @@ run_cli(2 anomaly --in long.csv --train 0)
 run_cli(2 anomaly --in long.csv --rank -1)
 run_cli(2 anomaly --in long.csv --rank 0)
 run_cli(2 serve --in long.csv --shards 2 --rank 0)
+# So are --window below 1 and --collapse outside [0, 1), caught before the
+# input is read or serve forks a worker: missing.csv does not exist, so a
+# check made after loading would exit 1.
+run_cli(2 anomaly --in missing.csv --window 0)
+run_cli(2 anomaly --in missing.csv --window -3)
+run_cli(2 anomaly --in missing.csv --collapse 1.5)
+run_cli(2 graph --in missing.csv --window 0)
+run_cli(2 graph --in missing.csv --collapse 1.5)
+run_cli(2 segment --in missing.csv --window -3)
+run_cli(2 segment --in missing.csv --collapse 1.5)
+run_cli(2 store append --in missing.csv --store bad_flags.store --window 0)
+run_cli(2 serve --in missing.csv --shards 2 --window 0)
+run_cli(2 serve --in missing.csv --shards 2 --collapse 1.5)
 run_cli(0 simulate --preset tiny --hours 5 --seed 9 --attack lateral --attack-hour 4 --out long_attacked.csv)
 run_cli(3 anomaly --in long_attacked.csv --train 3 --rank 8)
 
