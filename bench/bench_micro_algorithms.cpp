@@ -4,7 +4,7 @@
 //
 // The vectorized kernels (similarity, SimRank, Jacobi, PCA, k-means,
 // power iteration, MinHash) are swept across simd tiers, and the two that
-// run on the thread pool (similarity, SimRank) across thread counts too:
+// run on parallel_for (similarity, SimRank) across thread counts too:
 // after the google-benchmark tables a speedup sweep is printed as a
 // delimited JSON block (and written to --kernels-json PATH when given, for
 // the CI baseline artifact). Each kernel entry carries per-tier timings,

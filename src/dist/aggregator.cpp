@@ -126,14 +126,11 @@ bool Aggregator::advance(std::size_t s) {
         }
         obs::FleetRegistry& fleet = obs::FleetRegistry::global();
         fleet.apply(frame->shard_id, frame->metrics);
-        if (!frame->logs.empty()) {
-          // Shipped records worth mirroring reach this terminal too,
-          // tagged with their shard — through the same threshold and rate
-          // limiter as local records.
-          for (const obs::LogRecord& record : frame->logs) {
-            obs::mirror_shard_record(frame->shard_id, record);
-          }
-          fleet.add_logs(frame->shard_id, frame->logs);
+        // Shipped records worth mirroring reach this terminal too, tagged
+        // with their shard — through the same threshold and rate limiter
+        // as local records.
+        for (const obs::LogRecord& record : frame->logs) {
+          obs::mirror_shard_record(frame->shard_id, record);
         }
         if (!frame->spans.empty()) {
           fleet.add_spans(frame->shard_id, frame->spans);

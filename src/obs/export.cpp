@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "ccg/obs/fleet.hpp"
+#include "json_escape.hpp"
 
 namespace ccg::obs {
 namespace {
@@ -53,21 +54,6 @@ std::string fmt_duration(double seconds) {
     std::snprintf(buf, sizeof(buf), "%.0fns", seconds * 1e9);
   }
   return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
 }
 
 /// Label values per the exposition format: backslash, quote and newline

@@ -47,19 +47,6 @@ void FleetRegistry::apply(std::uint32_t shard, const Snapshot& delta) {
   }
 }
 
-void FleetRegistry::add_logs(std::uint32_t shard,
-                             const std::vector<LogRecord>& records) {
-  std::lock_guard lock(mutex_);
-  auto& retained = logs_[shard].records;
-  retained.insert(retained.end(), records.begin(), records.end());
-  if (retained.size() > log_capacity()) {
-    retained.erase(retained.begin(),
-                   retained.begin() +
-                       static_cast<std::ptrdiff_t>(retained.size() -
-                                                   log_capacity()));
-  }
-}
-
 void FleetRegistry::add_spans(std::uint32_t shard,
                               const std::vector<TraceEvent>& spans) {
   std::lock_guard lock(mutex_);
@@ -123,17 +110,6 @@ std::size_t FleetRegistry::spans_dropped(std::uint32_t shard) const {
   return it == spans_.end() ? 0 : it->second.dropped;
 }
 
-std::vector<ShardLogRecord> FleetRegistry::recent_logs() const {
-  std::lock_guard lock(mutex_);
-  std::vector<ShardLogRecord> out;
-  for (const auto& [shard, state] : logs_) {
-    for (const LogRecord& record : state.records) {
-      out.push_back({shard, record});
-    }
-  }
-  return out;
-}
-
 std::uint64_t FleetRegistry::frames_applied() const {
   std::lock_guard lock(mutex_);
   return frames_;
@@ -150,7 +126,6 @@ void FleetRegistry::clear() {
   gauges_.clear();
   histograms_.clear();
   spans_.clear();
-  logs_.clear();
   frames_ = 0;
 }
 

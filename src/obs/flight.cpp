@@ -10,6 +10,7 @@
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/span.hpp"
+#include "json_escape.hpp"
 
 namespace ccg::obs {
 
@@ -21,21 +22,6 @@ std::string hex_id(std::uint64_t id) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "0x%llx", static_cast<unsigned long long>(id));
   return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
 }
 
 std::string log_records_json(const std::vector<LogRecord>& records) {

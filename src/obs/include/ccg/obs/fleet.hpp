@@ -1,8 +1,8 @@
 // Fleet-side accumulator for telemetry shipped by shard workers. The
 // aggregator decodes each kTelemetry frame and feeds its pieces here:
-// metric deltas are merged into per-(metric, shard) series, shipped log
-// records are retained in a small per-shard ring, and shipped spans are
-// collected for the merged multi-process Chrome trace.
+// metric deltas are merged into per-(metric, shard) series, and shipped
+// spans are collected for the merged multi-process Chrome trace. (Shipped
+// log records are not kept: the aggregator mirrors them to stderr.)
 //
 // The registry renders back out as a *labeled* Snapshot: every sample
 // carries a `shard="N"` label, sorted by (name, numeric shard), so the
@@ -23,17 +23,10 @@
 #include <utility>
 #include <vector>
 
-#include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/span.hpp"
 
 namespace ccg::obs {
-
-/// A shipped log record together with the shard that emitted it.
-struct ShardLogRecord {
-  std::uint32_t shard = 0;
-  LogRecord record;
-};
 
 class FleetRegistry {
  public:
@@ -44,10 +37,6 @@ class FleetRegistry {
   /// (min/max are last-write — the shipper sends running values). A
   /// histogram whose bucket layout changed replaces the stored series.
   void apply(std::uint32_t shard, const Snapshot& delta);
-
-  /// Retains shipped log records, keeping the newest `log_capacity()` per
-  /// shard.
-  void add_logs(std::uint32_t shard, const std::vector<LogRecord>& records);
 
   /// Retains shipped spans for the merged trace, up to `span_capacity()`
   /// per shard; overflow is counted, newest spans dropped.
@@ -67,9 +56,6 @@ class FleetRegistry {
   /// local overflow).
   std::size_t spans_dropped(std::uint32_t shard) const;
 
-  /// Retained shipped log records, ascending shard then arrival order.
-  std::vector<ShardLogRecord> recent_logs() const;
-
   /// Number of telemetry frames applied (all shards).
   std::uint64_t frames_applied() const;
 
@@ -78,7 +64,6 @@ class FleetRegistry {
 
   void clear();
 
-  static constexpr std::size_t log_capacity() { return 256; }
   static constexpr std::size_t span_capacity() { return 8192; }
 
  private:
@@ -95,16 +80,12 @@ class FleetRegistry {
     std::vector<TraceEvent> spans;
     std::size_t dropped = 0;
   };
-  struct ShardLogs {
-    std::vector<LogRecord> records;  // insertion order, oldest trimmed
-  };
 
   mutable std::mutex mutex_;
   std::map<std::string, std::map<std::uint32_t, std::uint64_t>> counters_;
   std::map<std::string, std::map<std::uint32_t, double>> gauges_;
   std::map<std::string, std::map<std::uint32_t, HistogramState>> histograms_;
   std::map<std::uint32_t, ShardSpans> spans_;
-  std::map<std::uint32_t, ShardLogs> logs_;
   std::uint64_t frames_ = 0;
 };
 

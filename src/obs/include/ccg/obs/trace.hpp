@@ -1,7 +1,7 @@
 // Causal trace propagation: a TraceContext names the telemetry window a
 // piece of work belongs to (trace id) and the span it nests under (parent
 // span id). The context is thread-local; boundaries that move work across
-// threads (the thread pool's job handoff) capture the submitter's context
+// threads (parallel_for's helper threads) capture the submitter's context
 // and reinstall it on the executing thread with a TraceScope, so every
 // ScopedSpan — wherever it runs — lands in the right window's span tree.
 //
@@ -33,7 +33,7 @@ void set_current_trace(TraceContext ctx) noexcept;
 
 /// RAII: installs `ctx` for the current thread, restores the previous
 /// context on destruction. Place one at every causality boundary: window
-/// open, queue consumer, pool worker entering a job.
+/// open, queue consumer, helper thread entering a job.
 class TraceScope {
  public:
   explicit TraceScope(TraceContext ctx) noexcept;

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "json_escape.hpp"
+
 namespace ccg::obs::prof {
 
 namespace {
@@ -78,21 +80,6 @@ std::vector<Stack> stacks(const Profile& profile) {
     out.push_back({{&kUntracked}, 0, profile.wall_ns - covered});
   }
   return out;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
 }
 
 double seconds(std::uint64_t ns) { return static_cast<double>(ns) * 1e-9; }

@@ -1,4 +1,4 @@
-// Shared fork-join thread pool for the pairwise scorers.
+// Scoped fork-join for the pairwise scorers.
 //
 // The paper flags the "super-quadratic complexity" of all-pairs similarity
 // as the scaling obstacle for micro-segmentation (§2.1); the per-minute
@@ -6,7 +6,12 @@
 // kernels (similarity scoring, MinHash/LSH, SimRank sweeps) funnel through
 // this facility instead of spawning ad-hoc threads. Everything else runs
 // serially: the linear algebra's per-rotation and per-row loops are too
-// fine-grained to amortize a pool job (docs/PERFORMANCE.md).
+// fine-grained to amortize a job (docs/PERFORMANCE.md).
+//
+// There is no standing pool: a call that forks starts its helper threads
+// and joins them before it returns. The scorers fork about one job per
+// window, so thread start-up (~0.1 ms a job on the k8s preset) stays
+// under 1% of a window.
 //
 // Determinism contract: results are bit-identical across thread counts.
 // Work is split into *chunks whose boundaries depend only on the problem
@@ -23,13 +28,17 @@
 
 namespace ccg::parallel {
 
-/// Effective worker count (>= 1). Resolution order: the last positive
-/// set_thread_count() value (CLI --threads), else the CCG_THREADS
-/// environment variable (read once), else std::thread::hardware_concurrency.
+/// Largest thread count: the bound on --threads and on CCG_THREADS.
+inline constexpr int kMaxThreads = 1024;
+
+/// Effective worker count in [1, kMaxThreads]. Resolution order: the last
+/// positive set_thread_count() value (CLI --threads), else the CCG_THREADS
+/// environment variable (read once; ignored outside [1, kMaxThreads]),
+/// else std::thread::hardware_concurrency.
 int thread_count();
 
 /// Overrides thread_count(); n <= 0 restores the env/hardware default.
-/// The pool grows lazily; shrinking just idles the extra workers.
+/// Throws ContractViolation when n > kMaxThreads.
 void set_thread_count(int n);
 
 /// Fixed work-splitting geometry: ceil(n / grain) chunks of `grain` items
@@ -50,11 +59,13 @@ ChunkLayout chunk_layout(std::size_t n, std::size_t min_grain);
 
 /// Runs body(begin, end) over [0, n) split per chunk_layout(n, min_grain),
 /// blocking until every chunk completed. The body must only write state
-/// disjoint per index (or per chunk). Runs inline when the pool has one
-/// thread, when n fits a single chunk, or when called from inside another
-/// parallel region (nesting executes serially rather than deadlocking).
-/// The first exception thrown by a body is rethrown on the calling thread
-/// after the join.
+/// disjoint per index (or per chunk). With thread_count() >= 2 and at
+/// least two chunks, starts min(thread_count(), chunks) - 1 helper threads
+/// and runs the last worker slot on the caller; all helpers are joined
+/// before the call returns. Runs inline on one thread, on a single chunk,
+/// or when called from inside another job's chunk (nesting executes
+/// serially). The first exception thrown by a body is rethrown on the
+/// calling thread after the join.
 void parallel_for(std::size_t n, std::size_t min_grain,
                   const std::function<void(std::size_t, std::size_t)>& body);
 
@@ -69,23 +80,5 @@ void parallel_for_worker(
 /// Upper bound on the worker slot index passed to parallel_for_worker
 /// (callers size per-thread scratch arrays with this). At least 1.
 std::size_t max_workers();
-
-/// Names the subsystem on whose behalf pool jobs submitted by this thread
-/// run (thread-local, RAII-nested; innermost wins). Tagged jobs record
-/// into `ccg.parallel.job.<tag>.seconds` alongside the aggregate
-/// `ccg.parallel.job.seconds`, and their trace spans are named
-/// `ccg.parallel.job.<tag>` — pool time becomes attributable instead of
-/// anonymous. `tag` must be a string literal (kept by pointer). Untagged
-/// jobs land under "other".
-class ScopedJobTag {
- public:
-  explicit ScopedJobTag(const char* tag) noexcept;
-  ScopedJobTag(const ScopedJobTag&) = delete;
-  ScopedJobTag& operator=(const ScopedJobTag&) = delete;
-  ~ScopedJobTag();
-
- private:
-  const char* prev_;
-};
 
 }  // namespace ccg::parallel

@@ -57,7 +57,7 @@ struct SimilarityOptions {
 /// edge weights are pairwise similarities of at least `min_score`. The
 /// paper calls out the super-quadratic cost of this step as an open issue.
 /// Up to `exact_pair_limit` nodes every one of the n(n−1)/2 pairs is scored
-/// (split across the thread pool); above it, MinHash/LSH banding proposes
+/// (split across parallel_for threads); above it, MinHash/LSH banding proposes
 /// the candidate pairs and only those are scored, exactly.
 WeightedGraph similarity_clique(const CommGraph& graph, SimilarityOptions options = {});
 

@@ -264,7 +264,6 @@ double node_similarity(const CommGraph& graph, NodeId a, NodeId b,
 WeightedGraph similarity_clique(const CommGraph& graph,
                                 const CsrAdjacency& csr,
                                 SimilarityOptions options) {
-  parallel::ScopedJobTag job_tag("similarity");
   const std::size_t n = graph.node_count();
   CCG_EXPECT(csr.node_count() == n);
   WeightedGraph clique(n);

@@ -52,7 +52,6 @@ double evidence(std::size_t common) {
 std::vector<double> simrank_scores_impl(const CommGraph& graph,
                                         const CsrAdjacency& csr,
                                         SimRankOptions options) {
-  parallel::ScopedJobTag job_tag("simrank");
   const std::size_t n = graph.node_count();
   CCG_EXPECT(csr.node_count() == n);
   CCG_EXPECT(n <= 3000);

@@ -26,7 +26,7 @@
 //      lanes collapse as (l0 + l1) + (l2 + l3), and the tail (n % 4
 //      elements) is added sequentially. The scalar backend models the four
 //      lanes with a double[4]; AVX2 maps them onto one __m256d. The geometry depends only on n — never on the
-//      backend or thread count — exactly like the thread pool's chunk
+//      backend or thread count — exactly like parallel_for's chunk
 //      layout.
 //
 // No backend may use fused multiply-add: FMA contracts a*b+c into one

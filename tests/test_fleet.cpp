@@ -151,23 +151,6 @@ TEST_F(FleetTest, HistogramLayoutChangeReplacesTheSeries) {
   EXPECT_EQ(snap.histograms[0].buckets.size(), 3u);
 }
 
-TEST_F(FleetTest, LogRetentionKeepsTheNewestPerShard) {
-  obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-  const std::size_t cap = obs::FleetRegistry::log_capacity();
-  std::vector<obs::LogRecord> records;
-  for (std::size_t i = 0; i < cap + 10; ++i) {
-    obs::LogRecord r;
-    r.message = "m" + std::to_string(i);
-    records.push_back(std::move(r));
-  }
-  fleet.add_logs(1, records);
-  const auto logs = fleet.recent_logs();
-  ASSERT_EQ(logs.size(), cap);
-  EXPECT_EQ(logs.front().shard, 1u);
-  EXPECT_EQ(logs.front().record.message, "m10");  // oldest 10 trimmed
-  EXPECT_EQ(logs.back().record.message, "m" + std::to_string(cap + 9));
-}
-
 TEST_F(FleetTest, SpanRetentionDropsOverflowAndCountsIt) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
   const std::size_t cap = obs::FleetRegistry::span_capacity();
@@ -214,7 +197,6 @@ TEST_F(FleetTest, ClearResetsEverything) {
   EXPECT_FALSE(fleet.active());
   EXPECT_EQ(fleet.frames_applied(), 0u);
   EXPECT_TRUE(fleet.spans_by_shard().empty());
-  EXPECT_TRUE(fleet.recent_logs().empty());
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
-// The shared thread pool's contracts: full coverage of the index space,
+// The fork-join's contracts: full coverage of the index space,
 // deterministic chunk geometry, dense worker slots, nested-call safety,
-// exception propagation, and concurrent submitters.
+// exception propagation, concurrent submitters, and no thread left behind.
 #include "ccg/parallel/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
+
+#include "ccg/common/expect.hpp"
+#include "ccg/obs/metrics.hpp"
 
 namespace ccg {
 namespace {
@@ -26,6 +32,12 @@ TEST(ParallelPool, ThreadCountOverride) {
   EXPECT_EQ(parallel::max_workers(), 3u);
   parallel::set_thread_count(0);
   EXPECT_GE(parallel::thread_count(), 1);
+  EXPECT_LE(parallel::thread_count(), parallel::kMaxThreads);
+  parallel::set_thread_count(parallel::kMaxThreads);
+  EXPECT_EQ(parallel::thread_count(), parallel::kMaxThreads);
+  EXPECT_THROW(parallel::set_thread_count(parallel::kMaxThreads + 1),
+               ContractViolation);
+  EXPECT_EQ(parallel::thread_count(), parallel::kMaxThreads);
 }
 
 TEST(ParallelPool, ChunkLayoutGeometry) {
@@ -108,7 +120,7 @@ TEST(ParallelPool, BodyExceptionPropagatesToCaller) {
                                }),
         std::runtime_error)
         << "threads=" << threads;
-    // The pool must stay usable after a failed job.
+    // parallel_for must stay usable after a failed job.
     std::atomic<int> count{0};
     parallel::parallel_for(10, 1, [&](std::size_t, std::size_t) {
       count.fetch_add(1, std::memory_order_relaxed);
@@ -135,6 +147,58 @@ TEST(ParallelPool, ConcurrentSubmittersSerializeSafely) {
   }
   for (auto& s : submitters) s.join();
   for (const auto& sum : sums) EXPECT_EQ(sum.load(), 5000ull * 4999ull / 2);
+}
+
+/// Entries in /proc/self/task, one per live thread; -1 when unreadable.
+long live_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  long count = 0;
+  for (; !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++count;
+  }
+  return ec ? -1 : count;
+}
+
+/// live_threads(), polled for up to a second until it reads `want`: a
+/// joined thread's entry can linger until the kernel reaps it.
+long live_threads_settling_at(long want) {
+  long count = live_threads();
+  for (int i = 0; i < 200 && count != want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    count = live_threads();
+  }
+  return count;
+}
+
+TEST(ParallelPool, NoThreadOutlivesTheJob) {
+  // ThreadSanitizer starts a background thread of its own at the first
+  // thread creation; start one first so that thread is counted in `before`.
+  std::thread([] {}).join();
+  const long before = live_threads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  ThreadCountGuard guard;
+  parallel::set_thread_count(4);
+  obs::Counter& jobs = obs::Registry::global().counter("ccg.parallel.jobs");
+  const std::uint64_t jobs_before = jobs.value();
+
+  std::atomic<int> chunks{0};
+  parallel::parallel_for(64, 1, [&](std::size_t, std::size_t) {
+    chunks.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(chunks.load(), 64);
+  EXPECT_EQ(live_threads_settling_at(before), before) << "after a job";
+
+  EXPECT_THROW(parallel::parallel_for(64, 1,
+                                      [](std::size_t begin, std::size_t) {
+                                        if (begin == 7) {
+                                          throw std::runtime_error("boom");
+                                        }
+                                      }),
+               std::runtime_error);
+  EXPECT_EQ(live_threads_settling_at(before), before)
+      << "after a job whose body threw";
+  EXPECT_EQ(jobs.value(), jobs_before + 2) << "both jobs forked";
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // agreement between similarity_clique's exact and LSH candidate paths.
 //
 // The contract under test is strict: `--threads N` must be BYTE-identical
-// to `--threads 1` for similarity and SimRank, which run on the pool, and
+// to `--threads 1` for similarity and SimRank, which run on parallel_for, and
 // for Jacobi, PCA, power iteration and k-means, which run serially at any
 // thread count. Every comparison below is exact double equality, not
 // tolerance.

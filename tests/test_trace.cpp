@@ -142,27 +142,39 @@ TEST(ObsTraceRing, DisabledSpansRecordNothing) {
   EXPECT_EQ(obs::TraceRing::global().events().size(), events_before);
 }
 
-TEST_F(ObsTraceRingTest, PoolJobsInheritTraceAndCarryTheirTag) {
+TEST_F(ObsTraceRingTest, PoolJobsInheritTheSubmittersTrace) {
+  // Four threads even on a one-CPU host, so the job forks.
+  struct ThreadCountGuard {
+    ThreadCountGuard() { parallel::set_thread_count(4); }
+    ~ThreadCountGuard() { parallel::set_thread_count(0); }
+  } threads;
   obs::TraceScope trace({obs::window_trace_id(5), 0});
-  parallel::ScopedJobTag tag("tracetest");
-  std::vector<int> out(64, 0);
+  const std::uint64_t jobs_before = obs::span_histogram("ccg.parallel.job").count();
+  std::vector<int> out(32, 0);  // 4 chunk spans + the job span fit the ring
   parallel::parallel_for(out.size(), 8, [&](std::size_t b, std::size_t e) {
+    CCG_OBS_SPAN("ccg.test.chunk");
     for (std::size_t i = b; i < e; ++i) out[i] = 1;
   });
   EXPECT_EQ(std::count(out.begin(), out.end(), 1),
             static_cast<std::ptrdiff_t>(out.size()));
+  EXPECT_EQ(obs::span_histogram("ccg.parallel.job").count(), jobs_before + 1);
 
-  // On a single hardware thread the pool runs inline and records neither
-  // the job span nor the per-tag histogram — attribution is a pool concern.
-  if (parallel::thread_count() <= 1) return;
   const auto events = obs::TraceRing::global().events();
   const auto job = std::find_if(events.begin(), events.end(), [](const auto& e) {
-    return e.name == "ccg.parallel.job.tracetest";
+    return e.name == "ccg.parallel.job";
   });
   ASSERT_NE(job, events.end());
   EXPECT_EQ(job->trace_id, obs::window_trace_id(5));
   EXPECT_NE(job->span_id, 0u);
-  EXPECT_GT(obs::span_histogram("ccg.parallel.job.tracetest").count(), 0u);
+  // Chunk spans, on whichever thread ran them, nest under the job span.
+  std::size_t chunks = 0;
+  for (const auto& e : events) {
+    if (e.name != "ccg.test.chunk") continue;
+    ++chunks;
+    EXPECT_EQ(e.trace_id, obs::window_trace_id(5));
+    EXPECT_EQ(e.parent_id, job->span_id);
+  }
+  EXPECT_EQ(chunks, 4u);
 }
 
 // --- exporter goldens -------------------------------------------------------

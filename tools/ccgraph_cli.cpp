@@ -15,7 +15,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +28,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -66,6 +70,29 @@ namespace {
 
 using namespace ccg;
 
+/// A malformed or out-of-range flag value; main names it and exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// `text` as a T when all of it is one finite number; else UsageError
+/// naming --key.
+template <typename T>
+T parse_number(const std::string& key, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw UsageError("--" + key + " expects " +
+                     (std::is_integral_v<T> ? "an integer" : "a number") +
+                     " (got '" + text + "')");
+  }
+  return value;
+}
+
 /// Trivial --key value / --flag parser.
 class Args {
  public:
@@ -90,12 +117,12 @@ class Args {
     return get(key).value_or(fallback);
   }
   double get_double(const std::string& key, double fallback) const {
-    auto v = get(key);
-    return v ? std::stod(*v) : fallback;
+    const auto v = get(key);
+    return v ? parse_number<double>(key, *v) : fallback;
   }
   long get_long(const std::string& key, long fallback) const {
-    auto v = get(key);
-    return v ? std::stol(*v) : fallback;
+    const auto v = get(key);
+    return v ? parse_number<long>(key, *v) : fallback;
   }
 
  private:
@@ -176,10 +203,10 @@ int usage() {
                "  --watchdog-ms N      dump a flight record when one window\n"
                "                       stalls longer than N ms; 0 = off\n"
                "                       (default: $CCG_WATCHDOG_MS, else off)\n"
-               "  --threads N          pool threads for segmentation's pairwise\n"
-               "                       scorers (default: $CCG_THREADS, else all\n"
-               "                       hardware threads; output is bit-identical\n"
-               "                       for every N)\n"
+               "  --threads N          threads for segmentation's pairwise scorers,\n"
+               "                       1 to 1024; 0 or unset: $CCG_THREADS, else\n"
+               "                       all hardware threads (output is\n"
+               "                       bit-identical for every N)\n"
                "  --simd TIER          kernel simd tier auto|scalar|avx2\n"
                "                       (default: $CCG_SIMD, else auto; output\n"
                "                       is bit-identical for every tier)\n"
@@ -517,6 +544,7 @@ int cmd_diff(const Args& args) {
   const auto before_path = args.get("before");
   const auto after_path = args.get("after");
   if (!before_path || !after_path) return usage();
+  const double factor = args.get_double("factor", 4.0);
   const auto before_records = load_csv(*before_path);
   const auto after_records = load_csv(*after_path);
   if (!before_records || !after_records) return 1;
@@ -526,8 +554,7 @@ int cmd_diff(const Args& args) {
   const GraphBuildConfig whole_log{.window_minutes = 1 << 20};
   const auto before = build_graphs(*before_records, whole_log);
   const auto after = build_graphs(*after_records, whole_log);
-  const GraphDelta delta = diff_graphs(before.back(), after.back(),
-                                       args.get_double("factor", 4.0));
+  const GraphDelta delta = diff_graphs(before.back(), after.back(), factor);
   std::printf("%s\n", delta.summary().c_str());
   std::size_t shown = 0;
   for (const auto& e : delta.edges_added) {
@@ -560,14 +587,14 @@ int cmd_segment(const Args& args) {
   const GraphBuildConfig config{.window_minutes = args.get_long("window", 60),
                                 .collapse_threshold = args.get_double("collapse", 0.001)};
   if (!window_flags_valid(config)) return 2;
+  const double resolution = args.get_double("resolution", 2.0);
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
   const auto graphs = build_graphs(*records, config);
   const CommGraph& g = graphs.back();
-  const Segmentation seg = auto_segment(
-      g, SegmentationMethod::kJaccardLouvain,
-      {.louvain_resolution = args.get_double("resolution", 2.0)});
+  const Segmentation seg = auto_segment(g, SegmentationMethod::kJaccardLouvain,
+                                        {.louvain_resolution = resolution});
 
   std::printf("%zu nodes -> %zu microsegments\n", g.node_count(), seg.segment_count);
   for (std::uint32_t s = 0; s < seg.segment_count; ++s) {
@@ -590,6 +617,9 @@ int cmd_policy(const Args& args) {
   const auto baseline_path = args.get("baseline");
   const auto check_path = args.get("check");
   if (!baseline_path || !check_path) return usage();
+  const auto min_support =
+      static_cast<std::size_t>(args.get_long("min-support", 1));
+  const double coverage = args.get_double("coverage", 0.5);
   const auto baseline = load_csv(*baseline_path);
   const auto check = load_csv(*check_path);
   if (!baseline || !check) return 1;
@@ -614,8 +644,6 @@ int cmd_policy(const Args& args) {
     miner.observe(record);
   }
   miner.end_window();
-  const auto min_support =
-      static_cast<std::size_t>(args.get_long("min-support", 1));
   const ReachabilityPolicy policy = miner.build(min_support);
   std::printf("baseline: %zu segments, %zu allow rules from %llu records "
               "(%zu windows, min-support %zu)\n",
@@ -636,8 +664,7 @@ int cmd_policy(const Args& args) {
   PolicyChecker checker(segments, policy);
   checker.check_batch(*check);
   const auto classified = apply_similarity_policy(
-      checker.violations(), segments,
-      {.segment_fraction = args.get_double("coverage", 0.5)});
+      checker.violations(), segments, {.segment_fraction = coverage});
 
   std::size_t alerts = 0, suppressed = 0;
   for (const auto& cv : classified) {
@@ -688,10 +715,19 @@ std::string flight_dir_from(const Args& args) {
   return args.get_or("flight-dir", env != nullptr ? env : "");
 }
 
-/// Accept and recv timeout of `serve` and `aggregate`: --net-timeout-ms,
-/// else -1, which the transport resolves to $CCG_NET_TIMEOUT_MS, else 30 s.
-int net_timeout_ms(const Args& args) {
-  return static_cast<int>(args.get_long("net-timeout-ms", -1));
+/// The numeric flags of the aggregator side of `serve` and `aggregate`,
+/// read before either accepts a shard or forks a worker.
+struct AggregatorFlags {
+  /// Accept and recv timeout: --net-timeout-ms, else -1, which the
+  /// transport resolves to $CCG_NET_TIMEOUT_MS, else 30 s.
+  int net_timeout_ms = -1;
+  /// --keyframe: the keyframe interval of --store.
+  std::size_t keyframe = 8;
+};
+
+AggregatorFlags aggregator_flags(const Args& args) {
+  return {.net_timeout_ms = static_cast<int>(args.get_long("net-timeout-ms", -1)),
+          .keyframe = static_cast<std::size_t>(args.get_long("keyframe", 8))};
 }
 
 /// Aggregator side shared by `aggregate` and `serve`: handshake the
@@ -700,6 +736,7 @@ int net_timeout_ms(const Args& args) {
 /// stdout, --summary-out contents and the exit code must be byte-identical
 /// to the single-process command on the same log.
 int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
+                    const AggregatorFlags& flags,
                     std::vector<net::FrameConn> conns) {
   ReportSink sink;
   if (!sink.open(args)) return 1;
@@ -708,10 +745,8 @@ int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
 
   std::optional<store::StoreWriter> writer;
   if (const auto store_dir = args.get("store")) {
-    writer = store::StoreWriter::open(
-        *store_dir,
-        {.keyframe_interval =
-             static_cast<std::size_t>(args.get_long("keyframe", 8))});
+    writer = store::StoreWriter::open(*store_dir,
+                                      {.keyframe_interval = flags.keyframe});
     if (!writer) {
       std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
       return 1;
@@ -725,7 +760,7 @@ int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
 
   const std::size_t shard_count = conns.size();
   dist::Aggregator aggregator({.graph = options.graph,
-                               .recv_timeout_ms = net_timeout_ms(args),
+                               .recv_timeout_ms = flags.net_timeout_ms,
                                .flight_dir = flight_dir_from(args)},
                               std::move(conns));
   if (!aggregator.handshake()) {
@@ -802,6 +837,7 @@ int cmd_aggregate(const Args& args) {
   if (shard_count < 1) return usage();
   const auto options = analysis_options(args);
   if (!options) return 2;
+  const AggregatorFlags flags = aggregator_flags(args);
   auto listener = net::Listener::bind_loopback(
       static_cast<std::uint16_t>(args.get_long("listen", 0)));
   if (!listener) {
@@ -815,7 +851,7 @@ int cmd_aggregate(const Args& args) {
   std::fflush(stderr);
   std::vector<net::FrameConn> conns;
   for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(net_timeout_ms(args));
+    auto conn = listener->accept(flags.net_timeout_ms);
     if (!conn) {
       std::fprintf(stderr, "ccgraph: accept failed (%ld of %ld shards connected)\n",
                    i, shard_count);
@@ -823,7 +859,7 @@ int cmd_aggregate(const Args& args) {
     }
     conns.push_back(std::move(*conn));
   }
-  return run_aggregation(args, *options, std::move(conns));
+  return run_aggregation(args, *options, flags, std::move(conns));
 }
 
 int cmd_serve(const Args& args) {
@@ -836,6 +872,7 @@ int cmd_serve(const Args& args) {
   }
   const auto options = analysis_options(args);
   if (!options) return 2;
+  const AggregatorFlags flags = aggregator_flags(args);
 
   auto listener = net::Listener::bind_loopback();
   if (!listener) {
@@ -897,7 +934,7 @@ int cmd_serve(const Args& args) {
 
   std::vector<net::FrameConn> conns;
   for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(net_timeout_ms(args));
+    auto conn = listener->accept(flags.net_timeout_ms);
     if (!conn) {
       std::fprintf(stderr, "ccgraph: worker accept failed (%ld of %ld connected)\n",
                    i, shard_count);
@@ -908,7 +945,7 @@ int cmd_serve(const Args& args) {
     conns.push_back(std::move(*conn));
   }
 
-  int rc = run_aggregation(args, *options, std::move(conns));
+  int rc = run_aggregation(args, *options, flags, std::move(conns));
   for (std::size_t i = 0; i < children.size(); ++i) {
     int status = 0;
     ::waitpid(children[i], &status, 0);
@@ -1055,7 +1092,7 @@ int cmd_trace(const Args& args) {
 std::int64_t minute_arg(const Args& args, const std::string& key,
                         std::int64_t fallback) {
   const auto v = args.get(key);
-  return v ? std::stoll(*v) : fallback;
+  return v ? parse_number<std::int64_t>(key, *v) : fallback;
 }
 
 int cmd_store_append(const Args& args) {
@@ -1066,14 +1103,14 @@ int cmd_store_append(const Args& args) {
   // into byte-identical windows.
   const auto config = graph_config(args);
   if (!config) return 2;
+  const store::WriterOptions options{
+      .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
+      .segment_bytes =
+          static_cast<std::uint64_t>(args.get_long("segment-mb", 64)) << 20};
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
   const auto graphs = build_graphs(*records, *config);
-  store::WriterOptions options{
-      .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
-      .segment_bytes =
-          static_cast<std::uint64_t>(args.get_long("segment-mb", 64)) << 20};
   auto writer = store::StoreWriter::open(*store_dir, options);
   if (!writer) {
     std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
@@ -1097,15 +1134,15 @@ int cmd_store_append(const Args& args) {
 int cmd_store_query(const Args& args) {
   const auto store_dir = args.get("store");
   if (!store_dir) return usage();
+  const std::int64_t from =
+      minute_arg(args, "from", std::numeric_limits<std::int64_t>::min());
+  const std::int64_t to =
+      minute_arg(args, "to", std::numeric_limits<std::int64_t>::max());
   auto reader = store::StoreReader::open(*store_dir);
   if (!reader) {
     std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
     return 1;
   }
-  const std::int64_t from =
-      minute_arg(args, "from", std::numeric_limits<std::int64_t>::min());
-  const std::int64_t to =
-      minute_arg(args, "to", std::numeric_limits<std::int64_t>::max());
 
   // Walk the index cursor alongside the materializing range so each window
   // can be labeled with its on-disk representation.
@@ -1140,15 +1177,15 @@ int cmd_store_replay(const Args& args) {
   if (!store_dir) return usage();
   const auto options = analysis_options(args);
   if (!options) return 2;
+  const std::int64_t from =
+      minute_arg(args, "from", std::numeric_limits<std::int64_t>::min());
+  const std::int64_t to =
+      minute_arg(args, "to", std::numeric_limits<std::int64_t>::max());
   auto reader = store::StoreReader::open(*store_dir);
   if (!reader) {
     std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
     return 1;
   }
-  const std::int64_t from =
-      minute_arg(args, "from", std::numeric_limits<std::int64_t>::min());
-  const std::int64_t to =
-      minute_arg(args, "to", std::numeric_limits<std::int64_t>::max());
 
   ReportSink sink;
   if (!sink.open(args)) return 1;
@@ -1162,6 +1199,12 @@ int cmd_store_replay(const Args& args) {
 int cmd_store_compact(const Args& args) {
   const auto store_dir = args.get("store");
   if (!store_dir) return usage();
+  const store::CompactOptions options{
+      .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
+      .segment_bytes =
+          static_cast<std::uint64_t>(args.get_long("segment-mb", 64)) << 20,
+      .retain_from = minute_arg(args, "retain-from",
+                                std::numeric_limits<std::int64_t>::min())};
   const auto before = store::StoreReader::open(*store_dir);
   if (!before) {
     std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
@@ -1169,12 +1212,6 @@ int cmd_store_compact(const Args& args) {
   }
   const store::StoreStats before_stats = before->stats();
 
-  store::CompactOptions options{
-      .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
-      .segment_bytes =
-          static_cast<std::uint64_t>(args.get_long("segment-mb", 64)) << 20,
-      .retain_from = minute_arg(args, "retain-from",
-                                std::numeric_limits<std::int64_t>::min())};
   const auto after = store::compact_store(*store_dir, options);
   if (!after) {
     std::fprintf(stderr, "ccgraph: compaction failed for %s\n",
@@ -1428,27 +1465,35 @@ int main(int argc, char** argv) {
   const std::string subcommand =
       argc >= 3 && argv[2][0] != '-' ? argv[2] : std::string();
   const Args args(argc - 2, argv + 2);
-  // Kernel parallelism is a global knob (shared pool): results are
-  // bit-identical at any setting, only the wall clock changes.
-  if (const long threads = args.get_long("threads", 0); threads > 0) {
-    ccg::parallel::set_thread_count(static_cast<int>(threads));
-  }
-  // So is the simd tier; --simd beats $CCG_SIMD beats auto-detection.
-  if (const auto simd_mode = args.get("simd"); simd_mode && !simd_mode->empty()) {
-    if (!ccg::simd::set_tier(*simd_mode)) {
-      std::fprintf(stderr, "ccgraph: unknown --simd tier '%s'\n",
-                   simd_mode->c_str());
-      return usage();
-    }
-  }
-  configure_diagnostics(args);
   try {
+    // Kernel parallelism is a global knob: results are bit-identical at
+    // any setting, only the wall clock changes. 0 keeps the default.
+    const long threads = args.get_long("threads", 0);
+    if (threads < 0 || threads > ccg::parallel::kMaxThreads) {
+      throw UsageError("--threads must be in [0, " +
+                       std::to_string(ccg::parallel::kMaxThreads) +
+                       "] (got " + std::to_string(threads) + ")");
+    }
+    ccg::parallel::set_thread_count(static_cast<int>(threads));
+    // So is the simd tier; --simd beats $CCG_SIMD beats auto-detection.
+    if (const auto simd_mode = args.get("simd"); simd_mode && !simd_mode->empty()) {
+      if (!ccg::simd::set_tier(*simd_mode)) {
+        std::fprintf(stderr, "ccgraph: unknown --simd tier '%s'\n",
+                     simd_mode->c_str());
+        return usage();
+      }
+    }
+    configure_diagnostics(args);
     const int rc = profiled ? run_profiled(command, subcommand, args)
                             : dispatch(command, subcommand, args);
     ccg::obs::Watchdog::global().stop();
     const int metrics_rc = export_metrics(args);
     const int trace_rc = export_trace(args);
     return rc != 0 ? rc : (metrics_rc != 0 ? metrics_rc : trace_rc);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "ccgraph: %s\n", e.what());
+    ccg::obs::Watchdog::global().stop();
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ccgraph: %s\n", e.what());
     ccg::obs::log_error("ccgraph terminated by exception",

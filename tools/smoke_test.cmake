@@ -53,6 +53,38 @@ run_cli(2 segment --in missing.csv --collapse 1.5)
 run_cli(2 store append --in missing.csv --store bad_flags.store --window 0)
 run_cli(2 serve --in missing.csv --shards 2 --window 0)
 run_cli(2 serve --in missing.csv --shards 2 --collapse 1.5)
+
+# Numeric flags take one complete, finite number, and --threads lies in
+# [0, 1024] (0 keeps the default). Anything else is a usage error that
+# names the flag, raised before the input is read (or serve forks a
+# worker).
+function(run_cli_rejects flag)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "--${flag} ")
+    message(FATAL_ERROR "ccgraph ${ARGN} -> rc=${rc} (want 2, naming --${flag})\n${err}")
+  endif()
+endfunction()
+run_cli_rejects(threads anomaly --in missing.csv --threads abc)
+run_cli_rejects(threads anomaly --in missing.csv --threads -2)
+run_cli_rejects(threads anomaly --in missing.csv --threads 1025)
+run_cli_rejects(window anomaly --in missing.csv --window abc)
+run_cli_rejects(rank anomaly --in missing.csv --rank 2x)
+run_cli_rejects(collapse anomaly --in missing.csv --collapse 0.5x)
+run_cli_rejects(collapse anomaly --in missing.csv --collapse nan)
+run_cli_rejects(train anomaly --in missing.csv --train)
+run_cli_rejects(watchdog-ms anomaly --in missing.csv --watchdog-ms 1s)
+run_cli_rejects(resolution segment --in missing.csv --resolution 2y)
+run_cli_rejects(factor diff --before missing.csv --after missing.csv --factor x)
+run_cli_rejects(coverage policy --baseline missing.csv --check missing.csv --coverage .5.)
+run_cli_rejects(segment-mb store append --in missing.csv --store bad_flags.store --segment-mb 1.5)
+run_cli_rejects(from store query --store missing.store --from 1x)
+run_cli_rejects(keyframe serve --in missing.csv --shards 2 --keyframe 8k)
+run_cli_rejects(net-timeout-ms serve --in missing.csv --shards 2 --net-timeout-ms 5s)
+run_cli_rejects(hours simulate --preset tiny --hours 1x --out bad_flags.csv)
 run_cli(0 simulate --preset tiny --hours 5 --seed 9 --attack lateral --attack-hour 4 --out long_attacked.csv)
 run_cli(3 anomaly --in long_attacked.csv --train 3 --rank 8)
 
@@ -96,9 +128,9 @@ if(simd_rc_scalar GREATER 3 OR NOT simd_rc_scalar EQUAL simd_rc_auto OR
   message(FATAL_ERROR "CCG_SIMD=scalar anomaly (rc ${simd_rc_scalar}) differs from auto (rc ${simd_rc_auto})")
 endif()
 
-# Thread-count determinism where the pool runs: a Portal log whose ~500-node
-# windows give similarity scoring more than one chunk, so CCG_THREADS=4
-# submits pool jobs (checked in its metrics) even on a one-CPU host. Its
+# Thread-count determinism where parallel_for forks: a Portal log whose
+# ~500-node windows give similarity scoring more than one chunk, so
+# CCG_THREADS=4 forks jobs (checked in its metrics) even on a one-CPU host. Its
 # anomaly report must equal CCG_THREADS=1's: stdout, --summary-out bytes
 # and exit code.
 run_cli(0 simulate --preset portal --hours 2 --rate-scale 0.05 --seed 7 --out portal.csv)
@@ -122,7 +154,7 @@ if(threads_rc_1 GREATER 3 OR NOT threads_rc_1 EQUAL threads_rc_4 OR
 endif()
 file(READ ${WORKDIR}/threads_4.json threads_json)
 if(NOT threads_json MATCHES "\"ccg\\.parallel\\.jobs\": [1-9]")
-  message(FATAL_ERROR "CCG_THREADS=4 anomaly submitted no pool jobs")
+  message(FATAL_ERROR "CCG_THREADS=4 anomaly forked no parallel jobs")
 endif()
 
 # The scalar simd tier where the spectral score has k < n. long.csv has
@@ -167,6 +199,52 @@ foreach(shards 1 2 4)
                   RESULT_VARIABLE serve_summary_differs)
   if(NOT serve_summary_differs EQUAL 0)
     message(FATAL_ERROR "serve --shards ${shards} summary differs from anomaly")
+  endif()
+endforeach()
+
+# The live ops endpoint of a 4-shard serve: /healthz comes up, /readyz
+# reports ready while shards stream, and /metrics
+# carries per-shard ccg_dist_* series (proof that telemetry frames crossed
+# the wire into the fleet registry) under # HELP / # TYPE headers. The port
+# goes to stderr only; stdout stays the analytics report. --stall-ms keeps
+# the run alive over many scrapes. ops_scrape.cmake runs first in the
+# pipeline, so OUTPUT_VARIABLE is serve's stdout. A port someone else holds
+# fails the bind; retry on another.
+foreach(attempt RANGE 2)
+  string(RANDOM LENGTH 4 ALPHABET 123456789 port_offset)
+  math(EXPR ops_port "20000 + ${port_offset}")
+  execute_process(COMMAND ${CMAKE_COMMAND} -DPORT=${ops_port}
+                          -DOUT=${WORKDIR}/ops_metrics.prom
+                          -P ${CMAKE_CURRENT_LIST_DIR}/ops_scrape.cmake
+                  COMMAND ${CLI} serve --in long.csv --shards 4 --window 30
+                          --train 2 --stall-ms 300 --ops-port ${ops_port}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULTS_VARIABLE ops_rcs
+                  OUTPUT_VARIABLE ops_out
+                  ERROR_VARIABLE ops_err)
+  if(NOT ops_err MATCHES "cannot bind ops endpoint")
+    break()
+  endif()
+endforeach()
+list(GET ops_rcs 0 scrape_rc)
+list(GET ops_rcs 1 ops_serve_rc)
+if(NOT scrape_rc EQUAL 0 OR NOT (ops_serve_rc EQUAL 0 OR ops_serve_rc EQUAL 3))
+  message(FATAL_ERROR "ops scrape rc=${scrape_rc}, serve rc=${ops_serve_rc} (want 0, and 0 or 3)\n${ops_err}")
+endif()
+if(NOT ops_err MATCHES "ccgraph: ops endpoint on 127\\.0\\.0\\.1:${ops_port}")
+  message(FATAL_ERROR "serve did not name its ops port on stderr:\n${ops_err}")
+endif()
+if(ops_out MATCHES "ops endpoint")
+  message(FATAL_ERROR "serve printed its ops endpoint on stdout:\n${ops_out}")
+endif()
+if(NOT EXISTS ${WORKDIR}/ops_metrics.prom)
+  message(FATAL_ERROR "no /metrics scrape carried shard-labeled series")
+endif()
+file(READ ${WORKDIR}/ops_metrics.prom ops_metrics)
+foreach(pattern "ccg_dist_[a-z0-9_]*{shard=\"0\"}" "ccg_dist_[a-z0-9_]*{shard=\"3\"}"
+                "\n# HELP " "\n# TYPE ")
+  if(NOT ops_metrics MATCHES "${pattern}")
+    message(FATAL_ERROR "ops /metrics scrape lacks ${pattern}:\n${ops_metrics}")
   endif()
 endforeach()
 
