@@ -9,8 +9,6 @@
 #include <memory>
 
 #include "ccg/obs/export.hpp"
-#include "ccg/obs/span.hpp"
-#include "ccg/obs/trace.hpp"
 
 namespace ccg::bench {
 
@@ -83,23 +81,6 @@ void emit_resource_summary() {
   std::fflush(stdout);
 }
 
-namespace {
-
-// CCG_TRACE_OUT=<path> captures the whole bench run's spans and writes a
-// Chrome trace-event file at exit (same format the CLI's --trace-out emits).
-void emit_trace_file() {
-  const char* path = std::getenv("CCG_TRACE_OUT");
-  if (path == nullptr || *path == '\0') return;
-  if (obs::write_trace_file(path)) {
-    std::printf("\n==== trace written: %s ====\n", path);
-  } else {
-    std::fprintf(stderr, "failed to write trace file %s\n", path);
-  }
-  std::fflush(stdout);
-}
-
-}  // namespace
-
 double default_rate_scale(const std::string& preset_name) {
   // KQuery at full calibration generates ~100k records/min; scale the big
   // presets down for bench runtime while keeping topology intact.
@@ -115,10 +96,6 @@ SimulationResult simulate(const ClusterSpec& spec, SimulateOptions options) {
   // leaked, so it is still alive when the handler runs.
   static const bool metrics_at_exit = [] {
     obs::Registry::global();
-    if (std::getenv("CCG_TRACE_OUT") != nullptr) {
-      obs::TraceRing::global().enable(obs::default_trace_ring_capacity());
-      (void)std::atexit(emit_trace_file);
-    }
     // atexit runs LIFO: the resource summary prints after the metrics
     // snapshot it is derived from.
     (void)std::atexit(emit_resource_summary);

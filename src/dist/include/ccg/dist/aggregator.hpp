@@ -29,9 +29,9 @@ struct AggregatorOptions {
   /// The full job config (facet / window / collapse); shards must announce
   /// an equal config in their handshake.
   GraphBuildConfig graph;
-  /// Per-recv timeout; -1 uses CCG_NET_TIMEOUT_MS. A shard that stays
-  /// silent longer than this fails the run.
-  int recv_timeout_ms = -1;
+  /// Per-recv timeout (0 = wait forever). A shard that stays silent
+  /// longer than this fails the run.
+  int recv_timeout_ms = net::kDefaultTimeoutMs;
   /// Where the shard-failure flight record lands ("" = current directory).
   std::string flight_dir;
 };

@@ -21,12 +21,12 @@
 
 namespace ccg::net {
 
-/// Connect attempts before giving up: CCG_NET_RETRIES, default 10.
-int configured_retries();
+/// Connect attempts before connect_loopback gives up.
+inline constexpr int kConnectRetries = 10;
 
-/// Receive/accept timeout in ms: CCG_NET_TIMEOUT_MS, default 30000.
-/// 0 means wait forever.
-int configured_timeout_ms();
+/// Receive/accept timeout in ms unless the caller passes one; 0 means wait
+/// forever.
+inline constexpr int kDefaultTimeoutMs = 30'000;
 
 /// Largest accepted frame payload. A length prefix beyond this is treated
 /// as corruption, not an allocation request.
@@ -63,10 +63,11 @@ class FrameConn {
   /// Writes one complete frame (handles partial writes). False on error.
   bool send(std::span<const std::uint8_t> payload);
 
-  /// Reads one complete frame into `payload`. timeout_ms < 0 uses
-  /// configured_timeout_ms(); 0 waits forever. On anything but kOk the
-  /// payload contents are unspecified.
-  RecvStatus recv(std::vector<std::uint8_t>& payload, int timeout_ms = -1);
+  /// Reads one complete frame into `payload` within timeout_ms (>= 0; 0
+  /// waits forever). On anything but kOk the payload contents are
+  /// unspecified.
+  RecvStatus recv(std::vector<std::uint8_t>& payload,
+                  int timeout_ms = kDefaultTimeoutMs);
 
   void close();
 
@@ -99,7 +100,7 @@ class Listener {
   std::uint16_t port() const { return port_; }
 
   /// Accepts one connection. Same timeout convention as FrameConn::recv.
-  std::optional<FrameConn> accept(int timeout_ms = -1);
+  std::optional<FrameConn> accept(int timeout_ms = kDefaultTimeoutMs);
 
   void close();
 
@@ -108,9 +109,10 @@ class Listener {
   std::uint16_t port_ = 0;
 };
 
-/// Connects to 127.0.0.1:port, retrying with capped exponential backoff
-/// (10 ms doubling to 500 ms). retries < 0 uses configured_retries().
-std::optional<FrameConn> connect_loopback(std::uint16_t port, int retries = -1);
+/// Connects to 127.0.0.1:port in up to `retries` attempts, with capped
+/// exponential backoff (10 ms doubling to 500 ms) between them.
+std::optional<FrameConn> connect_loopback(std::uint16_t port,
+                                          int retries = kConnectRetries);
 
 /// Connected AF_UNIX stream socketpair — the in-process / fork transport.
 std::optional<std::pair<FrameConn, FrameConn>> socket_pair();

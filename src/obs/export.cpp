@@ -297,21 +297,26 @@ std::string fmt_us(std::uint64_t ns) {
   return buf;
 }
 
-}  // namespace
+/// `{"displayTimeUnit", "otherData", "traceEvents": [` — the opening every
+/// trace-event document shares.
+std::string trace_json_head(std::size_t dropped) {
+  return "{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": "
+         "{\"dropped\": " +
+         std::to_string(dropped) + "},\n  \"traceEvents\": [";
+}
 
-std::string to_trace_json(const std::vector<TraceEvent>& events,
-                          std::size_t dropped) {
-  // Thread hashes are unwieldy 64-bit values; chrome://tracing renders one
-  // lane per tid, so map each hash to a small id by first appearance.
+/// Appends one complete-phase event per span of process `pid`, each
+/// preceded by the list separator (`first` tracks the document's first
+/// event). Thread hashes are unwieldy 64-bit values and chrome://tracing
+/// renders one lane per tid, so each hash maps to a small tid, dense per
+/// process by first appearance.
+void append_span_events(std::string& out, bool& first,
+                        const std::vector<TraceEvent>& events,
+                        std::uint32_t pid) {
   std::map<std::uint64_t, std::size_t> tids;
   for (const TraceEvent& e : events) {
     tids.emplace(e.thread_hash, tids.size() + 1);
   }
-
-  std::string out = "{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": "
-                    "{\"dropped\": " +
-                    std::to_string(dropped) + "},\n  \"traceEvents\": [";
-  bool first = true;
   for (const TraceEvent& e : events) {
     out += first ? "\n" : ",\n";
     first = false;
@@ -319,7 +324,8 @@ std::string to_trace_json(const std::vector<TraceEvent>& events,
     json_escape_into(out, e.name);
     out += "\", \"cat\": \"ccg\", \"ph\": \"X\", \"ts\": " +
            fmt_us(e.start_ns) + ", \"dur\": " + fmt_us(e.duration_ns) +
-           ", \"pid\": 1, \"tid\": " + std::to_string(tids.at(e.thread_hash)) +
+           ", \"pid\": " + std::to_string(pid) +
+           ", \"tid\": " + std::to_string(tids.at(e.thread_hash)) +
            ", \"args\": {";
     bool first_arg = true;
     const auto arg = [&](const char* key, std::uint64_t id) {
@@ -335,6 +341,15 @@ std::string to_trace_json(const std::vector<TraceEvent>& events,
     arg("parent", e.parent_id);
     out += "}}";
   }
+}
+
+}  // namespace
+
+std::string to_trace_json(const std::vector<TraceEvent>& events,
+                          std::size_t dropped) {
+  std::string out = trace_json_head(dropped);
+  bool first = true;
+  append_span_events(out, first, events, 1);
   out += first ? "]\n}\n" : "\n  ]\n}\n";
   return out;
 }
@@ -344,9 +359,7 @@ std::string to_trace_json_processes(
   std::size_t dropped = 0;
   for (const ProcessTrace& p : processes) dropped += p.dropped;
 
-  std::string out = "{\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": "
-                    "{\"dropped\": " +
-                    std::to_string(dropped) + "},\n  \"traceEvents\": [";
+  std::string out = trace_json_head(dropped);
   bool first = true;
   for (const ProcessTrace& p : processes) {
     out += first ? "\n" : ",\n";
@@ -357,36 +370,7 @@ std::string to_trace_json_processes(
     out += "\"}}";
   }
   for (const ProcessTrace& p : processes) {
-    // Dense tids per process, by first appearance — same scheme as the
-    // single-process exporter, scoped to this process's lane.
-    std::map<std::uint64_t, std::size_t> tids;
-    for (const TraceEvent& e : p.events) {
-      tids.emplace(e.thread_hash, tids.size() + 1);
-    }
-    for (const TraceEvent& e : p.events) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "    {\"name\": \"";
-      json_escape_into(out, e.name);
-      out += "\", \"cat\": \"ccg\", \"ph\": \"X\", \"ts\": " +
-             fmt_us(e.start_ns) + ", \"dur\": " + fmt_us(e.duration_ns) +
-             ", \"pid\": " + std::to_string(p.pid) +
-             ", \"tid\": " + std::to_string(tids.at(e.thread_hash)) +
-             ", \"args\": {";
-      bool first_arg = true;
-      const auto arg = [&](const char* key, std::uint64_t id) {
-        if (id == 0) return;
-        if (!first_arg) out += ", ";
-        first_arg = false;
-        out += "\"";
-        out += key;
-        out += "\": \"" + hex_id(id) + "\"";
-      };
-      arg("trace", e.trace_id);
-      arg("span", e.span_id);
-      arg("parent", e.parent_id);
-      out += "}}";
-    }
+    append_span_events(out, first, p.events, p.pid);
   }
   out += first ? "]\n}\n" : "\n  ]\n}\n";
   return out;

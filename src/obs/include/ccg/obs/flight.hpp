@@ -15,7 +15,7 @@
 //    brackets each window with begin_window()/end_window(); a window still
 //    open past the deadline triggers one dump tagged with that window's
 //    trace id. Deadline and dump directory come from the caller (ccgraph
-//    --watchdog-ms/--flight-dir, or CCG_WATCHDOG_MS/CCG_FLIGHT_DIR).
+//    --watchdog-ms/--flight-dir).
 #pragma once
 
 #include <chrono>

@@ -3,8 +3,7 @@
 // trace id (so a log line is attributable to the window that produced it)
 // and key=value fields. Records always land in a bounded in-memory ring —
 // the flight recorder's evidence — and are mirrored to stderr when at or
-// above the stderr threshold (default: warn; override with CCG_LOG_LEVEL
-// or ccgraph --log-level).
+// above the stderr threshold (default: warn; ccgraph --log-level sets it).
 //
 //   obs::log_warn("store append rejected",
 //                 {obs::field("window", w.to_string()),
@@ -18,6 +17,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -65,8 +65,9 @@ struct LogRecord {
 };
 
 /// Bounded ring of recent log records. Unlike the TraceRing it is always
-/// on (logging is rare; the ring is the crash evidence), with a default
-/// capacity of 1024 records.
+/// on (logging is rare; the ring is the crash evidence), with a capacity
+/// of 1024 records: each owns a LogRecord (~88 bytes plus its message and
+/// field strings), so the ring stays well under 1 MB.
 class LogRing {
  public:
   static LogRing& global();
@@ -92,8 +93,7 @@ class LogRing {
   std::size_t dropped_ = 0;
 };
 
-/// Minimum level mirrored to stderr. Initialized once from CCG_LOG_LEVEL
-/// (debug|info|warn|error), defaulting to warn.
+/// Minimum level mirrored to stderr: warn until set_stderr_level.
 LogLevel stderr_level() noexcept;
 void set_stderr_level(LogLevel level) noexcept;
 
@@ -131,14 +131,14 @@ class StderrRateLimiter {
   std::uint64_t suppressed_total_ = 0;
 };
 
-/// The limiter guarding the process's stderr mirror. Rate from
-/// CCG_LOG_STDERR_RPS (default 25/s per level, burst 2x).
+/// The limiter guarding the process's stderr mirror: 25 records/s per
+/// level, burst 50.
 StderrRateLimiter& stderr_rate_limiter();
 
 /// Mirrors a record shipped from another process (a telemetry frame) to
 /// stderr, tagged `shard=N` — subject to the same threshold and rate
 /// limiter as local records. The record is NOT pushed into the local
-/// LogRing (the fleet registry retains shipped records separately).
+/// LogRing.
 void mirror_shard_record(std::uint32_t shard, const LogRecord& record);
 
 /// Emits one record: stamps time/thread/trace, pushes into the global
@@ -164,8 +164,7 @@ inline void log_error(std::string_view message,
   log(LogLevel::kError, message, fields);
 }
 
-/// Parses "debug"/"info"/"warn"/"error" (also "warning"); returns
-/// fallback on anything else.
-LogLevel parse_level(std::string_view name, LogLevel fallback) noexcept;
+/// Parses "debug"/"info"/"warn"/"error"; nullopt on anything else.
+std::optional<LogLevel> parse_level(std::string_view name) noexcept;
 
 }  // namespace ccg::obs

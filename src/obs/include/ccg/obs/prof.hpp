@@ -11,7 +11,7 @@
 // `ccgraph trace` output: stage frames nest under `ccg.analytics.window`,
 // pool-job frames under their stage.
 //
-//   TraceRing::global().enable(default_trace_ring_capacity());
+//   TraceRing::global().enable(kTraceRingCapacity);
 //   const auto start = std::chrono::steady_clock::now();
 //   ... run the pipeline ...
 //   const prof::Profile p = prof::capture(start);
@@ -20,7 +20,7 @@
 //
 // When the ring wraps it overwrites its oldest spans: their time shows up
 // as `(untracked)` or as their parents' self time, and `dropped` counts
-// them. Size the ring with `CCG_TRACE_RING`.
+// them. ccgraph sizes the ring at kTraceRingCapacity (65,536 spans).
 #pragma once
 
 #include <chrono>

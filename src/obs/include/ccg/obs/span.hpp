@@ -100,11 +100,10 @@ class ScopedSpan {
   bool traced_ = false;
 };
 
-/// TraceRing capacity used when a component enables tracing without an
-/// explicit size: `CCG_TRACE_RING` (slots, read once) or 65536. Each
+/// TraceRing capacity of every ccgraph command that records spans. Each
 /// retained slot is one TraceEvent (~96 bytes + the span-name string), so
-/// the default ring holds on the order of 8 MB once warm.
-std::size_t default_trace_ring_capacity();
+/// the ring holds on the order of 8 MB once warm.
+inline constexpr std::size_t kTraceRingCapacity = std::size_t{1} << 16;
 
 /// Default bucket layout for latency histograms: 1 µs first bucket,
 /// doubling, top finite bucket ≈ 17 minutes.

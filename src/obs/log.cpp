@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "ccg/obs/metrics.hpp"
@@ -23,14 +22,8 @@ std::uint64_t now_ns() {
           .count());
 }
 
-LogLevel env_stderr_level() {
-  const char* v = std::getenv("CCG_LOG_LEVEL");
-  if (v == nullptr || *v == '\0') return LogLevel::kWarn;
-  return parse_level(v, LogLevel::kWarn);
-}
-
 std::atomic<int>& stderr_level_storage() {
-  static std::atomic<int> level{static_cast<int>(env_stderr_level())};
+  static std::atomic<int> level{static_cast<int>(LogLevel::kWarn)};
   return level;
 }
 
@@ -91,12 +84,12 @@ const char* level_name(LogLevel level) noexcept {
   return "info";
 }
 
-LogLevel parse_level(std::string_view name, LogLevel fallback) noexcept {
+std::optional<LogLevel> parse_level(std::string_view name) noexcept {
   if (name == "debug") return LogLevel::kDebug;
   if (name == "info") return LogLevel::kInfo;
-  if (name == "warn" || name == "warning") return LogLevel::kWarn;
+  if (name == "warn") return LogLevel::kWarn;
   if (name == "error") return LogLevel::kError;
-  return fallback;
+  return std::nullopt;
 }
 
 LogField field(std::string_view key, double value) {
@@ -129,19 +122,7 @@ std::string LogRecord::render() const {
 }
 
 LogRing& LogRing::global() {
-  static LogRing* instance = [] {
-    auto* ring = new LogRing();  // leaked, like the registry
-    // Each retained slot owns a LogRecord (~88 bytes + message and field
-    // strings); the 1024-record default stays well under 1 MB.
-    if (const char* env = std::getenv("CCG_LOG_RING")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        ring->set_capacity(static_cast<std::size_t>(parsed));
-      }
-    }
-    return ring;
-  }();
+  static LogRing* instance = new LogRing();  // leaked, like the registry
   return *instance;
 }
 
@@ -242,15 +223,6 @@ std::uint64_t StderrRateLimiter::suppressed() const {
 
 namespace {
 
-double env_stderr_rps() {
-  if (const char* env = std::getenv("CCG_LOG_STDERR_RPS")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && *end == '\0' && v > 0.0) return v;
-  }
-  return 25.0;
-}
-
 Counter& stderr_dropped_counter() {
   static Counter* c = &Registry::global().counter("ccg.log.stderr_dropped");
   return *c;
@@ -278,10 +250,8 @@ void mirror_to_stderr(const LogRecord& record, const std::string& tail) {
 }  // namespace
 
 StderrRateLimiter& stderr_rate_limiter() {
-  static StderrRateLimiter* limiter = [] {
-    const double rate = env_stderr_rps();
-    return new StderrRateLimiter(rate, 2.0 * rate);  // leaked, like the ring
-  }();
+  static StderrRateLimiter* limiter =
+      new StderrRateLimiter(25.0, 50.0);  // leaked, like the ring
   return *limiter;
 }
 

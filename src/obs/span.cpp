@@ -1,23 +1,8 @@
 #include "ccg/obs/span.hpp"
 
-#include <cstdlib>
 #include <thread>
 
 namespace ccg::obs {
-
-std::size_t default_trace_ring_capacity() {
-  static const std::size_t capacity = [] {
-    if (const char* env = std::getenv("CCG_TRACE_RING")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed > 0) {
-        return static_cast<std::size_t>(parsed);
-      }
-    }
-    return std::size_t{1} << 16;
-  }();
-  return capacity;
-}
 
 TraceRing& TraceRing::global() {
   static TraceRing* instance = new TraceRing();  // leaked, like the registry

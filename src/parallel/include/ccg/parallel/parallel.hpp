@@ -33,8 +33,9 @@ inline constexpr int kMaxThreads = 1024;
 
 /// Effective worker count in [1, kMaxThreads]. Resolution order: the last
 /// positive set_thread_count() value (CLI --threads), else the CCG_THREADS
-/// environment variable (read once; ignored outside [1, kMaxThreads]),
-/// else std::thread::hardware_concurrency.
+/// environment variable (read once; anything but one integer in
+/// [1, kMaxThreads] is ignored with a warning), else
+/// std::thread::hardware_concurrency.
 int thread_count();
 
 /// Overrides thread_count(); n <= 0 restores the env/hardware default.

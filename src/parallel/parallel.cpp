@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "ccg/common/expect.hpp"
+#include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
@@ -17,12 +20,23 @@ namespace ccg::parallel {
 
 namespace {
 
+/// CCG_THREADS when it is one complete integer in [1, kMaxThreads]; else
+/// 0 (the hardware default), with a warning unless it is unset or empty.
 int env_thread_count() {
   static const int cached = [] {
     const char* v = std::getenv("CCG_THREADS");
     if (v == nullptr || *v == '\0') return 0;
-    const long n = std::strtol(v, nullptr, 10);
-    return n > 0 && n <= kMaxThreads ? static_cast<int>(n) : 0;
+    const std::string_view text(v);
+    const char* last = text.data() + text.size();
+    int n = 0;
+    const auto [end, ec] = std::from_chars(text.data(), last, n);
+    if (ec == std::errc() && end == last && n >= 1 && n <= kMaxThreads) {
+      return n;
+    }
+    obs::log_warn("ignoring CCG_THREADS, using the default thread count",
+                  {obs::field("value", text), obs::field("min", 1),
+                   obs::field("max", kMaxThreads)});
+    return 0;
   }();
   return cached;
 }

@@ -23,14 +23,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
-#include "ccg/graph/builder.hpp"
 #include "ccg/graph/comm_graph.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/store/format.hpp"
-#include "ccg/telemetry/collector.hpp"
 
 namespace ccg::store {
 
@@ -179,30 +176,5 @@ struct CompactOptions {
 /// store cannot be read or rewritten.
 std::optional<StoreStats> compact_store(const std::string& dir,
                                         CompactOptions options = {});
-
-/// TelemetrySink adapter: aggregates the stream into per-window graphs and
-/// persists each one as it closes. Hang it off a TelemetryHub (optionally
-/// behind a TeeSink next to the analytics service) to make any live
-/// deployment durable.
-class StoreSink : public TelemetrySink {
- public:
-  StoreSink(StoreWriter& writer, GraphBuildConfig config,
-            std::unordered_set<IpAddr> monitored);
-
-  void on_batch(MinuteBucket time,
-                const std::vector<ConnectionSummary>& batch) override;
-
-  /// Closes and persists the in-progress window.
-  void flush();
-
-  std::size_t windows_stored() const { return windows_stored_; }
-
- private:
-  void drain();
-
-  GraphBuilder builder_;
-  StoreWriter* writer_;
-  std::size_t windows_stored_ = 0;
-};
 
 }  // namespace ccg::store

@@ -488,28 +488,4 @@ std::optional<StoreStats> compact_store(const std::string& dir,
   return stats;
 }
 
-// --- sink -------------------------------------------------------------------
-
-StoreSink::StoreSink(StoreWriter& writer, GraphBuildConfig config,
-                     std::unordered_set<IpAddr> monitored)
-    : builder_(config, std::move(monitored)), writer_(&writer) {}
-
-void StoreSink::on_batch(MinuteBucket time,
-                         const std::vector<ConnectionSummary>& batch) {
-  builder_.on_batch(time, batch);
-  drain();
-}
-
-void StoreSink::flush() {
-  builder_.flush();
-  drain();
-  writer_->flush();
-}
-
-void StoreSink::drain() {
-  for (const CommGraph& graph : builder_.take_graphs()) {
-    if (writer_->append(graph)) ++windows_stored_;
-  }
-}
-
 }  // namespace ccg::store

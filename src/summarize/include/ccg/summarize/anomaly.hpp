@@ -35,7 +35,7 @@ struct AnomalyScore {
 };
 
 struct SpectralDetectorOptions {
-  std::size_t rank = 25;  // k: the paper's sweet spot for n > 500
+  std::size_t rank = 20;  // k: what every ccgraph command fits
   double zscore_alert = 3.0;
   double new_node_share_alert = 0.02;
   AdjacencyOptions adjacency;

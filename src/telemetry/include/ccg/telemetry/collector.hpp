@@ -28,26 +28,6 @@ class TelemetrySink {
   virtual void on_batch(MinuteBucket time, const std::vector<ConnectionSummary>& batch) = 0;
 };
 
-/// Fans one stream out to several sinks in registration order — how a hub
-/// feeds the analytics pipeline and the snapshot store's StoreSink from the
-/// same interval without either knowing about the other. Sinks are borrowed,
-/// not owned.
-class TeeSink : public TelemetrySink {
- public:
-  TeeSink() = default;
-  explicit TeeSink(std::vector<TelemetrySink*> sinks) : sinks_(std::move(sinks)) {}
-
-  void add(TelemetrySink* sink) { sinks_.push_back(sink); }
-  std::size_t sink_count() const { return sinks_.size(); }
-
-  void on_batch(MinuteBucket time, const std::vector<ConnectionSummary>& batch) override {
-    for (TelemetrySink* sink : sinks_) sink->on_batch(time, batch);
-  }
-
- private:
-  std::vector<TelemetrySink*> sinks_;
-};
-
 /// Running cost/volume ledger for a telemetry deployment.
 struct TelemetryLedger {
   std::uint64_t records = 0;

@@ -26,12 +26,14 @@ class ObsLogTest : public ::testing::Test {
 TEST(ObsLogLevel, NamesAndParsing) {
   EXPECT_STREQ(obs::level_name(obs::LogLevel::kDebug), "debug");
   EXPECT_STREQ(obs::level_name(obs::LogLevel::kError), "error");
-  EXPECT_EQ(obs::parse_level("info", obs::LogLevel::kWarn),
-            obs::LogLevel::kInfo);
-  EXPECT_EQ(obs::parse_level("warning", obs::LogLevel::kError),
-            obs::LogLevel::kWarn);
-  EXPECT_EQ(obs::parse_level("bogus", obs::LogLevel::kError),
-            obs::LogLevel::kError);
+  EXPECT_EQ(obs::parse_level("debug"), obs::LogLevel::kDebug);
+  EXPECT_EQ(obs::parse_level("info"), obs::LogLevel::kInfo);
+  EXPECT_EQ(obs::parse_level("warn"), obs::LogLevel::kWarn);
+  EXPECT_EQ(obs::parse_level("error"), obs::LogLevel::kError);
+  // No fallback: anything else is for the caller to reject.
+  for (const char* bad : {"warning", "verbose", "WARN", "", "info "}) {
+    EXPECT_FALSE(obs::parse_level(bad).has_value()) << bad;
+  }
 }
 
 TEST(ObsLogField, ValueFormatting) {

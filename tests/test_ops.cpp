@@ -13,6 +13,8 @@
 #include <cstring>
 #include <string>
 
+#include "mutation.hpp"
+
 namespace ccg {
 namespace {
 
@@ -34,6 +36,9 @@ std::string http_exchange(std::uint16_t port, const std::string& request) {
     if (n <= 0) break;
     off += static_cast<std::size_t>(n);
   }
+  // Half-close: a request with no line end then reads as EOF at once,
+  // not as a client still typing.
+  ::shutdown(fd, SHUT_WR);
   std::string reply;
   char buf[4096];
   for (;;) {
@@ -151,6 +156,33 @@ TEST(OpsServer, RestartRebindsCleanly) {
   ASSERT_TRUE(server.start(first, test_handlers()));  // same port, fresh bind
   EXPECT_EQ(server.port(), first);
   EXPECT_NE(get(server.port(), "/healthz").find("200 OK"), std::string::npos);
+  server.stop();
+}
+
+// Seeded mutations of well-formed request lines: every reply is 200, 400,
+// 404 or 405, or the server closes without one, and it still answers
+// /healthz afterwards.
+TEST(OpsServer, MutatedRequestsGetCleanReplies) {
+  net::OpsServer server;
+  ASSERT_TRUE(server.start(0, test_handlers()));
+  server.set_ready(true);
+  const std::string seeds[] = {
+      "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+      "GET /metrics HTTP/1.1\r\n\r\n",
+      "HEAD /readyz HTTP/1.0\r\n\r\n",
+      "GET /tracez?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n"};
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    Rng rng(i + 1);
+    const std::string request = mutate_bytes(seeds[i % 4], rng);
+    const std::string reply = http_exchange(server.port(), request);
+    if (reply.empty()) continue;
+    const std::string status = reply.substr(0, 13);
+    EXPECT_TRUE(status == "HTTP/1.1 200 " || status == "HTTP/1.1 400 " ||
+                status == "HTTP/1.1 404 " || status == "HTTP/1.1 405 ")
+        << "mutation " << i << ": " << reply.substr(0, 40);
+  }
+  EXPECT_NE(get(server.port(), "/healthz").find("HTTP/1.1 200 OK"),
+            std::string::npos);
   server.stop();
 }
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <utility>
@@ -178,11 +177,7 @@ TEST(ProfIntegration, PipelineFoldedStacksMatchSpanTree) {
 }
 
 TEST(ProfRings, DefaultTraceRingCapacityIsPositive) {
-  const std::size_t capacity = obs::default_trace_ring_capacity();
-  EXPECT_GT(capacity, 0u);
-  if (std::getenv("CCG_TRACE_RING") == nullptr) {
-    EXPECT_EQ(capacity, std::size_t{1} << 16);
-  }
+  EXPECT_EQ(obs::kTraceRingCapacity, std::size_t{1} << 16);
 }
 
 }  // namespace

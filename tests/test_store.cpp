@@ -14,6 +14,7 @@
 #include "ccg/graph/delta.hpp"
 #include "ccg/workload/driver.hpp"
 #include "ccg/workload/presets.hpp"
+#include "mutation.hpp"
 
 namespace ccg {
 namespace {
@@ -272,27 +273,6 @@ TEST(Store, CompactRekeyframesAndAppliesRetention) {
   }
 }
 
-TEST(Store, StoreSinkPersistsTheStream) {
-  const auto dir = fresh_dir("sink");
-  const Workload w = simulate(60, 29);
-  const auto direct = build_windows(w);
-  {
-    auto writer = store::StoreWriter::open(dir);
-    ASSERT_TRUE(writer.has_value());
-    store::StoreSink sink(*writer, kConfig, w.monitored);
-    w.stream.replay_into(sink);
-    sink.flush();
-    EXPECT_EQ(sink.windows_stored(), direct.size());
-  }
-  auto reader = store::StoreReader::open(dir);
-  ASSERT_TRUE(reader.has_value());
-  const auto loaded = scan_all(*reader);
-  ASSERT_EQ(loaded.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    ASSERT_TRUE(graphs_identical(direct[i], loaded[i])) << "window " << i;
-  }
-}
-
 TEST(Store, ReplayReproducesStreamingAnalytics) {
   const auto dir = fresh_dir("replay");
   const Workload w = simulate(120, 31);
@@ -325,6 +305,54 @@ TEST(Store, ReplayReproducesStreamingAnalytics) {
   const std::size_t replayed = replay_service.replay(*reader);
   EXPECT_EQ(replayed, direct_lines.size());
   EXPECT_EQ(replayed_lines, direct_lines);
+}
+
+// Seeded mutations of real frame payloads: two 5-minute windows of a
+// simulated k8s cluster, framed as a keyframe and as a delta against the
+// first. Every decode is total: nullopt, or a graph the encoder writes
+// back to bytes that decode to the same graph.
+TEST(StoreFrameMutation, PayloadsRejectOrRoundTrip) {
+  Workload w;
+  Cluster cluster(presets::k8s_paas(0.02), 41);
+  TelemetryHub hub(ProviderProfile::azure(), 41);
+  SimulationDriver driver(cluster, hub);
+  hub.set_sink(&w.stream);
+  driver.run(TimeWindow::minutes(0, 10));
+  const auto ips = cluster.monitored_ips();
+  w.monitored = {ips.begin(), ips.end()};
+  const auto windows = build_windows(w);
+  ASSERT_GE(windows.size(), 2u);
+  const CommGraph& base = windows[0];
+  const CommGraph& next = windows[1];
+  const CommGraph empty;
+  struct Seed {
+    store::FrameKind kind;
+    const CommGraph& base;
+    std::vector<std::uint8_t> payload;
+  };
+  const Seed seeds[] = {
+      {store::FrameKind::kKeyframe, empty,
+       store::encode_frame(store::FrameKind::kKeyframe, empty, next)},
+      {store::FrameKind::kDelta, base,
+       store::encode_frame(store::FrameKind::kDelta, base, next)}};
+
+  std::size_t decoded = 0;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    Rng rng(i + 1);
+    const Seed& seed = seeds[i % 2];
+    const auto mutated = mutate_bytes(seed.payload, rng);
+    const auto graph = store::decode_frame(mutated, seed.base);
+    if (!graph) continue;
+    ++decoded;
+    const auto bytes = store::encode_frame(seed.kind, seed.base, *graph);
+    const auto again = store::decode_frame(bytes, seed.base);
+    ASSERT_TRUE(again.has_value()) << "mutation " << i;
+    ASSERT_TRUE(graphs_identical(*graph, *again)) << "mutation " << i;
+  }
+  // Edits inside edge statistics still decode; the suite must exercise
+  // both outcomes.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, 2000u);
 }
 
 }  // namespace

@@ -220,6 +220,80 @@ TEST(ObsTraceExport, GoldenEventFormatting) {
             "}\n");
 }
 
+TEST(ObsTraceExport, GoldenFleetTrace) {
+  // Two processes, two threads each: one metadata event per process, tids
+  // dense per process by first appearance, drops summed.
+  std::vector<obs::ProcessTrace> processes;
+  processes.push_back({.name = "aggregator",
+                       .pid = 1,
+                       .events = {{.name = "ccg.dist.merge",
+                                   .start_ns = 1000,
+                                   .duration_ns = 4500,
+                                   .thread_hash = 0xA1,
+                                   .trace_id = 0x7,
+                                   .span_id = 0x10,
+                                   .parent_id = 0},
+                                  {.name = "ccg.analytics.window",
+                                   .start_ns = 6000,
+                                   .duration_ns = 250,
+                                   .thread_hash = 0xA2,
+                                   .trace_id = 0x7,
+                                   .span_id = 0x11,
+                                   .parent_id = 0x10}},
+                       .dropped = 2});
+  processes.push_back({.name = "shard \"0\"",
+                       .pid = 2,
+                       .events = {{.name = "ccg.graph.finalize",
+                                   .start_ns = 1234567,
+                                   .duration_ns = 89,
+                                   .thread_hash = 0xB2,
+                                   .trace_id = 0x7,
+                                   .span_id = 0x20,
+                                   .parent_id = 0},
+                                  {.name = "ccg.dist.ship",
+                                   .start_ns = 1300000,
+                                   .duration_ns = 1000,
+                                   .thread_hash = 0xB1,
+                                   .trace_id = 0,
+                                   .span_id = 0x21,
+                                   .parent_id = 0},
+                                  {.name = "ccg.dist.ship",
+                                   .start_ns = 1400000,
+                                   .duration_ns = 1001,
+                                   .thread_hash = 0xB2,
+                                   .trace_id = 0x7,
+                                   .span_id = 0x22,
+                                   .parent_id = 0x20}},
+                       .dropped = 5});
+  EXPECT_EQ(
+      obs::to_trace_json_processes(processes),
+      "{\n"
+      "  \"displayTimeUnit\": \"ms\",\n"
+      "  \"otherData\": {\"dropped\": 7},\n"
+      "  \"traceEvents\": [\n"
+      "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
+      "\"args\": {\"name\": \"aggregator\"}},\n"
+      "    {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 2, \"tid\": 0, "
+      "\"args\": {\"name\": \"shard \\\"0\\\"\"}},\n"
+      "    {\"name\": \"ccg.dist.merge\", \"cat\": \"ccg\", \"ph\": \"X\", "
+      "\"ts\": 1.000, \"dur\": 4.500, \"pid\": 1, \"tid\": 1, "
+      "\"args\": {\"trace\": \"0x7\", \"span\": \"0x10\"}},\n"
+      "    {\"name\": \"ccg.analytics.window\", \"cat\": \"ccg\", \"ph\": \"X\", "
+      "\"ts\": 6.000, \"dur\": 0.250, \"pid\": 1, \"tid\": 2, "
+      "\"args\": {\"trace\": \"0x7\", \"span\": \"0x11\", \"parent\": \"0x10\"}},\n"
+      "    {\"name\": \"ccg.graph.finalize\", \"cat\": \"ccg\", \"ph\": \"X\", "
+      "\"ts\": 1234.567, \"dur\": 0.089, \"pid\": 2, \"tid\": 1, "
+      "\"args\": {\"trace\": \"0x7\", \"span\": \"0x20\"}},\n"
+      "    {\"name\": \"ccg.dist.ship\", \"cat\": \"ccg\", \"ph\": \"X\", "
+      "\"ts\": 1300.000, \"dur\": 1.000, \"pid\": 2, \"tid\": 2, "
+      "\"args\": {\"span\": \"0x21\"}},\n"
+      "    {\"name\": \"ccg.dist.ship\", \"cat\": \"ccg\", \"ph\": \"X\", "
+      "\"ts\": 1400.000, \"dur\": 1.001, \"pid\": 2, \"tid\": 1, "
+      "\"args\": {\"trace\": \"0x7\", \"span\": \"0x22\", \"parent\": \"0x20\"}}\n"
+      "  ]\n"
+      "}\n");
+}
+
 // --- end-to-end structure ---------------------------------------------------
 
 /// Buffered telemetry stream (same shape as test_store's CaptureSink).

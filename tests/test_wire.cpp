@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ccg/store/format.hpp"
+#include "mutation.hpp"
 
 namespace ccg::dist {
 namespace {
@@ -332,6 +333,48 @@ TEST(WireFormat, ConfigEqualityIsExactBits) {
   EXPECT_TRUE(a == b);
   b.collapse_threshold = 0.0010000001;
   EXPECT_FALSE(a == b);
+}
+
+/// True when `decode` rejects `payload`, or accepts it as a value whose
+/// encoding decodes and re-encodes to the same bytes.
+template <typename Decode, typename Encode>
+bool rejects_or_round_trips(std::span<const std::uint8_t> payload,
+                            Decode decode, Encode encode) {
+  const auto value = decode(payload);
+  if (!value) return true;
+  const auto bytes = encode(*value);
+  const auto again = decode(bytes);
+  return again && encode(*again) == bytes;
+}
+
+// Seeded mutations of every shard -> aggregator message, each fed to all
+// four decoders (a flipped type byte routes a payload to another one).
+TEST(WireMutation, DecodersRejectOrRoundTrip) {
+  WindowFrame window;
+  window.shard_id = 1;
+  window.window_begin = 120;
+  window.trace_id = 0xABCDEF;
+  window.keyframe = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01};
+  const std::vector<std::uint8_t> seeds[] = {
+      encode_hello(reference_hello()), encode_window(window),
+      encode_end_of_stream({3, 1000, 7}),
+      encode_telemetry(reference_telemetry())};
+
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    Rng rng(i + 1);
+    const auto mutated = mutate_bytes(seeds[i % 4], rng);
+    EXPECT_TRUE(rejects_or_round_trips(mutated, decode_hello, encode_hello))
+        << "mutation " << i;
+    EXPECT_TRUE(rejects_or_round_trips(mutated, decode_window, encode_window))
+        << "mutation " << i;
+    EXPECT_TRUE(rejects_or_round_trips(mutated, decode_end_of_stream,
+                                       encode_end_of_stream))
+        << "mutation " << i;
+    EXPECT_TRUE(rejects_or_round_trips(mutated, decode_telemetry,
+                                       encode_telemetry))
+        << "mutation " << i;
+    if (::testing::Test::HasFailure()) return;  // one reproducer is enough
+  }
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -30,6 +29,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_set>
 #include <utility>
@@ -116,13 +116,47 @@ class Args {
   std::string get_or(const std::string& key, const std::string& fallback) const {
     return get(key).value_or(fallback);
   }
-  double get_double(const std::string& key, double fallback) const {
-    const auto v = get(key);
-    return v ? parse_number<double>(key, *v) : fallback;
+  /// --key as a number, and a UsageError naming it unless
+  /// `in_range(value)`; `range` says which values it takes ("in [0, 1)").
+  template <typename InRange>
+  double get_double(const std::string& key, double fallback, InRange in_range,
+                    const char* range) const {
+    const auto text = get(key);
+    const double v = text ? parse_number<double>(key, *text) : fallback;
+    if (!in_range(v)) {
+      throw UsageError("--" + key + " must be " + range + " (got " +
+                       get_or(key, "") + ")");
+    }
+    return v;
   }
   long get_long(const std::string& key, long fallback) const {
     const auto v = get(key);
     return v ? parse_number<long>(key, *v) : fallback;
+  }
+  /// get_long, and a UsageError naming --key unless lo <= value <= hi
+  /// (by default, no bound but int's).
+  long get_long_in(const std::string& key, long fallback, long lo,
+                   long hi = std::numeric_limits<int>::max()) const {
+    const long v = get_long(key, fallback);
+    if (v < lo || v > hi) {
+      const std::string range =
+          hi == std::numeric_limits<int>::max()
+              ? ">= " + std::to_string(lo)
+              : "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+      throw UsageError("--" + key + " must be " + range + " (got " +
+                       std::to_string(v) + ")");
+    }
+    return v;
+  }
+
+  /// UsageError naming the first flag not in `known`.
+  void reject_unknown(const std::vector<std::string_view>& known,
+                      const std::string& command_name) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        throw UsageError("unknown flag --" + key + " for " + command_name);
+      }
+    }
   }
 
  private:
@@ -138,7 +172,8 @@ int usage() {
                "           --out flows.csv\n"
                "  graph    --in flows.csv [--facet ip|ipport] [--collapse F]\n"
                "           [--window MIN] [--pgm heatmap.pgm] [--save g.ccg]\n"
-               "  segment  --in flows.csv [--resolution R] [--collapse F]\n"
+               "  segment  --in flows.csv [--window MIN] [--resolution R]\n"
+               "           [--collapse F]\n"
                "  policy   --baseline a.csv --check b.csv [--coverage F]\n"
                "           [--min-support N] [--save policy.txt]\n"
                "  diff     --before a.csv --after b.csv [--factor F]\n"
@@ -154,8 +189,8 @@ int usage() {
                "           --shards N [--window MIN] [--facet ip|ipport]\n"
                "           [--collapse F] ships its partition to an aggregator\n"
                "           (serve/aggregate also take --net-timeout-ms MS for\n"
-               "           accept and recv, default $CCG_NET_TIMEOUT_MS, else\n"
-               "           30000; $CCG_NET_RETRIES tunes connect retries)\n"
+               "           accept and recv: >= 0, 0 = wait forever, default\n"
+               "           30000)\n"
                "  report   --in flows.csv [ANALYSIS]\n"
                "  trace    --in flows.csv [ANALYSIS] runs the anomaly\n"
                "           pipeline with tracing forced on and prints each\n"
@@ -164,8 +199,8 @@ int usage() {
                "                [--facet ip|ipport] [--collapse F]\n"
                "                [--keyframe K] [--segment-mb MB]\n"
                "  store query   --store DIR [--from MIN] [--to MIN]\n"
-               "  store replay  --store DIR [--from MIN] [--to MIN]\n"
-               "                [ANALYSIS] [--summary-out FILE]\n"
+               "  store replay  --store DIR [--from MIN] [--to MIN] [--train N]\n"
+               "                [--rank K] [--stall-ms MS] [--summary-out FILE]\n"
                "  store compact --store DIR [--keyframe K] [--retain-from MIN]\n"
                "                [--segment-mb MB]\n"
                "  store stats   --store DIR prints frame/segment totals plus\n"
@@ -176,12 +211,18 @@ int usage() {
                "           time plus the run's CPU and peak RSS (rusage)\n"
                "           [--profile-out F]   write folded stacks (flamegraph.pl)\n"
                "           [--profile-json F]  write the full profile as JSON\n"
-               "ANALYSIS: the options anomaly, serve, aggregate, store replay,\n"
-               "  report and trace share: [--window MIN] [--facet ip|ipport]\n"
+               "ANALYSIS: the options anomaly, serve, aggregate, report and\n"
+               "  trace share: [--window MIN] [--facet ip|ipport]\n"
                "  [--collapse F] [--train N] [--rank K] [--stall-ms MS]\n"
                "  (defaults 60, ip, 0.001, 3, 20, 0; --window, --train and\n"
                "  --rank must be >= 1 and --collapse in [0, 1), as in every\n"
-               "  command; store replay reads its windows as stored)\n"
+               "  command)\n"
+               "anomaly, serve and aggregate also accept:\n"
+               "  --ops-port PORT      serve /metrics /healthz /readyz /tracez\n"
+               "                       on 127.0.0.1:PORT while the command runs\n"
+               "                       (0 to 65535, 0 = ephemeral); aggregators\n"
+               "                       expose per-shard series with shard=\"N\"\n"
+               "                       labels\n"
                "every command also accepts:\n"
                "  --metrics-out FILE   write a JSON metrics snapshot on exit\n"
                "  --metrics-prom FILE  same registry in Prometheus text format\n"
@@ -191,18 +232,12 @@ int usage() {
                "                       trace when shards shipped spans)\n"
                "  --trace-buffer       record spans in memory without writing a\n"
                "                       file (shard workers buffer spans to ship)\n"
-               "  --ops-port PORT      serve /metrics /healthz /readyz /tracez\n"
-               "                       on 127.0.0.1:PORT while the command runs\n"
-               "                       (0 = ephemeral; also $CCG_OPS_PORT);\n"
-               "                       aggregators expose per-shard series with\n"
-               "                       shard=\"N\" labels\n"
                "  --log-level LVL      stderr log threshold debug|info|warn|error\n"
-               "                       (default: $CCG_LOG_LEVEL, else warn)\n"
+               "                       (default warn)\n"
                "  --flight-dir DIR     install crash handlers; flight records\n"
-               "                       land here (default: $CCG_FLIGHT_DIR)\n"
+               "                       land here (serve passes it to its workers)\n"
                "  --watchdog-ms N      dump a flight record when one window\n"
-               "                       stalls longer than N ms; 0 = off\n"
-               "                       (default: $CCG_WATCHDOG_MS, else off)\n"
+               "                       stalls longer than N ms; 0 or unset = off\n"
                "  --threads N          threads for segmentation's pairwise scorers,\n"
                "                       1 to 1024; 0 or unset: $CCG_THREADS, else\n"
                "                       all hardware threads (output is\n"
@@ -210,6 +245,7 @@ int usage() {
                "  --simd TIER          kernel simd tier auto|scalar|avx2\n"
                "                       (default: $CCG_SIMD, else auto; output\n"
                "                       is bit-identical for every tier)\n"
+               "any other flag is an error (exit 2)\n"
                "ccgraph --version prints version, build type, sanitizers and\n"
                "simd capabilities\n");
   return 2;
@@ -248,56 +284,35 @@ std::unordered_set<IpAddr> monitored_from(const std::vector<ConnectionSummary>& 
   return out;
 }
 
-/// False, after naming the flag on stderr, when --window or --collapse is
-/// outside what GraphBuilder accepts (callers exit 2, usage).
-bool window_flags_valid(const GraphBuildConfig& config) {
-  if (config.window_minutes < 1) {
-    std::fprintf(stderr, "ccgraph: --window must be >= 1 (got %lld)\n",
-                 static_cast<long long>(config.window_minutes));
-    return false;
+/// The window build configuration of `graph`, `segment`, `store append`,
+/// `serve`'s roles and every analysis command: --facet ip|ipport, --window
+/// MIN (>= 1) and --collapse F (in [0, 1)), as GraphBuilder accepts them.
+/// Windows built from it diff cleanly across commands. UsageError naming
+/// the flag otherwise.
+GraphBuildConfig graph_config(const Args& args) {
+  const std::string facet = args.get_or("facet", "ip");
+  if (facet != "ip" && facet != "ipport") {
+    throw UsageError("--facet expects ip|ipport (got '" + facet + "')");
   }
-  if (!(config.collapse_threshold >= 0.0 && config.collapse_threshold < 1.0)) {
-    std::fprintf(stderr, "ccgraph: --collapse must be in [0, 1) (got %g)\n",
-                 config.collapse_threshold);
-    return false;
-  }
-  return true;
-}
-
-/// The window build configuration of `graph`, `store append`, `serve`'s
-/// roles and every analysis command: --facet ip|ipport, --window MIN and
-/// --collapse F. Windows built from it diff cleanly across commands.
-/// nullopt when window_flags_valid rejects it.
-std::optional<GraphBuildConfig> graph_config(const Args& args) {
-  const GraphBuildConfig config{
-      .facet = args.get_or("facet", "ip") == "ipport" ? GraphFacet::kIpPort
-                                                      : GraphFacet::kIp,
-      .window_minutes = args.get_long("window", 60),
-      .collapse_threshold = args.get_double("collapse", 0.001)};
-  if (!window_flags_valid(config)) return std::nullopt;
-  return config;
+  return {.facet = facet == "ipport" ? GraphFacet::kIpPort : GraphFacet::kIp,
+          .window_minutes = args.get_long_in("window", 60, 1),
+          .collapse_threshold = args.get_double(
+              "collapse", 0.001, [](double v) { return v >= 0.0 && v < 1.0; },
+              "in [0, 1)")};
 }
 
 /// The one analysis configuration of anomaly, serve/aggregate, store
-/// replay, trace and report: graph_config plus --train N, --rank K and the
-/// --stall-ms debug hook. nullopt, after naming the flag on stderr, when
-/// graph_config fails or --train or --rank is below 1 (callers exit 2,
-/// usage).
-std::optional<AnalyticsServiceOptions> analysis_options(const Args& args) {
-  const auto graph = graph_config(args);
-  if (!graph) return std::nullopt;
-  const long train = args.get_long("train", 3);
-  const long rank = args.get_long("rank", 20);
-  if (train < 1 || rank < 1) {
-    std::fprintf(stderr, "ccgraph: --%s must be >= 1 (got %ld)\n",
-                 train < 1 ? "train" : "rank", train < 1 ? train : rank);
-    return std::nullopt;
-  }
+/// replay, trace and report: graph_config plus --train N (>= 1), --rank K
+/// (>= 1, default the detector's) and the --stall-ms debug hook.
+AnalyticsServiceOptions analysis_options(const Args& args) {
   AnalyticsServiceOptions options;
-  options.graph = *graph;
-  options.training_windows = static_cast<std::size_t>(train);
-  options.spectral.rank = static_cast<std::size_t>(rank);
-  options.stall_injection_ms = static_cast<int>(args.get_long("stall-ms", 0));
+  options.graph = graph_config(args);
+  options.training_windows = static_cast<std::size_t>(args.get_long_in(
+      "train", static_cast<long>(options.training_windows), 1));
+  options.spectral.rank = static_cast<std::size_t>(
+      args.get_long_in("rank", static_cast<long>(options.spectral.rank), 1));
+  options.stall_injection_ms =
+      static_cast<int>(args.get_long_in("stall-ms", 0, 0));
   return options;
 }
 
@@ -404,29 +419,24 @@ std::string ops_tracez_text() {
   return out;
 }
 
-/// Starts the live ops endpoint when --ops-port (or $CCG_OPS_PORT) is set.
-/// Returns nullptr otherwise; bind failure is fatal for the caller (a
-/// requested-but-dead endpoint is worse than no endpoint). The server
-/// starts *unready* — callers flip /readyz once their pipeline is up.
+/// --ops-port PORT in [0, 65535]; nullopt when absent. main checks it with
+/// the global flags, so a bad port exits 2 before any input is read.
+std::optional<std::uint16_t> ops_port(const Args& args) {
+  if (!args.get("ops-port")) return std::nullopt;
+  return static_cast<std::uint16_t>(args.get_long_in("ops-port", 0, 0, 65535));
+}
+
+/// Starts the live ops endpoint when --ops-port is set. Returns nullptr
+/// otherwise; bind failure is fatal for the caller (a requested-but-dead
+/// endpoint is worse than no endpoint). The server starts *unready* —
+/// callers flip /readyz once their pipeline is up.
 std::unique_ptr<net::OpsServer> start_ops_server(const Args& args, int* rc) {
-  std::optional<std::string> port_arg = args.get("ops-port");
-  if (!port_arg) {
-    if (const char* env = std::getenv("CCG_OPS_PORT")) {
-      port_arg = std::string(env);
-    }
-  }
-  if (!port_arg || port_arg->empty()) return nullptr;
-  const long port = std::atol(port_arg->c_str());
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "ccgraph: bad --ops-port '%s'\n", port_arg->c_str());
-    *rc = 2;
-    return nullptr;
-  }
+  const auto port = ops_port(args);
+  if (!port) return nullptr;
   auto server = std::make_unique<net::OpsServer>();
-  if (!server->start(static_cast<std::uint16_t>(port),
-                     {ops_metrics_text, ops_tracez_text})) {
-    std::fprintf(stderr, "ccgraph: cannot bind ops endpoint on port %ld\n",
-                 port);
+  if (!server->start(*port, {ops_metrics_text, ops_tracez_text})) {
+    std::fprintf(stderr, "ccgraph: cannot bind ops endpoint on port %u\n",
+                 static_cast<unsigned>(*port));
     *rc = 1;
     return nullptr;
   }
@@ -441,7 +451,8 @@ std::unique_ptr<net::OpsServer> start_ops_server(const Args& args, int* rc) {
 
 int cmd_simulate(const Args& args) {
   const std::string preset_name = args.get_or("preset", "tiny");
-  const double scale = args.get_double("rate-scale", 1.0);
+  const double scale = args.get_double(
+      "rate-scale", 1.0, [](double v) { return v > 0.0; }, "> 0");
   const auto spec = preset_by_name(preset_name, scale);
   if (!spec) {
     std::fprintf(stderr, "ccgraph: unknown preset '%s'\n", preset_name.c_str());
@@ -452,7 +463,7 @@ int cmd_simulate(const Args& args) {
     std::fprintf(stderr, "ccgraph: simulate requires --out\n");
     return 2;
   }
-  const long hours = args.get_long("hours", 1);
+  const long hours = args.get_long_in("hours", 1, 1);
   const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 2023));
 
   Cluster cluster(*spec, seed);
@@ -460,7 +471,7 @@ int cmd_simulate(const Args& args) {
   SimulationDriver driver(cluster, hub);
 
   if (const auto attack = args.get("attack")) {
-    const long hour = args.get_long("attack-hour", hours - 1);
+    const long hour = args.get_long_in("attack-hour", hours - 1, 0, hours - 1);
     const TimeWindow window = TimeWindow::hour(hour);
     if (*attack == "scan") {
       driver.add_injector(std::make_unique<ScanAttack>(
@@ -501,17 +512,16 @@ int cmd_simulate(const Args& args) {
 int cmd_graph(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto config = graph_config(args);
-  if (!config) return 2;
+  const GraphBuildConfig config = graph_config(args);
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  const auto graphs = build_graphs(*records, *config);
+  const auto graphs = build_graphs(*records, config);
   for (const auto& g : graphs) {
     const GraphMetrics m = compute_metrics(g);
     std::printf("window %s: %s\n", g.window().to_string().c_str(),
                 m.to_string().c_str());
-    if (config->facet == GraphFacet::kIp && g.node_count() >= 2) {
+    if (config.facet == GraphFacet::kIp && g.node_count() >= 2) {
       std::printf("%s\n", ascii_adjacency(g, 32).c_str());
     }
   }
@@ -544,7 +554,8 @@ int cmd_diff(const Args& args) {
   const auto before_path = args.get("before");
   const auto after_path = args.get("after");
   if (!before_path || !after_path) return usage();
-  const double factor = args.get_double("factor", 4.0);
+  const double factor = args.get_double(
+      "factor", 4.0, [](double v) { return v >= 1.0; }, ">= 1");
   const auto before_records = load_csv(*before_path);
   const auto after_records = load_csv(*after_path);
   if (!before_records || !after_records) return 1;
@@ -584,10 +595,9 @@ int cmd_diff(const Args& args) {
 int cmd_segment(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const GraphBuildConfig config{.window_minutes = args.get_long("window", 60),
-                                .collapse_threshold = args.get_double("collapse", 0.001)};
-  if (!window_flags_valid(config)) return 2;
-  const double resolution = args.get_double("resolution", 2.0);
+  const GraphBuildConfig config = graph_config(args);
+  const double resolution = args.get_double(
+      "resolution", 2.0, [](double v) { return v > 0.0; }, "> 0");
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
@@ -618,8 +628,10 @@ int cmd_policy(const Args& args) {
   const auto check_path = args.get("check");
   if (!baseline_path || !check_path) return usage();
   const auto min_support =
-      static_cast<std::size_t>(args.get_long("min-support", 1));
-  const double coverage = args.get_double("coverage", 0.5);
+      static_cast<std::size_t>(args.get_long_in("min-support", 1, 1));
+  const double coverage = args.get_double(
+      "coverage", 0.5, [](double v) { return v > 0.0 && v <= 1.0; },
+      "in (0, 1]");
   const auto baseline = load_csv(*baseline_path);
   const auto check = load_csv(*check_path);
   if (!baseline || !check) return 1;
@@ -687,8 +699,7 @@ int cmd_policy(const Args& args) {
 int cmd_anomaly(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto options = analysis_options(args);
-  if (!options) return 2;
+  const AnalyticsServiceOptions options = analysis_options(args);
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
@@ -699,7 +710,7 @@ int cmd_anomaly(const Args& args) {
   const auto ops = start_ops_server(args, &ops_rc);
   if (ops_rc != 0) return ops_rc;
 
-  AnalyticsService service(*options, monitored_from(*records), sink.callback());
+  AnalyticsService service(options, monitored_from(*records), sink.callback());
   if (ops) ops->set_ready(true);
   // Records arrive sorted by minute from simulate/collectors; group them.
   replay_minutes(*records, service);
@@ -710,24 +721,21 @@ int cmd_anomaly(const Args& args) {
 
 // --- distributed commands (docs/DISTRIBUTED.md) ------------------------------
 
-std::string flight_dir_from(const Args& args) {
-  const char* env = std::getenv("CCG_FLIGHT_DIR");
-  return args.get_or("flight-dir", env != nullptr ? env : "");
-}
-
 /// The numeric flags of the aggregator side of `serve` and `aggregate`,
 /// read before either accepts a shard or forks a worker.
 struct AggregatorFlags {
-  /// Accept and recv timeout: --net-timeout-ms, else -1, which the
-  /// transport resolves to $CCG_NET_TIMEOUT_MS, else 30 s.
-  int net_timeout_ms = -1;
+  /// Accept and recv timeout: --net-timeout-ms (0 = wait forever), else
+  /// the transport's 30 s.
+  int net_timeout_ms = net::kDefaultTimeoutMs;
   /// --keyframe: the keyframe interval of --store.
   std::size_t keyframe = 8;
 };
 
 AggregatorFlags aggregator_flags(const Args& args) {
-  return {.net_timeout_ms = static_cast<int>(args.get_long("net-timeout-ms", -1)),
-          .keyframe = static_cast<std::size_t>(args.get_long("keyframe", 8))};
+  return {.net_timeout_ms = static_cast<int>(
+              args.get_long_in("net-timeout-ms", net::kDefaultTimeoutMs, 0)),
+          .keyframe =
+              static_cast<std::size_t>(args.get_long_in("keyframe", 8, 1))};
 }
 
 /// Aggregator side shared by `aggregate` and `serve`: handshake the
@@ -761,7 +769,7 @@ int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
   const std::size_t shard_count = conns.size();
   dist::Aggregator aggregator({.graph = options.graph,
                                .recv_timeout_ms = flags.net_timeout_ms,
-                               .flight_dir = flight_dir_from(args)},
+                               .flight_dir = args.get_or("flight-dir", "")},
                               std::move(conns));
   if (!aggregator.handshake()) {
     std::fprintf(stderr, "ccgraph: aggregator handshake failed\n");
@@ -796,13 +804,12 @@ int cmd_shard_worker(const Args& args) {
     std::fprintf(stderr, "ccgraph: --shard must be in [0, --shards)\n");
     return 2;
   }
-  const auto config = graph_config(args);
-  if (!config) return 2;
+  const GraphBuildConfig config = graph_config(args);
   // Connect before the (potentially long) CSV parse so the aggregator's
   // accept loop completes immediately; its recv timeout then covers the
   // load-to-first-frame gap.
   auto conn = net::connect_loopback(
-      static_cast<std::uint16_t>(args.get_long("connect", 0)));
+      static_cast<std::uint16_t>(args.get_long_in("connect", 0, 0, 65535)));
   if (!conn) {
     std::fprintf(stderr, "ccgraph: shard %ld: cannot connect to aggregator\n",
                  shard_id);
@@ -815,7 +822,7 @@ int cmd_shard_worker(const Args& args) {
   // partition internally via shard_of_record.
   dist::ShardWorker worker({.shard_id = static_cast<std::uint32_t>(shard_id),
                             .shard_count = static_cast<std::uint32_t>(shard_count),
-                            .graph = *config},
+                            .graph = config},
                            monitored_from(*records), std::move(*conn));
   if (!worker.handshake()) {
     std::fprintf(stderr, "ccgraph: shard %ld: handshake refused\n", shard_id);
@@ -835,11 +842,10 @@ int cmd_shard_worker(const Args& args) {
 int cmd_aggregate(const Args& args) {
   const long shard_count = args.get_long("shards", 0);
   if (shard_count < 1) return usage();
-  const auto options = analysis_options(args);
-  if (!options) return 2;
+  const AnalyticsServiceOptions options = analysis_options(args);
   const AggregatorFlags flags = aggregator_flags(args);
   auto listener = net::Listener::bind_loopback(
-      static_cast<std::uint16_t>(args.get_long("listen", 0)));
+      static_cast<std::uint16_t>(args.get_long_in("listen", 0, 0, 65535)));
   if (!listener) {
     std::fprintf(stderr, "ccgraph: cannot bind listener\n");
     return 1;
@@ -859,19 +865,14 @@ int cmd_aggregate(const Args& args) {
     }
     conns.push_back(std::move(*conn));
   }
-  return run_aggregation(args, *options, flags, std::move(conns));
+  return run_aggregation(args, options, flags, std::move(conns));
 }
 
 int cmd_serve(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const long shard_count = args.get_long("shards", 4);
-  if (shard_count < 1 || shard_count > 64) {
-    std::fprintf(stderr, "ccgraph: --shards must be in [1, 64]\n");
-    return 2;
-  }
-  const auto options = analysis_options(args);
-  if (!options) return 2;
+  const long shard_count = args.get_long_in("shards", 4, 1, 64);
+  const AnalyticsServiceOptions options = analysis_options(args);
   const AggregatorFlags flags = aggregator_flags(args);
 
   auto listener = net::Listener::bind_loopback();
@@ -893,7 +894,8 @@ int cmd_serve(const Args& args) {
            "--connect", std::to_string(listener->port()),
            "--shard",  std::to_string(i),
            "--shards", std::to_string(shard_count)};
-    for (const char* key : {"window", "facet", "collapse", "log-level"}) {
+    for (const char* key :
+         {"window", "facet", "collapse", "log-level", "flight-dir"}) {
       if (const auto v = args.get(key)) {
         cmd.push_back(std::string("--") + key);
         cmd.push_back(*v);
@@ -945,7 +947,7 @@ int cmd_serve(const Args& args) {
     conns.push_back(std::move(*conn));
   }
 
-  int rc = run_aggregation(args, *options, flags, std::move(conns));
+  int rc = run_aggregation(args, options, flags, std::move(conns));
   for (std::size_t i = 0; i < children.size(); ++i) {
     int status = 0;
     ::waitpid(children[i], &status, 0);
@@ -961,11 +963,10 @@ int cmd_serve(const Args& args) {
 int cmd_report(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto options = analysis_options(args);
-  if (!options) return 2;
+  const AnalyticsServiceOptions options = analysis_options(args);
   const auto records = load_csv(*in_path);
   if (!records) return 1;
-  const auto graphs = build_graphs(*records, options->graph);
+  const auto graphs = build_graphs(*records, options.graph);
   if (graphs.empty()) {
     std::fprintf(stderr, "ccgraph: no complete windows in %s\n", in_path->c_str());
     return 1;
@@ -977,7 +978,7 @@ int cmd_report(const Args& args) {
   // is long enough to finish training, an anomaly verdict per window.
   std::vector<std::string> timeline;
   AnalyticsService service(
-      *options, monitored_from(*records),
+      options, monitored_from(*records),
       [&](const WindowReport& report) { timeline.push_back(report.summary()); });
   replay_minutes(*records, service);
   service.flush();
@@ -1025,18 +1026,17 @@ int cmd_report(const Args& args) {
 int cmd_trace(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
-  const auto options = analysis_options(args);
-  if (!options) return 2;
+  const AnalyticsServiceOptions options = analysis_options(args);
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
   // The whole point of this command is the span tree, so tracing is forced
   // on even without --trace-out (which then also captures the same spans).
   if (!obs::TraceRing::global().enabled()) {
-    obs::TraceRing::global().enable(obs::default_trace_ring_capacity());
+    obs::TraceRing::global().enable(obs::kTraceRingCapacity);
   }
 
-  AnalyticsService service(*options, monitored_from(*records),
+  AnalyticsService service(options, monitored_from(*records),
                            [](const WindowReport&) {});
   replay_minutes(*records, service);
   service.flush();
@@ -1101,16 +1101,17 @@ int cmd_store_append(const Args& args) {
   if (!in_path || !store_dir) return usage();
   // Same build configuration defaults as `anomaly`, so a stored log replays
   // into byte-identical windows.
-  const auto config = graph_config(args);
-  if (!config) return 2;
+  const GraphBuildConfig config = graph_config(args);
   const store::WriterOptions options{
-      .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
+      .keyframe_interval =
+          static_cast<std::size_t>(args.get_long_in("keyframe", 8, 1)),
       .segment_bytes =
-          static_cast<std::uint64_t>(args.get_long("segment-mb", 64)) << 20};
+          static_cast<std::uint64_t>(args.get_long_in("segment-mb", 64, 1))
+          << 20};
   const auto records = load_csv(*in_path);
   if (!records) return 1;
 
-  const auto graphs = build_graphs(*records, *config);
+  const auto graphs = build_graphs(*records, config);
   auto writer = store::StoreWriter::open(*store_dir, options);
   if (!writer) {
     std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
@@ -1175,8 +1176,7 @@ int cmd_store_query(const Args& args) {
 int cmd_store_replay(const Args& args) {
   const auto store_dir = args.get("store");
   if (!store_dir) return usage();
-  const auto options = analysis_options(args);
-  if (!options) return 2;
+  const AnalyticsServiceOptions options = analysis_options(args);
   const std::int64_t from =
       minute_arg(args, "from", std::numeric_limits<std::int64_t>::min());
   const std::int64_t to =
@@ -1192,7 +1192,7 @@ int cmd_store_replay(const Args& args) {
 
   // Same analytics stack as `anomaly`, fed from stored windows instead of a
   // flow log: the two paths must produce identical per-window summaries.
-  AnalyticsService service(*options, {}, sink.callback());
+  AnalyticsService service(options, {}, sink.callback());
   return sink.finish("replayed", service.replay(*reader, from, to));
 }
 
@@ -1200,9 +1200,11 @@ int cmd_store_compact(const Args& args) {
   const auto store_dir = args.get("store");
   if (!store_dir) return usage();
   const store::CompactOptions options{
-      .keyframe_interval = static_cast<std::size_t>(args.get_long("keyframe", 8)),
+      .keyframe_interval =
+          static_cast<std::size_t>(args.get_long_in("keyframe", 8, 1)),
       .segment_bytes =
-          static_cast<std::uint64_t>(args.get_long("segment-mb", 64)) << 20,
+          static_cast<std::uint64_t>(args.get_long_in("segment-mb", 64, 1))
+          << 20,
       .retain_from = minute_arg(args, "retain-from",
                                 std::numeric_limits<std::int64_t>::min())};
   const auto before = store::StoreReader::open(*store_dir);
@@ -1280,19 +1282,6 @@ int cmd_store_stats(const Args& args) {
   return 0;
 }
 
-int cmd_store(const std::string& subcommand, const Args& args) {
-  if (subcommand == "append") return cmd_store_append(args);
-  if (subcommand == "query") return cmd_store_query(args);
-  if (subcommand == "replay") return cmd_store_replay(args);
-  if (subcommand == "compact") return cmd_store_compact(args);
-  if (subcommand == "stats") return cmd_store_stats(args);
-  return usage();
-}
-
-}  // namespace
-
-namespace {
-
 // Build provenance baked in by tools/CMakeLists.txt; the fallbacks cover
 // direct compiler invocations outside CMake.
 #ifndef CCG_VERSION_STRING
@@ -1313,34 +1302,79 @@ int print_version() {
   return 0;
 }
 
-int dispatch(const std::string& command, const std::string& subcommand,
-             const Args& args) {
-  if (command == "simulate") return cmd_simulate(args);
-  if (command == "graph") return cmd_graph(args);
-  if (command == "segment") return cmd_segment(args);
-  if (command == "policy") return cmd_policy(args);
-  if (command == "diff") return cmd_diff(args);
-  if (command == "anomaly") return cmd_anomaly(args);
-  if (command == "serve") return cmd_serve(args);
-  if (command == "aggregate") return cmd_aggregate(args);
-  if (command == "shard-worker") return cmd_shard_worker(args);
-  if (command == "report") return cmd_report(args);
-  if (command == "trace") return cmd_trace(args);
-  if (command == "store") return cmd_store(subcommand, args);
-  return usage();
+/// Flags main reads for every command.
+constexpr std::string_view kGlobalFlags[] = {
+    "threads",   "simd",         "log-level",   "flight-dir",  "watchdog-ms",
+    "trace-out", "trace-buffer", "metrics-out", "metrics-prom"};
+
+/// One command: its handler and the flags it reads besides kGlobalFlags.
+/// Any other flag is a usage error, raised before the command runs.
+struct Command {
+  std::string_view name;  // "anomaly", "store replay", ...
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& commands() {
+  const auto analysis = [](std::vector<std::string_view> flags) {
+    for (const std::string_view f :
+         {"window", "facet", "collapse", "train", "rank", "stall-ms"}) {
+      flags.push_back(f);
+    }
+    return flags;
+  };
+  static const std::vector<Command> table = {
+      {"simulate", cmd_simulate,
+       {"preset", "rate-scale", "out", "hours", "seed", "attack",
+        "attack-hour"}},
+      {"graph", cmd_graph,
+       {"in", "facet", "window", "collapse", "pgm", "save"}},
+      {"segment", cmd_segment, {"in", "window", "collapse", "resolution"}},
+      {"policy", cmd_policy,
+       {"baseline", "check", "min-support", "coverage", "save"}},
+      {"diff", cmd_diff, {"before", "after", "factor"}},
+      {"anomaly", cmd_anomaly, analysis({"in", "summary-out", "ops-port"})},
+      {"serve", cmd_serve,
+       analysis({"in", "shards", "summary-out", "store", "keyframe",
+                 "net-timeout-ms", "ops-port"})},
+      {"aggregate", cmd_aggregate,
+       analysis({"shards", "listen", "summary-out", "store", "keyframe",
+                 "net-timeout-ms", "ops-port"})},
+      {"shard-worker", cmd_shard_worker,
+       {"in", "connect", "shard", "shards", "window", "facet", "collapse"}},
+      {"report", cmd_report, analysis({"in"})},
+      {"trace", cmd_trace, analysis({"in"})},
+      {"store append", cmd_store_append,
+       {"in", "store", "window", "facet", "collapse", "keyframe",
+        "segment-mb"}},
+      {"store query", cmd_store_query, {"store", "from", "to"}},
+      // Replay reads its windows as stored: no --window/--facet/--collapse.
+      {"store replay", cmd_store_replay,
+       {"store", "from", "to", "summary-out", "train", "rank", "stall-ms"}},
+      {"store compact", cmd_store_compact,
+       {"store", "keyframe", "segment-mb", "retain-from"}},
+      {"store stats", cmd_store_stats, {"store"}},
+  };
+  return table;
+}
+
+const Command* find_command(std::string_view name) {
+  for (const Command& command : commands()) {
+    if (command.name == name) return &command;
+  }
+  return nullptr;
 }
 
 /// `ccgraph profile <command> ...`: runs the inner command with the span
 /// ring on, prints the per-span self/total table built from the ring plus a
 /// whole-run getrusage footer, and optionally writes folded stacks / JSON.
-int run_profiled(const std::string& command, const std::string& subcommand,
-                 const Args& args) {
-  ccg::obs::TraceRing& ring = ccg::obs::TraceRing::global();
-  if (!ring.enabled()) ring.enable(ccg::obs::default_trace_ring_capacity());
+int run_profiled(const Command& command, const Args& args) {
+  obs::TraceRing& ring = obs::TraceRing::global();
+  if (!ring.enabled()) ring.enable(obs::kTraceRingCapacity);
   rusage before = {};
   getrusage(RUSAGE_SELF, &before);
   const auto start = std::chrono::steady_clock::now();
-  int rc = dispatch(command, subcommand, args);
+  int rc = command.run(args);
   const ccg::obs::prof::Profile profile = ccg::obs::prof::capture(start);
   rusage after = {};
   getrusage(RUSAGE_SELF, &after);
@@ -1349,7 +1383,8 @@ int run_profiled(const std::string& command, const std::string& subcommand,
     return static_cast<double>(to.tv_sec - from.tv_sec) +
            static_cast<double>(to.tv_usec - from.tv_usec) * 1e-6;
   };
-  std::printf("\n==== profile: %s ====\n%s", command.c_str(),
+  std::printf("\n==== profile: %.*s ====\n%s",
+              static_cast<int>(command.name.size()), command.name.data(),
               profile.table_text().c_str());
   std::printf("counters (rusage): cpu_user=%.3fs cpu_sys=%.3fs "
               "faults=%ld/%ld ctx=%ld/%ld peak_rss=%.1fMB\n",
@@ -1418,31 +1453,45 @@ int export_trace(const Args& args) {
   return 0;
 }
 
-/// Global diagnostics knobs shared by every command; a flag that is
-/// present wins over its CCG_* environment twin, even when it says "off".
-void configure_diagnostics(const Args& args) {
-  const auto env_long = [](const char* name, long fallback) {
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atol(v) : fallback;
-  };
-  if (const auto level = args.get("log-level")) {
-    ccg::obs::set_stderr_level(
-        ccg::obs::parse_level(*level, ccg::obs::LogLevel::kWarn));
+/// Checks every flag of `command`, then applies the global ones. Flags are
+/// the only configuration: an unknown flag or a malformed value throws
+/// UsageError before the command reads any input.
+void configure(const Args& args, const Command& command, bool profiled) {
+  std::vector<std::string_view> known(std::begin(kGlobalFlags),
+                                      std::end(kGlobalFlags));
+  known.insert(known.end(), command.flags.begin(), command.flags.end());
+  if (profiled) known.insert(known.end(), {"profile-out", "profile-json"});
+  args.reject_unknown(known, std::string(command.name));
+
+  // Kernel parallelism and the simd tier are process-wide: results are
+  // bit-identical at any setting, only the wall clock changes. --threads 0
+  // keeps the default ($CCG_THREADS, else every hardware thread).
+  const long threads = args.get_long_in("threads", 0, 0, parallel::kMaxThreads);
+  std::optional<obs::LogLevel> level;
+  if (const auto name = args.get("log-level")) {
+    level = obs::parse_level(*name);
+    if (!level) {
+      throw UsageError("--log-level expects debug|info|warn|error (got '" +
+                       *name + "')");
+    }
   }
+  const long watchdog_ms = args.get_long_in("watchdog-ms", 0, 0);
+  (void)ops_port(args);  // read by the command; checked here with the rest
+
+  if (level) obs::set_stderr_level(*level);
+  // --simd beats $CCG_SIMD beats auto-detection.
+  if (const auto tier = args.get("simd"); tier && !simd::set_tier(*tier)) {
+    throw UsageError("--simd expects auto|scalar|avx2 (got '" + *tier + "')");
+  }
+  parallel::set_thread_count(static_cast<int>(threads));
   if (args.get("trace-out") || args.get("trace-buffer")) {
-    ccg::obs::TraceRing::global().enable(
-        ccg::obs::default_trace_ring_capacity());
+    obs::TraceRing::global().enable(obs::kTraceRingCapacity);
   }
-  const char* env_flight = std::getenv("CCG_FLIGHT_DIR");
-  const std::string flight_dir =
-      args.get_or("flight-dir", env_flight != nullptr ? env_flight : "");
-  if (!flight_dir.empty()) ccg::obs::install_crash_handler(flight_dir);
-  const long watchdog_ms =
-      args.get_long("watchdog-ms", env_long("CCG_WATCHDOG_MS", 0));
+  const std::string flight_dir = args.get_or("flight-dir", "");
+  if (!flight_dir.empty()) obs::install_crash_handler(flight_dir);
   if (watchdog_ms > 0) {
-    ccg::obs::Watchdog::global().start(
-        std::chrono::milliseconds(watchdog_ms),
-        flight_dir.empty() ? "." : flight_dir);
+    obs::Watchdog::global().start(std::chrono::milliseconds(watchdog_ms),
+                                  flight_dir.empty() ? "." : flight_dir);
   }
 }
 
@@ -1458,34 +1507,17 @@ int main(int argc, char** argv) {
     ++argv;
     if (argc < 2) return usage();
   }
-  const std::string command = argv[1];
-  if (command == "--version" || command == "version") return print_version();
+  const std::string name = argv[1];
+  if (name == "--version" || name == "version") return print_version();
   // The Args parser skips bare words, so the store subcommand rides along in
   // argv without confusing the flag scan.
-  const std::string subcommand =
-      argc >= 3 && argv[2][0] != '-' ? argv[2] : std::string();
+  const Command* command = find_command(
+      name == "store" && argc >= 3 ? name + " " + argv[2] : name);
+  if (command == nullptr) return usage();
   const Args args(argc - 2, argv + 2);
   try {
-    // Kernel parallelism is a global knob: results are bit-identical at
-    // any setting, only the wall clock changes. 0 keeps the default.
-    const long threads = args.get_long("threads", 0);
-    if (threads < 0 || threads > ccg::parallel::kMaxThreads) {
-      throw UsageError("--threads must be in [0, " +
-                       std::to_string(ccg::parallel::kMaxThreads) +
-                       "] (got " + std::to_string(threads) + ")");
-    }
-    ccg::parallel::set_thread_count(static_cast<int>(threads));
-    // So is the simd tier; --simd beats $CCG_SIMD beats auto-detection.
-    if (const auto simd_mode = args.get("simd"); simd_mode && !simd_mode->empty()) {
-      if (!ccg::simd::set_tier(*simd_mode)) {
-        std::fprintf(stderr, "ccgraph: unknown --simd tier '%s'\n",
-                     simd_mode->c_str());
-        return usage();
-      }
-    }
-    configure_diagnostics(args);
-    const int rc = profiled ? run_profiled(command, subcommand, args)
-                            : dispatch(command, subcommand, args);
+    configure(args, *command, profiled);
+    const int rc = profiled ? run_profiled(*command, args) : command->run(args);
     ccg::obs::Watchdog::global().stop();
     const int metrics_rc = export_metrics(args);
     const int trace_rc = export_trace(args);

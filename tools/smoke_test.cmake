@@ -85,6 +85,36 @@ run_cli_rejects(from store query --store missing.store --from 1x)
 run_cli_rejects(keyframe serve --in missing.csv --shards 2 --keyframe 8k)
 run_cli_rejects(net-timeout-ms serve --in missing.csv --shards 2 --net-timeout-ms 5s)
 run_cli_rejects(hours simulate --preset tiny --hours 1x --out bad_flags.csv)
+run_cli_rejects(hours simulate --preset tiny --hours 0 --out bad_flags.csv)
+run_cli_rejects(attack-hour simulate --preset tiny --hours 2 --attack scan --attack-hour 2 --out bad_flags.csv)
+run_cli_rejects(rate-scale simulate --preset tiny --rate-scale -1 --out bad_flags.csv)
+run_cli_rejects(min-support policy --baseline missing.csv --check missing.csv --min-support -1)
+run_cli_rejects(coverage policy --baseline missing.csv --check missing.csv --coverage 5)
+run_cli_rejects(factor diff --before missing.csv --after missing.csv --factor 0.5)
+run_cli_rejects(resolution segment --in missing.csv --resolution 0)
+run_cli_rejects(watchdog-ms anomaly --in missing.csv --watchdog-ms -1)
+run_cli_rejects(stall-ms anomaly --in missing.csv --stall-ms -5)
+# --ops-port is an integer in [0, 65535], read by anomaly, serve and
+# aggregate only.
+run_cli_rejects(ops-port anomaly --in missing.csv --ops-port 23456x)
+run_cli_rejects(ops-port anomaly --in missing.csv --ops-port 70000)
+run_cli_rejects(ops-port serve --in missing.csv --shards 2 --ops-port -1)
+run_cli_rejects(ops-port graph --in missing.csv --ops-port 0)
+run_cli_rejects(net-timeout-ms serve --in missing.csv --shards 2 --net-timeout-ms -5)
+# Word-valued flags take one of their words.
+run_cli_rejects(facet anomaly --in missing.csv --facet bogus)
+run_cli_rejects(facet store append --in missing.csv --store bad_flags.store --facet IP)
+run_cli_rejects(log-level anomaly --in missing.csv --log-level verbose)
+run_cli_rejects(simd anomaly --in missing.csv --simd avx512)
+# A flag the command does not read is an error, not a silent default.
+run_cli_rejects(windwo anomaly --in missing.csv --windwo 30)
+run_cli_rejects(no-such-flag anomaly --in missing.csv --no-such-flag 7)
+run_cli_rejects(form store replay --store missing.store --form 5)
+run_cli_rejects(window store replay --store missing.store --window 5)
+run_cli_rejects(shard serve --in missing.csv --shard 1)
+run_cli_rejects(hour simulate --preset tiny --hour 2 --out bad_flags.csv)
+run_cli_rejects(rank segment --in missing.csv --rank 8)
+run_cli_rejects(profile-out anomaly --in missing.csv --profile-out p.txt)
 run_cli(0 simulate --preset tiny --hours 5 --seed 9 --attack lateral --attack-hour 4 --out long_attacked.csv)
 run_cli(3 anomaly --in long_attacked.csv --train 3 --rank 8)
 
@@ -126,6 +156,20 @@ if(simd_rc_scalar GREATER 3 OR NOT simd_rc_scalar EQUAL simd_rc_auto OR
    NOT simd_out_scalar STREQUAL simd_out_auto OR
    NOT simd_summary_differs EQUAL 0 OR simd_summary_size EQUAL 0)
   message(FATAL_ERROR "CCG_SIMD=scalar anomaly (rc ${simd_rc_scalar}) differs from auto (rc ${simd_rc_auto})")
+endif()
+
+# A malformed $CCG_THREADS is named in a warning and the default thread
+# count runs: same report as the auto-tier run above.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_THREADS=4x ${CLI}
+                        anomaly --in long.csv --window 30 --train 2
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE bad_threads_rc
+                OUTPUT_VARIABLE bad_threads_out
+                ERROR_VARIABLE bad_threads_err)
+if(NOT bad_threads_rc EQUAL simd_rc_auto OR
+   NOT bad_threads_out STREQUAL simd_out_auto OR
+   NOT bad_threads_err MATCHES "CCG_THREADS")
+  message(FATAL_ERROR "CCG_THREADS=4x anomaly (rc ${bad_threads_rc}) did not warn and run the default:\n${bad_threads_err}")
 endif()
 
 # Thread-count determinism where parallel_for forks: a Portal log whose
@@ -413,32 +457,23 @@ if(NOT stall_json MATCHES "\"metrics\": {[ \t\r\n]*\"counters\"")
   message(FATAL_ERROR "flight record is missing the metrics snapshot")
 endif()
 
-# Watchdog precedence is flag > $CCG_WATCHDOG_MS > off: the env var alone
-# arms it, and an explicit --watchdog-ms 0 turns it off again.
-foreach(case env_only flag_off)
-  file(REMOVE_RECURSE ${WORKDIR}/flight_${case})
-  file(MAKE_DIRECTORY ${WORKDIR}/flight_${case})
-  set(watchdog_flag)
-  if(case STREQUAL "flag_off")
-    set(watchdog_flag --watchdog-ms 0)
-  endif()
-  execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_WATCHDOG_MS=100
-                          ${CLI} trace --in long.csv --window 60 --train 2
-                          --stall-ms 400 ${watchdog_flag} --flight-dir flight_${case}
-                  WORKING_DIRECTORY ${WORKDIR}
-                  RESULT_VARIABLE rc
-                  OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "watchdog ${case}: trace rc=${rc}\n${err}")
-  endif()
-  file(GLOB stall_dumps_${case} ${WORKDIR}/flight_${case}/ccg-flight-stall-*.json)
-endforeach()
-if(stall_dumps_env_only STREQUAL "")
-  message(FATAL_ERROR "CCG_WATCHDOG_MS alone did not arm the watchdog")
+# Flags are the only configuration: $CCG_WATCHDOG_MS alone arms nothing,
+# where --watchdog-ms 100 above wrote a stall record.
+file(REMOVE_RECURSE ${WORKDIR}/flight_env_only)
+file(MAKE_DIRECTORY ${WORKDIR}/flight_env_only)
+execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_WATCHDOG_MS=100
+                        ${CLI} trace --in long.csv --window 60 --train 2
+                        --stall-ms 400 --flight-dir flight_env_only
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "watchdog env only: trace rc=${rc}\n${err}")
 endif()
-if(NOT stall_dumps_flag_off STREQUAL "")
-  message(FATAL_ERROR "--watchdog-ms 0 did not override CCG_WATCHDOG_MS: ${stall_dumps_flag_off}")
+file(GLOB stall_dumps_env_only ${WORKDIR}/flight_env_only/ccg-flight-stall-*.json)
+if(NOT stall_dumps_env_only STREQUAL "")
+  message(FATAL_ERROR "CCG_WATCHDOG_MS armed the watchdog: ${stall_dumps_env_only}")
 endif()
 
 run_cli(0 store compact --store winstore --keyframe 4)
