@@ -127,6 +127,7 @@ class AnalyticsService : public TelemetrySink {
   obs::Histogram* m_spectral_fit_ = nullptr;    // one-off baseline fit
   obs::Histogram* m_window_ = nullptr;          // whole-window root span
   obs::Counter* m_windows_ = nullptr;
+  obs::Gauge* m_window_minutes_ = nullptr;  // length of the last window
   obs::Counter* m_training_windows_ = nullptr;
   obs::Counter* m_alerts_ = nullptr;
 };

@@ -31,6 +31,7 @@ AnalyticsService::AnalyticsService(AnalyticsServiceOptions options,
   m_spectral_fit_ = &obs::span_histogram("ccg.analytics.spectral_fit");
   m_window_ = &obs::span_histogram("ccg.analytics.window");
   m_windows_ = &registry.counter("ccg.analytics.windows");
+  m_window_minutes_ = &registry.gauge("ccg.analytics.window_minutes");
   m_training_windows_ = &registry.counter("ccg.analytics.training_windows");
   m_alerts_ = &registry.counter("ccg.analytics.alerts");
 }
@@ -102,6 +103,9 @@ WindowReport AnalyticsService::analyze(const CommGraph& graph) {
   report.bytes = graph.total_bytes();
 
   m_windows_->add();
+  // From the window itself: replay analyses the store's windows, whatever
+  // the options say.
+  m_window_minutes_->set(static_cast<double>(graph.window().length()));
 
   if (options_.stall_injection_ms > 0) {
     std::this_thread::sleep_for(

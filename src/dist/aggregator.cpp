@@ -25,6 +25,7 @@ Aggregator::Aggregator(AggregatorOptions options,
   m_merge_wait_ = &obs::span_histogram("ccg.dist.agg.merge_wait");
   m_merge_ = &obs::span_histogram("ccg.dist.agg.window_merge");
   shards_.resize(incoming_.size());
+  registry.gauge("ccg.dist.shards").set(static_cast<double>(shards_.size()));
 }
 
 bool Aggregator::handshake() {

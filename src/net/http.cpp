@@ -1,6 +1,7 @@
 #include "ccg/net/http.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,7 +15,7 @@ namespace ccg::net {
 
 namespace {
 
-constexpr int kPollTickMs = 100;       // shutdown-check cadence
+constexpr int kPollTickMs = 100;       // request-timeout cadence
 constexpr int kRequestTimeoutMs = 2000;
 constexpr std::size_t kMaxRequestBytes = 8192;
 
@@ -74,6 +75,8 @@ bool OpsServer::start(std::uint16_t port, OpsHandlers handlers) {
   stop();
   auto listener = Listener::bind_loopback(port);
   if (!listener) return false;
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) return false;
   listener_ = std::move(*listener);
   port_ = listener_.port();
   handlers_ = std::move(handlers);
@@ -89,20 +92,25 @@ bool OpsServer::start(std::uint16_t port, OpsHandlers handlers) {
 void OpsServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   shutdown_.store(true, std::memory_order_release);
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   if (thread_.joinable()) thread_.join();
   listener_.close();
+  ::close(wake_fd_);
+  wake_fd_ = -1;
   running_.store(false, std::memory_order_release);
 }
 
 void OpsServer::serve_loop() {
   // Poll the raw fd: Listener::accept() treats an idle tick as a timeout
   // worth logging and counting, which would make an idle scrape target
-  // manufacture ccg.net.timeouts forever.
+  // manufacture ccg.net.timeouts forever. stop() wakes the wait through
+  // wake_fd_, so the loop needs no timeout.
   while (!shutdown_.load(std::memory_order_acquire)) {
-    pollfd pfd{listener_.fd(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, kPollTickMs);
+    pollfd pfds[2] = {{listener_.fd(), POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    const int rc = ::poll(pfds, 2, -1);
     if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0 || (pfd.revents & POLLIN) == 0) continue;
+    if (rc <= 0 || (pfds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) continue;
     handle_connection(fd);

@@ -12,7 +12,8 @@
 // directly (Listener::accept would log + count a ccg.net.timeout on every
 // idle poll tick, polluting the very metrics this endpoint serves), so an
 // idle ops endpoint leaves the registry untouched except for
-// ccg.ops.requests.
+// ccg.ops.requests. stop() wakes that poll through an eventfd, so it
+// returns as soon as the thread joins.
 #pragma once
 
 #include <atomic>
@@ -61,6 +62,7 @@ class OpsServer {
   Listener listener_;
   OpsHandlers handlers_;
   std::thread thread_;
+  int wake_fd_ = -1;  // eventfd: stop() writes it to end serve_loop's poll
   std::atomic<bool> running_{false};
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> ready_{false};

@@ -39,7 +39,9 @@ inline constexpr int kMaxThreads = 1024;
 int thread_count();
 
 /// Overrides thread_count(); n <= 0 restores the env/hardware default.
-/// Throws ContractViolation when n > kMaxThreads.
+/// Resolves the count at once (reading CCG_THREADS on first use) and
+/// exports it as the `ccg.parallel.threads` gauge. Throws
+/// ContractViolation when n > kMaxThreads.
 void set_thread_count(int n);
 
 /// Fixed work-splitting geometry: ceil(n / grain) chunks of `grain` items
@@ -72,8 +74,8 @@ void parallel_for(std::size_t n, std::size_t min_grain,
 
 /// Like parallel_for, but the body also receives a dense worker slot index
 /// in [0, max_workers()) identifying the executing thread — for reusable
-/// per-thread scratch (e.g. similarity's StampedView). Scratch reuse across
-/// chunks must not change per-chunk results.
+/// per-thread scratch (e.g. similarity's per-worker row counters). Scratch
+/// reuse across chunks must not change per-chunk results.
 void parallel_for_worker(
     std::size_t n, std::size_t min_grain,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);

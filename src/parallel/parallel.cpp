@@ -124,6 +124,7 @@ int thread_count() {
 void set_thread_count(int n) {
   CCG_EXPECT(n <= kMaxThreads);
   g_override.store(n > 0 ? n : 0, std::memory_order_relaxed);
+  obs::Registry::global().gauge("ccg.parallel.threads").set(thread_count());
 }
 
 ChunkLayout chunk_layout(std::size_t n, std::size_t min_grain) {

@@ -26,6 +26,10 @@ class WeightedGraph {
   /// weight >= 0. Zero weights are dropped.
   void add_edge(std::uint32_t a, std::uint32_t b, double weight);
 
+  /// Sizes n's neighbour list for `count` entries: a caller that knows the
+  /// final degrees adds its edges without regrowing the lists.
+  void reserve(std::uint32_t n, std::size_t count) { adjacency_[n].reserve(count); }
+
   const std::vector<std::pair<std::uint32_t, double>>& neighbors(std::uint32_t n) const {
     return adjacency_[n];
   }

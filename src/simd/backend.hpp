@@ -34,11 +34,6 @@ struct Backend {
   double (*rank1_update_abs_sum)(double*, const double*, double, std::size_t);
   std::uint32_t (*count_stamped)(const std::uint32_t*, std::size_t,
                                  const std::uint32_t*, std::uint32_t);
-  JaccardCounts (*jaccard_counts)(const std::uint32_t*, const std::int32_t*,
-                                  const std::int32_t*, std::size_t,
-                                  const std::uint32_t*, const std::int32_t*,
-                                  const std::int32_t*, std::uint32_t, bool,
-                                  std::uint32_t);
   WeightedOverlap (*weighted_overlap)(const std::uint32_t*, const double*,
                                       std::size_t, const std::uint32_t*,
                                       const double*, std::uint32_t,

@@ -201,17 +201,6 @@ std::uint32_t count_stamped(const std::uint32_t* ids, std::size_t n,
   return detail::current_backend()->count_stamped(ids, n, stamp, version);
 }
 
-JaccardCounts jaccard_counts(const std::uint32_t* ids, const std::int32_t* tags,
-                             const std::int32_t* ports, std::size_t n,
-                             const std::uint32_t* stamp,
-                             const std::int32_t* vtag, const std::int32_t* vport,
-                             std::uint32_t version, bool use_direction,
-                             std::uint32_t exclude_id) {
-  return detail::current_backend()->jaccard_counts(
-      ids, tags, ports, n, stamp, vtag, vport, version, use_direction,
-      exclude_id);
-}
-
 WeightedOverlap weighted_overlap(const std::uint32_t* ids, const double* w,
                                  std::size_t n, const std::uint32_t* stamp,
                                  const double* vweight, std::uint32_t version,

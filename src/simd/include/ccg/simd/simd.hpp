@@ -125,20 +125,6 @@ double rank1_update_abs_sum(double* row, const double* vec, double vr,
 std::uint32_t count_stamped(const std::uint32_t* ids, std::size_t n,
                             const std::uint32_t* stamp, std::uint32_t version);
 
-/// Jaccard intersection counting against a stamped neighborhood view.
-/// For each i with ids[i] != exclude_id: deg_b increments, and inter
-/// increments when stamp[ids[i]] == version and (when use_direction)
-/// vtag[ids[i]] == tags[i] and vport[ids[i]] == ports[i].
-struct JaccardCounts {
-  std::uint32_t inter = 0;
-  std::uint32_t deg_b = 0;
-};
-JaccardCounts jaccard_counts(const std::uint32_t* ids, const std::int32_t* tags,
-                             const std::int32_t* ports, std::size_t n,
-                             const std::uint32_t* stamp, const std::int32_t* vtag,
-                             const std::int32_t* vport, std::uint32_t version,
-                             bool use_direction, std::uint32_t exclude_id);
-
 /// Ruzicka (weighted-Jaccard) accumulators over row b against a stamped
 /// view of row a. For each i with ids[i] != exclude_id, wb = w[i]:
 ///   b_total += wb; and when stamp[ids[i]] == version, wa = vweight[ids[i]]:

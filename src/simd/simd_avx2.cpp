@@ -247,54 +247,6 @@ std::uint32_t count_stamped_impl(const std::uint32_t* ids, std::size_t n,
   return count;
 }
 
-JaccardCounts jaccard_counts_impl(const std::uint32_t* ids,
-                                  const std::int32_t* tags,
-                                  const std::int32_t* ports, std::size_t n,
-                                  const std::uint32_t* stamp,
-                                  const std::int32_t* vtag,
-                                  const std::int32_t* vport,
-                                  std::uint32_t version, bool use_direction,
-                                  std::uint32_t exclude_id) {
-  const __m256i ver = _mm256_set1_epi32(static_cast<int>(version));
-  const __m256i excl = _mm256_set1_epi32(static_cast<int>(exclude_id));
-  const int* stamp_i = reinterpret_cast<const int*>(stamp);
-  JaccardCounts out;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    const __m256i keep =
-        _mm256_xor_si256(_mm256_cmpeq_epi32(v, excl), _mm256_set1_epi32(-1));
-    __m256i match = _mm256_cmpeq_epi32(_mm256_i32gather_epi32(stamp_i, v, 4),
-                                       ver);
-    if (use_direction) {
-      const __m256i t =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tags + i));
-      const __m256i p =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ports + i));
-      match = _mm256_and_si256(
-          match, _mm256_cmpeq_epi32(_mm256_i32gather_epi32(vtag, v, 4), t));
-      match = _mm256_and_si256(
-          match, _mm256_cmpeq_epi32(_mm256_i32gather_epi32(vport, v, 4), p));
-    }
-    const int keep_mask = _mm256_movemask_ps(_mm256_castsi256_ps(keep));
-    const int match_mask = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_and_si256(match, keep)));
-    out.deg_b += static_cast<std::uint32_t>(__builtin_popcount(keep_mask));
-    out.inter += static_cast<std::uint32_t>(__builtin_popcount(match_mask));
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t id = ids[i];
-    if (id == exclude_id) continue;
-    ++out.deg_b;
-    if (stamp[id] == version &&
-        (!use_direction || (vtag[id] == tags[i] && vport[id] == ports[i]))) {
-      ++out.inter;
-    }
-  }
-  return out;
-}
-
 WeightedOverlap weighted_overlap_impl(const std::uint32_t* ids, const double* w,
                                       std::size_t n, const std::uint32_t* stamp,
                                       const double* vweight,
@@ -418,7 +370,6 @@ constexpr Backend kAvx2Backend = {
     combine_rows_impl,
     rank1_update_abs_sum_impl,
     count_stamped_impl,
-    jaccard_counts_impl,
     weighted_overlap_impl,
     minhash_update_impl,
 };

@@ -159,27 +159,6 @@ std::uint32_t count_stamped_impl(const std::uint32_t* ids, std::size_t n,
   return count;
 }
 
-JaccardCounts jaccard_counts_impl(const std::uint32_t* ids,
-                                  const std::int32_t* tags,
-                                  const std::int32_t* ports, std::size_t n,
-                                  const std::uint32_t* stamp,
-                                  const std::int32_t* vtag,
-                                  const std::int32_t* vport,
-                                  std::uint32_t version, bool use_direction,
-                                  std::uint32_t exclude_id) {
-  JaccardCounts out;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t id = ids[i];
-    if (id == exclude_id) continue;
-    ++out.deg_b;
-    if (stamp[id] == version &&
-        (!use_direction || (vtag[id] == tags[i] && vport[id] == ports[i]))) {
-      ++out.inter;
-    }
-  }
-  return out;
-}
-
 WeightedOverlap weighted_overlap_impl(const std::uint32_t* ids, const double* w,
                                       std::size_t n, const std::uint32_t* stamp,
                                       const double* vweight,
@@ -252,7 +231,6 @@ constexpr Backend kScalarBackend = {
     combine_rows_impl,
     rank1_update_abs_sum_impl,
     count_stamped_impl,
-    jaccard_counts_impl,
     weighted_overlap_impl,
     minhash_update_impl,
 };

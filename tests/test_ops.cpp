@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -157,6 +158,21 @@ TEST(OpsServer, RestartRebindsCleanly) {
   EXPECT_EQ(server.port(), first);
   EXPECT_NE(get(server.port(), "/healthz").find("200 OK"), std::string::npos);
   server.stop();
+}
+
+// stop() wakes the serve loop rather than waiting for its poll to time
+// out, so a stop right after start returns at once.
+TEST(OpsServer, StopReturnsPromptly) {
+  net::OpsServer server;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(server.start(0, test_handlers()));
+    const auto t0 = std::chrono::steady_clock::now();
+    server.stop();
+    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - t0);
+    EXPECT_LT(ms.count(), 50) << "stop " << i;
+    EXPECT_FALSE(server.running());
+  }
 }
 
 // Seeded mutations of well-formed request lines: every reply is 200, 400,

@@ -172,24 +172,16 @@ TEST(SimdPrimitives, StampedCountsBitIdenticalAcrossTiers) {
   constexpr std::size_t kNodes = 64;
   constexpr std::uint32_t kVersion = 3;
   std::vector<std::uint32_t> stamp(kNodes);
-  std::vector<std::int32_t> vtag(kNodes), vport(kNodes);
   std::vector<double> vweight(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i) {
     stamp[i] = rng.chance(0.5) ? kVersion : 0u;
-    vtag[i] = static_cast<std::int32_t>(rng.uniform(3));
-    vport[i] = rng.chance(0.5) ? static_cast<std::int32_t>(rng.uniform(1024)) : -1;
     vweight[i] = std::log1p(static_cast<double>(rng.uniform(100000)));
   }
   for (const std::size_t n : kSizes) {
     std::vector<std::uint32_t> ids(n);
-    std::vector<std::int32_t> tags(n), ports(n);
     std::vector<double> w(n);
     for (std::size_t i = 0; i < n; ++i) {
       ids[i] = static_cast<std::uint32_t>(rng.uniform(kNodes));
-      // Half the entries share the stamped view's tag/port so the matched
-      // branches actually fire; the rest diverge.
-      tags[i] = rng.chance(0.5) ? vtag[ids[i]] : static_cast<std::int32_t>(rng.uniform(3));
-      ports[i] = rng.chance(0.5) ? vport[ids[i]] : -1;
       w[i] = std::log1p(static_cast<double>(rng.uniform(100000)));
     }
     const std::uint32_t excluded = n > 0 ? ids[n / 3] : 5u;
@@ -197,15 +189,6 @@ TEST(SimdPrimitives, StampedCountsBitIdenticalAcrossTiers) {
         [&] {
           std::vector<std::uint64_t> out;
           out.push_back(simd::count_stamped(ids.data(), n, stamp.data(), kVersion));
-          for (const bool use_direction : {false, true}) {
-            for (const std::uint32_t ex : {excluded, simd::kNoExclude}) {
-              const simd::JaccardCounts jc = simd::jaccard_counts(
-                  ids.data(), tags.data(), ports.data(), n, stamp.data(),
-                  vtag.data(), vport.data(), kVersion, use_direction, ex);
-              out.push_back(jc.inter);
-              out.push_back(jc.deg_b);
-            }
-          }
           for (const std::uint32_t ex : {excluded, simd::kNoExclude}) {
             const simd::WeightedOverlap wo = simd::weighted_overlap(
                 ids.data(), w.data(), n, stamp.data(), vweight.data(), kVersion, ex);

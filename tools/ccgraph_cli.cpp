@@ -1483,7 +1483,11 @@ void configure(const Args& args, const Command& command, bool profiled) {
   if (const auto tier = args.get("simd"); tier && !simd::set_tier(*tier)) {
     throw UsageError("--simd expects auto|scalar|avx2 (got '" + *tier + "')");
   }
+  // Both resolve here, before input is read: a malformed $CCG_THREADS
+  // warns now, and the ccg.parallel.threads and ccg.simd.tier gauges
+  // reach every metrics dump and flight record.
   parallel::set_thread_count(static_cast<int>(threads));
+  simd::active_tier();
   if (args.get("trace-out") || args.get("trace-buffer")) {
     obs::TraceRing::global().enable(obs::kTraceRingCapacity);
   }

@@ -171,6 +171,27 @@ if(NOT bad_threads_rc EQUAL simd_rc_auto OR
    NOT bad_threads_err MATCHES "CCG_THREADS")
   message(FATAL_ERROR "CCG_THREADS=4x anomaly (rc ${bad_threads_rc}) did not warn and run the default:\n${bad_threads_err}")
 endif()
+# The thread count resolves before input is read, so a command that forks
+# no job warns too.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_THREADS=4x ${CLI} graph --in clean.csv
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE bad_threads_graph_rc
+                OUTPUT_QUIET
+                ERROR_VARIABLE bad_threads_graph_err)
+if(NOT bad_threads_graph_rc EQUAL 0 OR NOT bad_threads_graph_err MATCHES "CCG_THREADS")
+  message(FATAL_ERROR "CCG_THREADS=4x graph (rc ${bad_threads_graph_rc}) did not warn:\n${bad_threads_graph_err}")
+endif()
+
+# The resolved configuration rides in every metrics dump: thread count,
+# simd tier and window length as gauges.
+run_cli_rc(config_rc anomaly --in long.csv --window 30 --train 2 --threads 3
+           --metrics-out config.json)
+file(READ ${WORKDIR}/config.json config_json)
+if(NOT config_json MATCHES "\"ccg\\.parallel\\.threads\": 3[,\n]" OR
+   NOT config_json MATCHES "\"ccg\\.analytics\\.window_minutes\": 30[,\n]" OR
+   NOT config_json MATCHES "\"ccg\\.simd\\.tier\": [01][,\n]")
+  message(FATAL_ERROR "anomaly --threads 3 --window 30 metrics lack the configuration gauges:\n${config_json}")
+endif()
 
 # Thread-count determinism where parallel_for forks: a Portal log whose
 # ~500-node windows give similarity scoring more than one chunk, so
@@ -231,7 +252,8 @@ if(single_summary_size EQUAL 0)
 endif()
 foreach(shards 1 2 4)
   run_cli_rc(serve_rc serve --in long.csv --shards ${shards}
-             --window 30 --train 2 --summary-out serve_summary_${shards}.txt)
+             --window 30 --train 2 --summary-out serve_summary_${shards}.txt
+             --metrics-out serve_metrics_${shards}.json)
   if(NOT serve_rc EQUAL single_rc)
     message(FATAL_ERROR "serve --shards ${shards} rc=${serve_rc}, anomaly rc=${single_rc}")
   endif()
@@ -243,6 +265,10 @@ foreach(shards 1 2 4)
                   RESULT_VARIABLE serve_summary_differs)
   if(NOT serve_summary_differs EQUAL 0)
     message(FATAL_ERROR "serve --shards ${shards} summary differs from anomaly")
+  endif()
+  file(READ ${WORKDIR}/serve_metrics_${shards}.json serve_json)
+  if(NOT serve_json MATCHES "\"ccg\\.dist\\.shards\": ${shards}[,\n]")
+    message(FATAL_ERROR "serve --shards ${shards} metrics lack ccg.dist.shards ${shards}")
   endif()
 endforeach()
 
