@@ -311,8 +311,8 @@ std::optional<TelemetryFrame> decode_telemetry(
     const auto min = get_double(in);
     const auto max = get_double(in);
     const auto n_buckets = in.varint();
-    if (!name || !count || !sum || !min || !max || !n_buckets ||
-        *n_buckets > kMaxTelemetryBuckets) {
+    if (!name || !count || !sum || !min || !max || *min > *max ||
+        !n_buckets || *n_buckets > kMaxTelemetryBuckets) {
       return std::nullopt;
     }
     h.name = std::move(*name);

@@ -15,8 +15,8 @@
 //   weights : m   f64   log1p(bytes) of the edge
 //
 // Columns are parallel (element k of each column describes the same
-// neighbor), 64-byte aligned, and contiguous in one allocation, so the
-// SIMD tier can stream or gather them directly. Rows are sorted by
+// neighbor), 64-byte aligned, and contiguous in one allocation, so a
+// kernel streams a row's columns in step. Rows are sorted by
 // neighbor id, which makes neighbor iteration order deterministic — a
 // function of the graph alone, not of edge insertion order.
 //

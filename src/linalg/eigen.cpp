@@ -61,7 +61,8 @@ EigenDecomposition jacobi_eigen(const Matrix& input) {
   const double threshold = kTolerance * frob;
 
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-    // simd::max_abs over each row tail is exact at any vector width.
+    // The off-diagonal scan reads n²/2 entries a sweep, against ~2n³ for
+    // the sweep's rotations, so it runs simd::max_abs's one scalar body.
     double off = 0.0;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       off = std::max(off, simd::max_abs(&a(p, p + 1), n - p - 1));
@@ -129,55 +130,6 @@ EigenDecomposition jacobi_eigen(const Matrix& input) {
     }
   }
   return out;
-}
-
-PowerIterationResult power_iteration(const Matrix& m, int max_iterations,
-                                     double tolerance) {
-  CCG_EXPECT(m.square());
-  const std::size_t n = m.rows();
-  PowerIterationResult result;
-  if (n == 0) return result;
-
-  // Deterministic non-degenerate start.
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = 1.0 + 0.001 * static_cast<double>(i % 7);
-  }
-
-  // Each mat-vec row, the norm and the Rayleigh quotient are one
-  // canonical-geometry simd::dot (fixed by n alone), so the result is
-  // identical at any tier.
-  const double* rows = m.data().data();
-  const auto matvec = [&](const std::vector<double>& in, std::vector<double>& out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = simd::dot(rows + i * n, in.data(), n);
-    }
-  };
-
-  double lambda = 0.0;
-  std::vector<double> y(n);
-  std::vector<double> my(n);
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    matvec(x, y);
-    double norm = std::sqrt(simd::dot(y.data(), y.data(), n));
-    if (norm == 0.0) break;  // x in the null space
-    for (std::size_t i = 0; i < n; ++i) y[i] /= norm;
-
-    // Rayleigh quotient.
-    matvec(y, my);
-    const double new_lambda = simd::dot(y.data(), my.data(), n);
-    result.iterations = iter + 1;
-    x = y;
-    if (std::abs(new_lambda - lambda) <= tolerance * (1.0 + std::abs(new_lambda))) {
-      lambda = new_lambda;
-      result.converged = true;
-      break;
-    }
-    lambda = new_lambda;
-  }
-  result.value = lambda;
-  result.vector = std::move(x);
-  return result;
 }
 
 }  // namespace ccg

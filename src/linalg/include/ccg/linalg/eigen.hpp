@@ -1,4 +1,4 @@
-// Symmetric eigendecomposition (cyclic Jacobi) and power iteration.
+// Symmetric eigendecomposition (cyclic Jacobi).
 //
 // Adjacency matrices of communication graphs are symmetric, so Jacobi is
 // exact, simple and robust; n is a few hundred after heavy-hitter collapse,
@@ -24,16 +24,5 @@ struct EigenDecomposition {
 /// off-diagonal magnitudes fall below 1e-10 of the Frobenius norm, or
 /// after 64 sweeps.
 EigenDecomposition jacobi_eigen(const Matrix& m);
-
-/// Dominant eigenpair via power iteration (used for quick spectral radius
-/// estimates and as a cross-check on Jacobi).
-struct PowerIterationResult {
-  double value = 0.0;
-  std::vector<double> vector;
-  int iterations = 0;
-  bool converged = false;
-};
-PowerIterationResult power_iteration(const Matrix& m, int max_iterations = 1000,
-                                     double tolerance = 1e-10);
 
 }  // namespace ccg

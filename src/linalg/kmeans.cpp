@@ -14,8 +14,7 @@ namespace {
 
 double sq_distance(const Matrix& data, std::size_t row, const Matrix& centroids,
                    std::size_t centroid) {
-  // Canonical-geometry simd reduction: the result depends only on cols(),
-  // never on the dispatched tier.
+  // 4-lane simd reduction: the result depends only on cols().
   return simd::squared_distance(data.data().data() + row * data.cols(),
                                 centroids.data().data() + centroid * centroids.cols(),
                                 data.cols());

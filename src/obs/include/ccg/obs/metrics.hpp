@@ -102,9 +102,8 @@ class Histogram {
     return n == 0 ? 0.0 : sum() / static_cast<double>(n);
   }
 
-  /// Estimated q-quantile (q in [0,1]): finds the bucket holding the
-  /// target rank and interpolates linearly inside it, clamped to the
-  /// observed [min, max]. 0 when empty.
+  /// Estimated q-quantile (q in [0,1]): quantile_from_buckets over this
+  /// histogram's buckets, count, min and max. 0 when empty.
   double quantile(double q) const noexcept;
 
   /// Finite buckets + 1 overflow bucket.
@@ -166,9 +165,11 @@ struct Snapshot {
   std::vector<HistogramSample> histograms;  // sorted by name
 };
 
-/// Quantile estimate from (bound, occupancy) buckets: same linear
-/// interpolation as Histogram::quantile, usable on shipped/merged bucket
-/// sets where the live Histogram is in another process.
+/// Quantile estimate from (bound, occupancy) buckets: finds the bucket
+/// holding the target rank and interpolates linearly inside it, bounded
+/// to [min, max]. The one routine behind Histogram::quantile, snapshot
+/// quantiles and shipped/merged bucket sets where the live Histogram is
+/// in another process.
 double quantile_from_buckets(
     const std::vector<std::pair<double, std::uint64_t>>& buckets,
     std::uint64_t count, double min, double max, double q) noexcept;

@@ -60,32 +60,12 @@ std::uint64_t Histogram::bucket_value(std::size_t i) const noexcept {
 }
 
 double Histogram::quantile(double q) const noexcept {
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  const double lo = min();
-  const double hi = max();
-
-  // Rank of the requested quantile, 1-based ("nearest rank" with
-  // interpolation inside the owning bucket).
-  const double target = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    const auto in_bucket =
-        static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
-    if (in_bucket == 0.0) continue;
-    if (cumulative + in_bucket >= target) {
-      const double bucket_lo = i == 0 ? 0.0 : bounds_[i - 1];
-      // The overflow bucket has no finite upper bound; the observed max is
-      // the tightest honest cap. Same for any bucket that contains it.
-      const double bucket_hi = i < bounds_.size() ? std::min(bounds_[i], hi) : hi;
-      const double frac = (target - cumulative) / in_bucket;
-      const double v = bucket_lo + frac * (bucket_hi - bucket_lo);
-      return std::clamp(v, lo, hi);
-    }
-    cumulative += in_bucket;
+  std::vector<std::pair<double, std::uint64_t>> buckets;
+  buckets.reserve(bucket_count());
+  for (std::size_t i = 0; i < bucket_count(); ++i) {
+    buckets.emplace_back(upper_bound(i), bucket_value(i));
   }
-  return hi;  // unreachable unless counts raced; max is the safe answer
+  return quantile_from_buckets(buckets, count(), min(), max(), q);
 }
 
 double quantile_from_buckets(
@@ -93,6 +73,8 @@ double quantile_from_buckets(
     std::uint64_t count, double min, double max, double q) noexcept {
   q = std::clamp(q, 0.0, 1.0);
   if (count == 0 || buckets.empty()) return 0.0;
+  // Rank of the requested quantile, 1-based ("nearest rank" with
+  // interpolation inside the owning bucket).
   const double target = q * static_cast<double>(count);
   double cumulative = 0.0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
@@ -101,14 +83,18 @@ double quantile_from_buckets(
     if (cumulative + in_bucket >= target) {
       const double bucket_lo = i == 0 ? 0.0 : buckets[i - 1].first;
       const double bound = buckets[i].first;
+      // The overflow bucket has no finite upper bound; the observed max is
+      // the tightest honest cap. Same for any bucket that contains it.
       const double bucket_hi = std::isinf(bound) ? max : std::min(bound, max);
       const double frac = (target - cumulative) / in_bucket;
       const double v = bucket_lo + frac * (bucket_hi - bucket_lo);
-      return std::clamp(v, min, max);
+      // std::clamp's bits whenever min <= max, without its precondition: a
+      // read racing a first record() can see min above max.
+      return std::min(std::max(v, min), max);
     }
     cumulative += in_bucket;
   }
-  return max;
+  return max;  // unreachable unless counts raced; max is the safe answer
 }
 
 void Histogram::reset() noexcept {
@@ -180,10 +166,12 @@ Snapshot Registry::snapshot() const {
     s.count = h->count();
     s.sum = h->sum();
     s.min = h->min();
-    s.max = h->max();
-    s.p50 = h->quantile(0.50);
-    s.p90 = h->quantile(0.90);
-    s.p99 = h->quantile(0.99);
+    // A snapshot racing the first record() can read min_ set and max_ not
+    // yet; that value is the max too. Decoders reject min > max.
+    s.max = std::max(h->max(), s.min);
+    s.p50 = quantile_from_buckets(s.buckets, s.count, s.min, s.max, 0.50);
+    s.p90 = quantile_from_buckets(s.buckets, s.count, s.min, s.max, 0.90);
+    s.p99 = quantile_from_buckets(s.buckets, s.count, s.min, s.max, 0.99);
     snap.histograms.push_back(std::move(s));
   }
   return snap;

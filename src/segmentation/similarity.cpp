@@ -143,8 +143,8 @@ double score_pair(const CsrAdjacency& csr, const StampedView& view,
     return sum_max <= 0.0 ? 0.0 : wo.sum_min / sum_max;
   }
   // Cosine, scalar on purpose: the dot needs a stamp-gated gather (stale
-  // view.weight entries must not contribute), which no backend primitive
-  // models; the loop is tier-independent by construction.
+  // view.weight entries must not contribute), which no simd primitive
+  // models.
   const auto w_b = csr.weights(b);
   double dot = 0.0, norm_b = 0.0;
   for (std::size_t k = 0; k < nb; ++k) {
@@ -178,9 +178,8 @@ const std::uint64_t* minhash_salts() {
   return salts.data();
 }
 
-/// Stamps one signature row from v's CSR row. The per-feature lane
-/// updates run on the simd tier (min over exact u64 hashes, so any lane
-/// order gives the same signature).
+/// Stamps one signature row from v's CSR row, one simd::minhash_update
+/// per feature (min over exact u64 hashes).
 void minhash_stamp_row(const CsrAdjacency& csr, NodeId v, bool use_direction,
                        std::uint64_t* row) {
   std::fill(row, row + kMinHashFunctions, ~std::uint64_t{0});

@@ -115,9 +115,9 @@ std::vector<double> simrank_scores_impl(const CommGraph& graph,
 
   if (options.plus_plus) {
     // Scale by the evidence factor, which damps scores supported by very
-    // few common neighbors (an exact integer count on the simd tier). Row a
-    // only touches s[a*n ..) plus a per-worker stamp array, so rows
-    // parallelize with unchanged arithmetic.
+    // few common neighbors (an exact integer count). Row a only touches
+    // s[a*n ..) plus a per-worker stamp array, so rows parallelize with
+    // unchanged arithmetic.
     std::vector<std::unique_ptr<std::vector<std::uint32_t>>> stamps(
         parallel::max_workers());
     parallel::parallel_for_worker(

@@ -1,8 +1,8 @@
-// Internal backend vtable for the simd tier. Each backend TU (scalar,
-// avx2) fills one static Backend with its implementations and the
-// dispatcher swaps an atomic pointer between them. Backends must implement
-// the canonical lane geometry documented in ccg/simd/simd.hpp so that
-// every primitive is bit-identical across backends.
+// Internal backend table for the simd tier. Each backend TU (scalar,
+// avx2) fills one static Backend with its bodies of the three tiered
+// primitives, and the dispatcher swaps an atomic pointer between them.
+// Both backends must return bit-identical results (see
+// ccg/simd/simd.hpp); the other primitives have one body and no slot.
 //
 // This header is deliberately free of heavy includes: the AVX2 TU is
 // compiled with -mavx2, and pulling shared inline functions into it could
@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "ccg/simd/simd.hpp"
 
@@ -18,28 +17,11 @@ namespace ccg::simd::detail {
 
 struct Backend {
   Tier tier;
-  double (*dot)(const double*, const double*, std::size_t);
-  double (*squared_distance)(const double*, const double*, std::size_t);
-  double (*gather_sum)(const double*, const std::uint32_t*, std::size_t);
-  double (*gather_dot)(const double*, const std::uint32_t*, const double*,
-                       std::size_t);
-  double (*masked_sum)(const std::uint32_t*, const double*, std::size_t,
-                       std::uint32_t);
-  double (*max_abs)(const double*, std::size_t);
   void (*rotate_pair)(double*, double*, double, double, std::size_t);
   void (*rank1_update)(double*, const double*, double, std::size_t);
   void (*combine_rows)(double*, std::size_t, const double*, std::size_t,
                        const double*, std::size_t, std::size_t, std::size_t,
                        std::size_t);
-  double (*rank1_update_abs_sum)(double*, const double*, double, std::size_t);
-  std::uint32_t (*count_stamped)(const std::uint32_t*, std::size_t,
-                                 const std::uint32_t*, std::uint32_t);
-  WeightedOverlap (*weighted_overlap)(const std::uint32_t*, const double*,
-                                      std::size_t, const std::uint32_t*,
-                                      const double*, std::uint32_t,
-                                      std::uint32_t);
-  void (*minhash_update)(std::uint64_t, const std::uint64_t*, std::uint64_t*,
-                         std::size_t);
 };
 
 /// Runtime CPU probe (false off x86).

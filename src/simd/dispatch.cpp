@@ -1,4 +1,4 @@
-// Tier dispatch: resolves which backend the public wrappers call.
+// Tier dispatch: resolves which backend the three tiered primitives call.
 //
 // Resolution order (strongest first): set_tier() from the CLI, the
 // CCG_SIMD environment variable, then "auto" (best compiled-in tier the
@@ -148,34 +148,7 @@ std::string capability_string() {
   return out;
 }
 
-// --- public wrappers --------------------------------------------------------
-
-double dot(const double* a, const double* b, std::size_t n) {
-  return detail::current_backend()->dot(a, b, n);
-}
-
-double squared_distance(const double* a, const double* b, std::size_t n) {
-  return detail::current_backend()->squared_distance(a, b, n);
-}
-
-double gather_sum(const double* base, const std::uint32_t* idx,
-                  std::size_t n) {
-  return detail::current_backend()->gather_sum(base, idx, n);
-}
-
-double gather_dot(const double* base, const std::uint32_t* idx, const double* w,
-                  std::size_t n) {
-  return detail::current_backend()->gather_dot(base, idx, w, n);
-}
-
-double masked_sum(const std::uint32_t* ids, const double* w, std::size_t n,
-                  std::uint32_t exclude_id) {
-  return detail::current_backend()->masked_sum(ids, w, n, exclude_id);
-}
-
-double max_abs(const double* a, std::size_t n) {
-  return detail::current_backend()->max_abs(a, n);
-}
+// --- tiered wrappers ---------------------------------------------------------
 
 void rotate_pair(double* x, double* y, double c, double s, std::size_t n) {
   detail::current_backend()->rotate_pair(x, y, c, s, n);
@@ -189,29 +162,6 @@ void combine_rows(double* out, std::size_t ldo, const double* w,
                   std::size_t ldw, const double* rows, std::size_t ldr,
                   std::size_t m, std::size_t k, std::size_t n) {
   detail::current_backend()->combine_rows(out, ldo, w, ldw, rows, ldr, m, k, n);
-}
-
-double rank1_update_abs_sum(double* row, const double* vec, double vr,
-                            std::size_t n) {
-  return detail::current_backend()->rank1_update_abs_sum(row, vec, vr, n);
-}
-
-std::uint32_t count_stamped(const std::uint32_t* ids, std::size_t n,
-                            const std::uint32_t* stamp, std::uint32_t version) {
-  return detail::current_backend()->count_stamped(ids, n, stamp, version);
-}
-
-WeightedOverlap weighted_overlap(const std::uint32_t* ids, const double* w,
-                                 std::size_t n, const std::uint32_t* stamp,
-                                 const double* vweight, std::uint32_t version,
-                                 std::uint32_t exclude_id) {
-  return detail::current_backend()->weighted_overlap(ids, w, n, stamp, vweight,
-                                                     version, exclude_id);
-}
-
-void minhash_update(std::uint64_t feature_shifted, const std::uint64_t* salts,
-                    std::uint64_t* sig, std::size_t k) {
-  detail::current_backend()->minhash_update(feature_shifted, salts, sig, k);
 }
 
 }  // namespace ccg::simd

@@ -1,38 +1,32 @@
-// Portable SIMD kernel tier for the analysis hot loops.
+// Vector kernels for the analysis hot loops.
 //
-// PR 3 made the kernels parallel with a byte-identical-to-serial contract;
-// this tier takes the next factor from *within* a core (ROADMAP: "SIMD +
-// cache-blocked kernel tier") without giving that contract up. Two
-// backends implement one fixed primitive set:
+// Two backends implement the three TIERED primitives — rotate_pair,
+// rank1_update and combine_rows, which carry the spectral fit's Jacobi
+// rotations and the per-window spectral score:
 //
 //   scalar — plain C++, compiled everywhere, always selectable (the only
 //            tier on aarch64 and other non-x86 targets)
 //   avx2   — x86-64 AVX2 intrinsics (built when the target is x86-64,
 //            dispatched only when the CPU reports AVX2)
 //
-// Determinism contract: every backend returns BIT-identical results for
-// every primitive. Two mechanisms make that possible:
-//
-//   1. Exact primitives (integer counts, u64 MinHash hashing, max of
-//      non-negative doubles, element-wise rotate/rank-1 updates, row
-//      combinations summed in a fixed term order) are
-//      order-insensitive or element-independent: IEEE-754 guarantees each
-//      lane op matches its scalar counterpart bit for bit, so any
-//      vectorization strategy agrees with any other.
-//
-//   2. Floating-point *reductions* are defined against a canonical 4-lane
-//      geometry that every backend implements literally: lane j of 4
-//      accumulates elements i with i % 4 == j over the aligned prefix, the
-//      lanes collapse as (l0 + l1) + (l2 + l3), and the tail (n % 4
-//      elements) is added sequentially. The scalar backend models the four
-//      lanes with a double[4]; AVX2 maps them onto one __m256d. The geometry depends only on n — never on the
-//      backend or thread count — exactly like parallel_for's chunk
-//      layout.
+// Determinism contract: both backends return BIT-identical results for
+// the three tiered primitives. Each is element-wise: every output element
+// is a fixed sequence of IEEE-754 multiplies and adds (combine_rows adds
+// its terms in ascending j), and each vector lane op rounds exactly like
+// its scalar counterpart, so any vector width gives the same bits.
 //
 // No backend may use fused multiply-add: FMA contracts a*b+c into one
 // rounding where the scalar reference takes two, which would break the
 // bit-identity across tiers. The simd library is compiled with
 // -ffp-contract=off and uses explicit mul/add intrinsics only.
+//
+// Every other primitive below has ONE body (simd_scalar.cpp), which runs
+// at every tier, so no tier can change its bits. The floating-point
+// reductions among them keep a fixed 4-lane summation order — lane j of 4
+// accumulates elements i with i % 4 == j over the aligned prefix, the
+// lanes collapse as (l0 + l1) + (l2 + l3), and the n % 4 tail is added
+// sequentially — only so that their outputs keep the bits they had when
+// an AVX2 twin computed them the same way.
 //
 // Dispatch resolution order: set_tier() (CLI --simd) beats the CCG_SIMD
 // environment variable ("auto" | "scalar" | "avx2") beats auto.
@@ -54,7 +48,7 @@ enum class Tier : int { kScalar = 0, kAvx2 = 1 };
 
 const char* tier_name(Tier tier);
 
-/// The tier whose backend the primitives below currently dispatch to.
+/// The tier whose backend the tiered primitives currently dispatch to.
 /// Resolves lazily on first use (env + CPU probe), then stays fixed until
 /// set_tier() changes it.
 Tier active_tier();
@@ -72,34 +66,7 @@ bool set_tier(std::string_view mode);
 /// "compiled=scalar,avx2 dispatched=avx2".
 std::string capability_string();
 
-// --- canonical 4-lane floating-point reductions -----------------------------
-// All sums follow the canonical lane geometry documented above and are
-// bit-identical across backends.
-
-/// Σ a[i]·b[i].
-double dot(const double* a, const double* b, std::size_t n);
-
-/// Σ (a[i]−b[i])².
-double squared_distance(const double* a, const double* b, std::size_t n);
-
-/// Σ base[idx[i]].
-double gather_sum(const double* base, const std::uint32_t* idx, std::size_t n);
-
-/// Σ w[i]·base[idx[i]].
-double gather_dot(const double* base, const std::uint32_t* idx,
-                  const double* w, std::size_t n);
-
-/// Σ w[i] over ids[i] != exclude_id (pass kNoExclude to keep everything).
-double masked_sum(const std::uint32_t* ids, const double* w, std::size_t n,
-                  std::uint32_t exclude_id);
-
-inline constexpr std::uint32_t kNoExclude = 0xFFFFFFFFu;
-
-// --- exact element-wise / order-insensitive primitives ----------------------
-
-/// max |a[i]|; 0 when n == 0. Exact at any vector width (max is
-/// associative, commutative, and rounding-free).
-double max_abs(const double* a, std::size_t n);
+// --- tiered: scalar and AVX2 bodies, bit-identical --------------------------
 
 /// Plane rotation, element-wise and exact:
 ///   x[i] ← c·x[i] − s·y[i];  y[i] ← s·x[i] + c·y[i]
@@ -117,21 +84,35 @@ void combine_rows(double* out, std::size_t ldo, const double* w,
                   std::size_t ldw, const double* rows, std::size_t ldr,
                   std::size_t m, std::size_t k, std::size_t n);
 
-/// row[i] −= vr·vec[i]; returns Σ |row[i]| (canonical 4-lane sum).
+// --- one body at every tier: 4-lane reductions ------------------------------
+
+/// Σ (a[i]−b[i])².
+double squared_distance(const double* a, const double* b, std::size_t n);
+
+/// Σ base[idx[i]].
+double gather_sum(const double* base, const std::uint32_t* idx, std::size_t n);
+
+/// Σ w[i]·base[idx[i]].
+double gather_dot(const double* base, const std::uint32_t* idx,
+                  const double* w, std::size_t n);
+
+/// Σ w[i] over ids[i] != exclude_id (pass kNoExclude to keep everything).
+double masked_sum(const std::uint32_t* ids, const double* w, std::size_t n,
+                  std::uint32_t exclude_id);
+
+inline constexpr std::uint32_t kNoExclude = 0xFFFFFFFFu;
+
+/// row[i] −= vr·vec[i]; returns Σ |row[i]| (4-lane sum).
 double rank1_update_abs_sum(double* row, const double* vec, double vr,
                             std::size_t n);
-
-/// Count of ids[i] whose stamp[ids[i]] == version (exact integer count).
-std::uint32_t count_stamped(const std::uint32_t* ids, std::size_t n,
-                            const std::uint32_t* stamp, std::uint32_t version);
 
 /// Ruzicka (weighted-Jaccard) accumulators over row b against a stamped
 /// view of row a. For each i with ids[i] != exclude_id, wb = w[i]:
 ///   b_total += wb; and when stamp[ids[i]] == version, wa = vweight[ids[i]]:
 ///   sum_min += min(wa, wb); sum_max_matched += max(wa, wb);
 ///   matched_a += wa; matched_b += wb.
-/// Every accumulator uses the canonical 4-lane geometry (masked lanes add
-/// +0.0, which is exact for the non-negative weights involved).
+/// Every accumulator is a 4-lane sum (masked lanes add +0.0, which is
+/// exact for the non-negative weights involved).
 struct WeightedOverlap {
   double sum_min = 0.0;
   double sum_max_matched = 0.0;
@@ -143,6 +124,15 @@ WeightedOverlap weighted_overlap(const std::uint32_t* ids, const double* w,
                                  std::size_t n, const std::uint32_t* stamp,
                                  const double* vweight, std::uint32_t version,
                                  std::uint32_t exclude_id);
+
+// --- one body at every tier: exact ------------------------------------------
+
+/// max |a[i]|; 0 when n == 0.
+double max_abs(const double* a, std::size_t n);
+
+/// Count of ids[i] whose stamp[ids[i]] == version (exact integer count).
+std::uint32_t count_stamped(const std::uint32_t* ids, std::size_t n,
+                            const std::uint32_t* stamp, std::uint32_t version);
 
 /// MinHash lane update (exact u64 arithmetic):
 ///   sig[h] ← min(sig[h], mix64(feature_shifted ^ salts[h]))  for h < k

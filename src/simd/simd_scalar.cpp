@@ -1,30 +1,16 @@
-// Scalar backend: the reference implementation of every primitive and of
-// the canonical 4-lane reduction geometry (lane j of a double[4] takes
-// elements i % 4 == j; lanes collapse as (l0 + l1) + (l2 + l3); the tail
-// runs sequentially). The vector backends must match this bit for bit.
+// Scalar code: the one body of every untiered primitive, and the scalar
+// backend of the three tiered ones (rotate_pair, rank1_update,
+// combine_rows), which the AVX2 backend must match bit for bit. The
+// 4-lane reductions model their lanes with a double[4]: lane j takes
+// elements i % 4 == j, lanes collapse as (l0 + l1) + (l2 + l3), and the
+// tail runs sequentially.
 #include <cmath>
 
 #include "backend.hpp"
 
-namespace ccg::simd::detail {
+namespace ccg::simd {
 
-namespace {
-
-double dot_impl(const double* a, const double* b, std::size_t n) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    lane[0] += a[i] * b[i];
-    lane[1] += a[i + 1] * b[i + 1];
-    lane[2] += a[i + 2] * b[i + 2];
-    lane[3] += a[i + 3] * b[i + 3];
-  }
-  double acc = (lane[0] + lane[1]) + (lane[2] + lane[3]);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double squared_distance_impl(const double* a, const double* b, std::size_t n) {
+double squared_distance(const double* a, const double* b, std::size_t n) {
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -45,8 +31,8 @@ double squared_distance_impl(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-double gather_sum_impl(const double* base, const std::uint32_t* idx,
-                       std::size_t n) {
+double gather_sum(const double* base, const std::uint32_t* idx,
+                  std::size_t n) {
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -60,8 +46,8 @@ double gather_sum_impl(const double* base, const std::uint32_t* idx,
   return acc;
 }
 
-double gather_dot_impl(const double* base, const std::uint32_t* idx,
-                       const double* w, std::size_t n) {
+double gather_dot(const double* base, const std::uint32_t* idx, const double* w,
+                  std::size_t n) {
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -75,8 +61,8 @@ double gather_dot_impl(const double* base, const std::uint32_t* idx,
   return acc;
 }
 
-double masked_sum_impl(const std::uint32_t* ids, const double* w, std::size_t n,
-                       std::uint32_t exclude_id) {
+double masked_sum(const std::uint32_t* ids, const double* w, std::size_t n,
+                  std::uint32_t exclude_id) {
   // Masked lanes add +0.0 — exact for the non-negative weights involved
   // (see the weighted_overlap contract in the public header).
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
@@ -92,7 +78,7 @@ double masked_sum_impl(const std::uint32_t* ids, const double* w, std::size_t n,
   return acc;
 }
 
-double max_abs_impl(const double* a, std::size_t n) {
+double max_abs(const double* a, std::size_t n) {
   double best = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double v = std::abs(a[i]);
@@ -101,34 +87,8 @@ double max_abs_impl(const double* a, std::size_t n) {
   return best;
 }
 
-void rotate_pair_impl(double* x, double* y, double c, double s, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = x[i];
-    const double yi = y[i];
-    x[i] = c * xi - s * yi;
-    y[i] = s * xi + c * yi;
-  }
-}
-
-void rank1_update_impl(double* row, const double* vec, double vr,
-                       std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) row[i] += vr * vec[i];
-}
-
-void combine_rows_impl(double* out, std::size_t ldo, const double* w,
-                       std::size_t ldw, const double* rows, std::size_t ldr,
-                       std::size_t m, std::size_t k, std::size_t n) {
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < k; ++j) acc += w[r * ldw + j] * rows[j * ldr + i];
-      out[r * ldo + i] = acc;
-    }
-  }
-}
-
-double rank1_update_abs_sum_impl(double* row, const double* vec, double vr,
-                                 std::size_t n) {
+double rank1_update_abs_sum(double* row, const double* vec, double vr,
+                            std::size_t n) {
   double lane[4] = {0.0, 0.0, 0.0, 0.0};
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -149,9 +109,8 @@ double rank1_update_abs_sum_impl(double* row, const double* vec, double vr,
   return acc;
 }
 
-std::uint32_t count_stamped_impl(const std::uint32_t* ids, std::size_t n,
-                                 const std::uint32_t* stamp,
-                                 std::uint32_t version) {
+std::uint32_t count_stamped(const std::uint32_t* ids, std::size_t n,
+                            const std::uint32_t* stamp, std::uint32_t version) {
   std::uint32_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (stamp[ids[i]] == version) ++count;
@@ -159,11 +118,10 @@ std::uint32_t count_stamped_impl(const std::uint32_t* ids, std::size_t n,
   return count;
 }
 
-WeightedOverlap weighted_overlap_impl(const std::uint32_t* ids, const double* w,
-                                      std::size_t n, const std::uint32_t* stamp,
-                                      const double* vweight,
-                                      std::uint32_t version,
-                                      std::uint32_t exclude_id) {
+WeightedOverlap weighted_overlap(const std::uint32_t* ids, const double* w,
+                                 std::size_t n, const std::uint32_t* stamp,
+                                 const double* vweight, std::uint32_t version,
+                                 std::uint32_t exclude_id) {
   double sum_min[4] = {0.0, 0.0, 0.0, 0.0};
   double sum_max[4] = {0.0, 0.0, 0.0, 0.0};
   double b_total[4] = {0.0, 0.0, 0.0, 0.0};
@@ -209,34 +167,55 @@ WeightedOverlap weighted_overlap_impl(const std::uint32_t* ids, const double* w,
   return out;
 }
 
-void minhash_update_impl(std::uint64_t feature_shifted,
-                         const std::uint64_t* salts, std::uint64_t* sig,
-                         std::size_t k) {
+void minhash_update(std::uint64_t feature_shifted, const std::uint64_t* salts,
+                    std::uint64_t* sig, std::size_t k) {
   for (std::size_t h = 0; h < k; ++h) {
     const std::uint64_t hv = mix64(feature_shifted ^ salts[h]);
     if (hv < sig[h]) sig[h] = hv;
   }
 }
 
+namespace detail {
+
+namespace {
+
+void rotate_pair_impl(double* x, double* y, double c, double s, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xi = x[i];
+    const double yi = y[i];
+    x[i] = c * xi - s * yi;
+    y[i] = s * xi + c * yi;
+  }
+}
+
+void rank1_update_impl(double* row, const double* vec, double vr,
+                       std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) row[i] += vr * vec[i];
+}
+
+void combine_rows_impl(double* out, std::size_t ldo, const double* w,
+                       std::size_t ldw, const double* rows, std::size_t ldr,
+                       std::size_t m, std::size_t k, std::size_t n) {
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < k; ++j) acc += w[r * ldw + j] * rows[j * ldr + i];
+      out[r * ldo + i] = acc;
+    }
+  }
+}
+
 constexpr Backend kScalarBackend = {
     Tier::kScalar,
-    dot_impl,
-    squared_distance_impl,
-    gather_sum_impl,
-    gather_dot_impl,
-    masked_sum_impl,
-    max_abs_impl,
     rotate_pair_impl,
     rank1_update_impl,
     combine_rows_impl,
-    rank1_update_abs_sum_impl,
-    count_stamped_impl,
-    weighted_overlap_impl,
-    minhash_update_impl,
 };
 
 }  // namespace
 
 const Backend* scalar_backend() { return &kScalarBackend; }
 
-}  // namespace ccg::simd::detail
+}  // namespace detail
+
+}  // namespace ccg::simd

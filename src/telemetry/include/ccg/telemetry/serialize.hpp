@@ -1,10 +1,5 @@
-// Serialization of connection summaries.
-//
-// Two encodings:
-//  * CSV — the shape customers see in NSG/VPC flow-log exports; good for
-//    interop with external tooling.
-//  * A compact binary framing — what the agent would actually ship to the
-//    cloud store; its size drives the $/GB COGS model.
+// Serialization of connection summaries as CSV — the shape customers see
+// in NSG/VPC flow-log exports; good for interop with external tooling.
 #pragma once
 
 #include <cstdint>
@@ -37,15 +32,5 @@ void write_csv(std::ostream& out, const std::vector<ConnectionSummary>& batch);
 /// dialect is in docs/FORMATS.md. Records the `ccg.telemetry.read_csv`
 /// span and its rows / rows_dropped / bytes counters.
 std::vector<ConnectionSummary> read_csv(std::istream& in, std::size_t* dropped = nullptr);
-
-/// Compact binary encoding: varint-delta framing. Records are grouped by
-/// minute; within a batch IPs/ports compress well because flows from one
-/// host share the local IP.
-std::vector<std::uint8_t> encode_binary(const std::vector<ConnectionSummary>& batch);
-
-/// Decodes a buffer produced by encode_binary. Returns nullopt if the
-/// buffer is truncated or corrupt.
-std::optional<std::vector<ConnectionSummary>> decode_binary(
-    const std::vector<std::uint8_t>& buffer);
 
 }  // namespace ccg

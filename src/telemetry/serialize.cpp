@@ -144,28 +144,6 @@ std::streamsize read_block(std::istream& in, char* dst, std::streamsize n) {
   }
 }
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::optional<std::uint64_t> get_varint(const std::vector<std::uint8_t>& in,
-                                        std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (pos < in.size()) {
-    const std::uint8_t byte = in[pos++];
-    v |= std::uint64_t{byte & 0x7Fu} << shift;
-    if ((byte & 0x80u) == 0) return v;
-    shift += 7;
-    if (shift > 63) return std::nullopt;  // overlong encoding
-  }
-  return std::nullopt;  // truncated
-}
-
 }  // namespace
 
 std::string csv_header() {
@@ -293,72 +271,6 @@ std::vector<ConnectionSummary> read_csv(std::istream& in, std::size_t* dropped) 
   m_dropped.add(bad);
   m_bytes.add(bytes);
   if (dropped != nullptr) *dropped = bad;
-  return out;
-}
-
-std::vector<std::uint8_t> encode_binary(const std::vector<ConnectionSummary>& batch) {
-  std::vector<std::uint8_t> out;
-  out.reserve(batch.size() * 24 + 16);
-  put_varint(out, batch.size());
-  std::int64_t prev_time = 0;
-  for (const auto& rec : batch) {
-    // Zig-zag delta on time: batches are near-sorted by minute.
-    const std::int64_t dt = rec.time.index() - prev_time;
-    prev_time = rec.time.index();
-    put_varint(out, (static_cast<std::uint64_t>(dt) << 1) ^
-                        static_cast<std::uint64_t>(dt >> 63));
-    put_varint(out, rec.flow.local_ip.bits());
-    put_varint(out, rec.flow.local_port);
-    put_varint(out, rec.flow.remote_ip.bits());
-    put_varint(out, rec.flow.remote_port);
-    put_varint(out, static_cast<std::uint64_t>(rec.flow.protocol));
-    put_varint(out, rec.counters.packets_sent);
-    put_varint(out, rec.counters.packets_rcvd);
-    put_varint(out, rec.counters.bytes_sent);
-    put_varint(out, rec.counters.bytes_rcvd);
-    put_varint(out, static_cast<std::uint64_t>(rec.initiator));
-  }
-  return out;
-}
-
-std::optional<std::vector<ConnectionSummary>> decode_binary(
-    const std::vector<std::uint8_t>& buffer) {
-  std::size_t pos = 0;
-  auto count = get_varint(buffer, pos);
-  if (!count) return std::nullopt;
-  // Reject absurd counts before reserving (corrupt length prefix).
-  if (*count > buffer.size()) return std::nullopt;
-
-  std::vector<ConnectionSummary> out;
-  out.reserve(*count);
-  std::int64_t prev_time = 0;
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    std::uint64_t raw[11];
-    for (auto& field : raw) {
-      auto v = get_varint(buffer, pos);
-      if (!v) return std::nullopt;
-      field = *v;
-    }
-    const std::int64_t dt =
-        static_cast<std::int64_t>(raw[0] >> 1) ^ -static_cast<std::int64_t>(raw[0] & 1);
-    prev_time += dt;
-    if (raw[2] > 0xFFFF || raw[4] > 0xFFFF) return std::nullopt;
-    if (raw[5] != 1 && raw[5] != 6 && raw[5] != 17) return std::nullopt;
-    if (raw[10] > 2) return std::nullopt;
-    out.push_back(ConnectionSummary{
-        .time = MinuteBucket(prev_time),
-        .flow = FlowKey{.local_ip = IpAddr(static_cast<std::uint32_t>(raw[1])),
-                        .local_port = static_cast<std::uint16_t>(raw[2]),
-                        .remote_ip = IpAddr(static_cast<std::uint32_t>(raw[3])),
-                        .remote_port = static_cast<std::uint16_t>(raw[4]),
-                        .protocol = static_cast<Protocol>(raw[5])},
-        .counters = TrafficCounters{.packets_sent = raw[6],
-                                    .packets_rcvd = raw[7],
-                                    .bytes_sent = raw[8],
-                                    .bytes_rcvd = raw[9]},
-        .initiator = static_cast<Initiator>(raw[10])});
-  }
-  if (pos != buffer.size()) return std::nullopt;  // trailing garbage
   return out;
 }
 

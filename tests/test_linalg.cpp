@@ -101,6 +101,10 @@ TEST(JacobiEigen, ReconstructsRandomSymmetric) {
   for (std::size_t i = 0; i < 20; ++i) d(i, i) = eig.values[i];
   const Matrix recon = eig.vectors.multiply(d).multiply(eig.vectors.transpose());
   EXPECT_NEAR((m - recon).frobenius() / m.frobenius(), 0.0, 1e-8);
+  // values[0] is the dominant eigenvalue: |values| never increases.
+  for (std::size_t i = 1; i < 20; ++i) {
+    EXPECT_GE(std::abs(eig.values[i - 1]), std::abs(eig.values[i])) << i;
+  }
 }
 
 TEST(JacobiEigen, VectorsAreOrthonormal) {
@@ -112,20 +116,6 @@ TEST(JacobiEigen, VectorsAreOrthonormal) {
 TEST(JacobiEigen, RejectsAsymmetric) {
   Matrix m(2, 2, {1, 2, 3, 4});
   EXPECT_THROW(jacobi_eigen(m), ContractViolation);
-}
-
-TEST(PowerIteration, FindsDominantEigenpair) {
-  Matrix m(2, 2, {2, 1, 1, 2});
-  const auto result = power_iteration(m);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.value, 3.0, 1e-8);
-}
-
-TEST(PowerIteration, AgreesWithJacobiOnRandomMatrix) {
-  const Matrix m = random_symmetric(15, 5);
-  const auto eig = jacobi_eigen(m);
-  const auto power = power_iteration(m, 5000, 1e-12);
-  EXPECT_NEAR(std::abs(power.value), std::abs(eig.values[0]), 1e-6);
 }
 
 TEST(PcaSummary, FullRankReconstructsExactly) {

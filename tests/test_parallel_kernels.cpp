@@ -3,9 +3,8 @@
 //
 // The contract under test is strict: `--threads N` must be BYTE-identical
 // to `--threads 1` for similarity and SimRank, which run on parallel_for, and
-// for Jacobi, PCA, power iteration and k-means, which run serially at any
-// thread count. Every comparison below is exact double equality, not
-// tolerance.
+// for Jacobi, PCA and k-means, which run serially at any thread count.
+// Every comparison below is exact double equality, not tolerance.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -261,20 +260,6 @@ TEST(ParallelKernels, PcaCurveAndReconstructionBitIdenticalAcrossThreads) {
     const auto parallel_run = at_threads(threads, run);
     ASSERT_EQ(serial.first, parallel_run.first) << "threads=" << threads;
     ASSERT_EQ(serial.second, parallel_run.second) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelKernels, PowerIterationBitIdenticalAcrossThreads) {
-  ThreadCountGuard guard;
-  const Matrix m = random_symmetric(150, 47);
-  const PowerIterationResult serial =
-      at_threads(1, [&] { return power_iteration(m); });
-  for (const int threads : {2, 4}) {
-    const PowerIterationResult parallel_run =
-        at_threads(threads, [&] { return power_iteration(m); });
-    ASSERT_EQ(serial.value, parallel_run.value);
-    ASSERT_EQ(serial.vector, parallel_run.vector);
-    ASSERT_EQ(serial.iterations, parallel_run.iterations);
   }
 }
 

@@ -133,52 +133,5 @@ TEST(CsvSerialize, ReadCsvCountsRowsDroppedRowsAndBytes) {
   EXPECT_EQ(span.count() - spans0, 1u);
 }
 
-TEST(BinarySerialize, RoundTripsEmptyBatch) {
-  const auto buf = encode_binary({});
-  const auto decoded = decode_binary(buf);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->empty());
-}
-
-TEST(BinarySerialize, RoundTripsRandomBatches) {
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    const auto batch = random_batch(500, seed);
-    const auto decoded = decode_binary(encode_binary(batch));
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, batch);
-  }
-}
-
-TEST(BinarySerialize, HandlesNegativeTimeDeltas) {
-  auto batch = random_batch(10, 9);
-  batch[5].time = MinuteBucket(-100);  // unsorted batch: delta goes negative
-  const auto decoded = decode_binary(encode_binary(batch));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, batch);
-}
-
-TEST(BinarySerialize, DetectsTruncation) {
-  auto buf = encode_binary(random_batch(50, 11));
-  for (const std::size_t cut : {buf.size() - 1, buf.size() / 2, std::size_t{1}}) {
-    std::vector<std::uint8_t> truncated(buf.begin(),
-                                        buf.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(decode_binary(truncated).has_value()) << "cut " << cut;
-  }
-}
-
-TEST(BinarySerialize, DetectsTrailingGarbage) {
-  auto buf = encode_binary(random_batch(20, 13));
-  buf.push_back(0x00);
-  EXPECT_FALSE(decode_binary(buf).has_value());
-}
-
-TEST(BinarySerialize, CompactsBetterThanCsv) {
-  const auto batch = random_batch(1000, 17);
-  std::ostringstream csv;
-  write_csv(csv, batch);
-  const auto binary = encode_binary(batch);
-  EXPECT_LT(binary.size(), csv.str().size());
-}
-
 }  // namespace
 }  // namespace ccg

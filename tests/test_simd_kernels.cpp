@@ -170,17 +170,6 @@ TEST(SimdKernels, JacobiEigenIdenticalAcrossTierGrid) {
       "jacobi 300");
 }
 
-TEST(SimdKernels, PowerIterationIdenticalAcrossTierGrid) {
-  GridGuard guard;
-  const Matrix m = random_symmetric(150, 47);
-  expect_grid_identical(
-      [&] {
-        const PowerIterationResult r = power_iteration(m);
-        return std::make_tuple(r.value, r.vector, r.iterations);
-      },
-      "power iteration 150");
-}
-
 TEST(SimdKernels, PcaIdenticalAcrossTierGrid) {
   GridGuard guard;
   const Matrix m = random_symmetric(96, 43);

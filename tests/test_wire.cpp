@@ -318,6 +318,18 @@ TEST(WireTelemetry, MalformedFieldsRejected) {
   EXPECT_FALSE(decode_telemetry(wrong_type).has_value());
 }
 
+TEST(WireTelemetry, HistogramMinAboveMaxIsRejected) {
+  // The decoder derives quantiles bounded to [min, max]; a shipped
+  // histogram with min above max is malformed, not a value to bound by.
+  TelemetryFrame frame = reference_telemetry();
+  frame.metrics.histograms[0].min = 0.0041;
+  frame.metrics.histograms[0].max = 0.0004;
+  EXPECT_FALSE(decode_telemetry(encode_telemetry(frame)).has_value());
+
+  frame.metrics.histograms[0].max = 0.0041;  // min == max is legal
+  EXPECT_TRUE(decode_telemetry(encode_telemetry(frame)).has_value());
+}
+
 TEST(WireTelemetry, PeekTypeKnowsTelemetry) {
   const std::vector<std::uint8_t> telemetry = {0x05};
   const std::vector<std::uint8_t> beyond = {0x06};
