@@ -3,17 +3,16 @@
 // per-kernel costs, and these guard against performance regressions.
 //
 // Six kernels (similarity, SimRank, Jacobi, PCA, k-means, MinHash) are
-// swept across simd tiers, and the two that run on parallel_for
-// (similarity, SimRank) across thread counts too: after the
-// google-benchmark tables a speedup sweep is printed as a delimited JSON
-// block (and written to --kernels-json PATH when given, for the CI
-// baseline artifact). Each kernel entry carries per-tier timings, the
-// dispatched tier, and the scalar-vs-simd serial speedup. Only Jacobi's
-// rotations (also inside PCA's eigendecomposition) call a tiered
-// primitive; the other kernels run the same code at both tiers, so their
-// "speedup" is the sweep's noise floor. Determinism makes the comparison
-// honest: every thread count and tier produces byte-identical results, so
-// the sweep times identical work.
+// timed in a sweep after the google-benchmark tables, printed as a
+// delimited JSON block (and written to --kernels-json PATH when given, for
+// the CI baseline artifact). The two that run on parallel_for (similarity,
+// SimRank) are swept across thread counts. Only the two that reach a
+// tiered primitive — Jacobi's rotations, also inside PCA's
+// eigendecomposition — are swept across simd tiers and report the
+// scalar-vs-simd serial speedup; the others run the same code at every
+// tier, so they run once, at the dispatched tier, and report no speedup.
+// Determinism makes the comparison honest: every thread count and tier
+// produces byte-identical results, so the sweep times identical work.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -198,6 +197,7 @@ struct TierSweep {
 
 struct KernelSweep {
   std::string name;
+  bool tiered = false;           // reaches a tiered simd primitive
   std::vector<TierSweep> tiers;  // "scalar" first, dispatched tier last
 };
 
@@ -263,11 +263,14 @@ void emit_kernel_speedups(const std::string& json_path) {
     return m;
   }();
 
-  // Only the pooled kernels get a thread axis; the rest run serially.
+  // Only the pooled kernels get a thread axis, and only the tiered ones a
+  // tier axis; the rest run serially, at the dispatched tier.
   std::vector<KernelSweep> kernels;
-  const auto run = [&](const std::string& name, bool pooled, auto&& fn) {
-    KernelSweep k{name, {}};
-    for (const std::string& tier : tiers) {
+  const auto run = [&](const std::string& name, bool pooled, bool tiered,
+                       auto&& fn) {
+    KernelSweep k{name, tiered, {}};
+    for (const std::string& tier :
+         tiered ? tiers : std::vector<std::string>{dispatched}) {
       simd::set_tier(tier);
       TierSweep ts{tier, {}};
       for (const int t : pooled ? sweep : std::vector<int>{1}) {
@@ -278,17 +281,18 @@ void emit_kernel_speedups(const std::string& json_path) {
     simd::set_tier(dispatched);
     kernels.push_back(std::move(k));
   };
-  run("similarity_clique", true, [&] { similarity_clique(g, csr); });
-  run("simrank", true, [&] { simrank_scores(g, csr, {.iterations = 2}); });
-  run("jacobi_eigen_300", false, [&] { jacobi_eigen(jacobi_m); });
-  run("pca_error_curve", false, [&] {
+  run("similarity_clique", true, false, [&] { similarity_clique(g, csr); });
+  run("simrank", true, false,
+      [&] { simrank_scores(g, csr, {.iterations = 2}); });
+  run("jacobi_eigen_300", false, true, [&] { jacobi_eigen(jacobi_m); });
+  run("pca_error_curve", false, true, [&] {
     const PcaSummary pca(adj);
     pca.error_curve(25);
   });
-  run("kmeans", false, [&] {
+  run("kmeans", false, false, [&] {
     kmeans(km_data, 8, {.max_iterations = 15, .restarts = 2});
   });
-  run("minhash", false, [&] {
+  run("minhash", false, false, [&] {
     // Synthetic signature stream: the per-neighbor update is the whole
     // kernel, so drive it directly instead of through a graph.
     constexpr std::size_t kHashes = 96;
@@ -320,18 +324,20 @@ void emit_kernel_speedups(const std::string& json_path) {
       "\"}, \"kernels\": [";
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     const KernelSweep& k = kernels[i];
-    const TierSweep& scalar = k.tiers.front();
     const TierSweep& active = k.tiers.back();
-    const double scalar_serial = scalar.seconds_by_threads.front().second;
-    const double active_serial = active.seconds_by_threads.front().second;
     if (i > 0) json += ", ";
     // Legacy top-level timings/best_speedup describe the dispatched tier
     // (what production runs use); the per-tier detail lives under "tiers".
     json += "{\"name\": \"" + k.name + "\", \"simd_tier\": \"" + active.tier +
-            "\", \"online_cpus\": " + std::to_string(cpus) +
-            ", \"simd_speedup\": " +
-            fmt(active_serial > 0.0 ? scalar_serial / active_serial : 0.0, 3) +
-            ", \"timings\": " + json_timings(active.seconds_by_threads) +
+            "\", \"online_cpus\": " + std::to_string(cpus);
+    if (k.tiered) {
+      const double scalar_serial =
+          k.tiers.front().seconds_by_threads.front().second;
+      const double active_serial = active.seconds_by_threads.front().second;
+      json += ", \"simd_speedup\": " +
+              fmt(active_serial > 0.0 ? scalar_serial / active_serial : 0.0, 3);
+    }
+    json += ", \"timings\": " + json_timings(active.seconds_by_threads) +
             ", \"best_speedup\": " + fmt(best_speedup(active.seconds_by_threads), 3) +
             ", \"tiers\": [";
     for (std::size_t j = 0; j < k.tiers.size(); ++j) {

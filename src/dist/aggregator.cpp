@@ -117,7 +117,7 @@ bool Aggregator::advance(std::size_t s) {
         break;
       }
       case MsgType::kTelemetry: {
-        // Out-of-band: merged into the fleet registry and the barrier loop
+        // Out-of-band: stored in the fleet registry and the barrier loop
         // keeps reading. A malformed frame still fails the run — the
         // transport is supposed to be clean.
         auto frame = decode_telemetry(payload);
@@ -126,13 +126,7 @@ bool Aggregator::advance(std::size_t s) {
           return false;
         }
         obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-        fleet.apply(frame->shard_id, frame->metrics);
-        // Shipped records worth mirroring reach this terminal too, tagged
-        // with their shard — through the same threshold and rate limiter
-        // as local records.
-        for (const obs::LogRecord& record : frame->logs) {
-          obs::mirror_shard_record(frame->shard_id, record);
-        }
+        fleet.apply(frame->shard_id, std::move(frame->metrics));
         if (!frame->spans.empty()) {
           fleet.add_spans(frame->shard_id, frame->spans);
         }

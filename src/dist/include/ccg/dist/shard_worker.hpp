@@ -50,14 +50,14 @@ class ShardWorker : public TelemetrySink {
 
   std::uint64_t records() const { return records_; }
   std::uint64_t windows_shipped() const { return windows_; }
-  std::uint64_t telemetry_shipped() const { return telemetry_seq_; }
+  std::uint64_t telemetry_shipped() const { return telemetry_; }
 
  private:
   bool ship_closed_windows();
-  /// Ships one out-of-band kTelemetry frame: the metrics delta since the
-  /// last shipment plus any new log records / trace spans. Best-effort —
-  /// a failed ship is logged but never fails the worker (telemetry must
-  /// not affect the data-plane contract).
+  /// Ships one out-of-band kTelemetry frame: the registry's cumulative
+  /// snapshot plus the trace spans recorded since the last shipment.
+  /// Best-effort — a failed ship is logged but never fails the worker
+  /// (telemetry must not affect the data-plane contract).
   void ship_telemetry();
 
   ShardWorkerOptions options_;
@@ -68,9 +68,7 @@ class ShardWorker : public TelemetrySink {
   std::uint64_t windows_ = 0;
   bool failed_ = false;
 
-  obs::Snapshot last_shipped_;          // metrics baseline for the next delta
-  std::uint64_t telemetry_seq_ = 0;     // frames shipped so far
-  std::size_t logs_seen_ = 0;           // LogRing records()+dropped() shipped
+  std::uint64_t telemetry_ = 0;         // frames shipped so far
   std::size_t spans_seen_ = 0;          // TraceRing events()+dropped() shipped
 
   obs::Counter* m_records_ = nullptr;   // ccg.dist.shard.records

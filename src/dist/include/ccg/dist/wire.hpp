@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "ccg/graph/builder.hpp"
-#include "ccg/obs/log.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/obs/span.hpp"
 
@@ -28,7 +27,9 @@ inline constexpr std::uint32_t kMagic = 0x44474343;
 
 /// Bumped on any incompatible wire or semantics change.
 /// v2: adds the out-of-band kTelemetry frame (metrics/log/span shipping).
-inline constexpr std::uint16_t kWireVersion = 2;
+/// v3: kTelemetry carries cumulative metrics and spans only (no logs, no
+/// sequence number); kHello drops the collapse_monitored byte.
+inline constexpr std::uint16_t kWireVersion = 3;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,        // shard -> aggregator: version + shard identity + config
@@ -44,7 +45,6 @@ struct WireConfig {
   GraphFacet facet = GraphFacet::kIp;
   std::int64_t window_minutes = 60;
   double collapse_threshold = 0.0;
-  bool collapse_monitored = false;
 
   friend bool operator==(const WireConfig&, const WireConfig&) = default;
 };
@@ -76,20 +76,16 @@ struct EndOfStream {
   std::uint64_t windows = 0;   // window frames it shipped
 };
 
-/// One out-of-band observability shipment from a shard worker: a metrics
-/// *delta* (Registry::snapshot_delta against the last shipped snapshot —
-/// counters and histogram buckets are increments, gauges and histogram
-/// min/max are last-write), plus the log records and trace spans emitted
-/// since the previous shipment. Strictly out-of-band: the aggregator's
-/// merge output is byte-identical whether or not these frames arrive.
-/// Histogram quantiles are NOT shipped; the receiver recomputes them from
-/// the accumulated buckets. `seq` increments per shipment so drops are
-/// observable.
+/// One out-of-band observability shipment from a shard worker: the
+/// cumulative snapshot of its metrics registry (zero counters and empty
+/// histograms left out), which the receiver keeps in place of the previous
+/// one, plus the trace spans recorded since the previous shipment.
+/// Strictly out-of-band: the aggregator's merge output is byte-identical
+/// whether or not these frames arrive. Histogram quantiles are NOT
+/// shipped; the decoder recomputes them from the buckets.
 struct TelemetryFrame {
   std::uint32_t shard_id = 0;
-  std::uint64_t seq = 0;
   obs::Snapshot metrics;
-  std::vector<obs::LogRecord> logs;
   std::vector<obs::TraceEvent> spans;
 };
 

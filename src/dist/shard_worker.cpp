@@ -118,19 +118,13 @@ bool ShardWorker::ship_closed_windows() {
 void ShardWorker::ship_telemetry() {
   TelemetryFrame frame;
   frame.shard_id = options_.shard_id;
-  obs::Snapshot current;
-  frame.metrics =
-      obs::Registry::global().snapshot_delta(last_shipped_, &current);
-
-  obs::LogRing& logs = obs::LogRing::global();
-  const std::vector<obs::LogRecord> retained_logs = logs.records();
-  const std::size_t logs_total = retained_logs.size() + logs.dropped();
-  if (logs_total > logs_seen_) {
-    const std::size_t fresh =
-        std::min(logs_total - logs_seen_, retained_logs.size());
-    frame.logs.assign(retained_logs.end() - static_cast<std::ptrdiff_t>(fresh),
-                      retained_logs.end());
-  }
+  frame.metrics = obs::Registry::global().snapshot();
+  // Series that never recorded anything stay off the wire and out of the
+  // aggregator's fleet view.
+  std::erase_if(frame.metrics.counters,
+                [](const obs::CounterSample& c) { return c.value == 0; });
+  std::erase_if(frame.metrics.histograms,
+                [](const obs::HistogramSample& h) { return h.count == 0; });
 
   obs::TraceRing& traces = obs::TraceRing::global();
   const std::vector<obs::TraceEvent> retained_spans = traces.events();
@@ -143,24 +137,16 @@ void ShardWorker::ship_telemetry() {
         retained_spans.end());
   }
 
-  if (frame.metrics.counters.empty() && frame.metrics.gauges.empty() &&
-      frame.metrics.histograms.empty() && frame.logs.empty() &&
-      frame.spans.empty()) {
-    return;  // nothing new; don't burn a frame
-  }
-  frame.seq = telemetry_seq_;
   if (!conn_.send(encode_telemetry(frame))) {
-    // Out-of-band: a lost telemetry frame never fails the worker. The
-    // baselines are not advanced, so the data rides the next shipment.
+    // Out-of-band: a lost telemetry frame never fails the worker. The next
+    // frame restates the metrics, and the span cursor is not advanced, so
+    // these spans ride it too.
     obs::log_warn("dist: telemetry ship failed",
-                  {obs::field("shard", options_.shard_id),
-                   obs::field("seq", frame.seq)});
+                  {obs::field("shard", options_.shard_id)});
     return;
   }
-  ++telemetry_seq_;
+  ++telemetry_;
   m_telemetry_->add();
-  last_shipped_ = std::move(current);
-  logs_seen_ = logs_total;
   spans_seen_ = spans_total;
 }
 

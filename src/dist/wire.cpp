@@ -17,25 +17,21 @@ void put_config(std::vector<std::uint8_t>& out, const WireConfig& config) {
   // Exact bit pattern: the determinism contract includes the collapse
   // threshold, so "approximately equal" configs are not equal.
   put_varint(out, std::bit_cast<std::uint64_t>(config.collapse_threshold));
-  out.push_back(config.collapse_monitored ? 1 : 0);
 }
 
 std::optional<WireConfig> get_config(store::ByteReader& in) {
   const auto facet = in.byte();
   const auto window_minutes = in.varint();
   const auto threshold_bits = in.varint();
-  const auto collapse_monitored = in.byte();
   if (!facet || *facet > static_cast<std::uint8_t>(GraphFacet::kService) ||
       !window_minutes || *window_minutes == 0 ||
-      *window_minutes > (1ull << 32) || !threshold_bits ||
-      !collapse_monitored || *collapse_monitored > 1) {
+      *window_minutes > (1ull << 32) || !threshold_bits) {
     return std::nullopt;
   }
   WireConfig config;
   config.facet = static_cast<GraphFacet>(*facet);
   config.window_minutes = static_cast<std::int64_t>(*window_minutes);
   config.collapse_threshold = std::bit_cast<double>(*threshold_bits);
-  config.collapse_monitored = *collapse_monitored == 1;
   if (!(config.collapse_threshold >= 0.0) || config.collapse_threshold >= 1.0) {
     return std::nullopt;  // also rejects NaN
   }
@@ -51,10 +47,8 @@ bool type_is(std::span<const std::uint8_t> payload, MsgType t) {
 // these is corruption, not a big fleet.
 constexpr std::uint64_t kMaxTelemetrySeries = 65536;
 constexpr std::uint64_t kMaxTelemetryBuckets = 1024;
-constexpr std::uint64_t kMaxTelemetryLogs = 4096;
 constexpr std::uint64_t kMaxTelemetrySpans = 65536;
 constexpr std::uint64_t kMaxTelemetryString = 4096;
-constexpr std::uint64_t kMaxTelemetryFields = 64;
 
 void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
   put_varint(out, s.size());
@@ -87,8 +81,7 @@ std::optional<double> get_double(store::ByteReader& in) {
 }  // namespace
 
 WireConfig wire_config(const GraphBuildConfig& config) {
-  return {config.facet, config.window_minutes, config.collapse_threshold,
-          config.collapse_monitored};
+  return {config.facet, config.window_minutes, config.collapse_threshold};
 }
 
 std::vector<std::uint8_t> encode_hello(const Hello& hello) {
@@ -134,7 +127,6 @@ std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& frame) {
   std::vector<std::uint8_t> out;
   out.push_back(static_cast<std::uint8_t>(MsgType::kTelemetry));
   put_varint(out, frame.shard_id);
-  put_varint(out, frame.seq);
 
   put_varint(out, frame.metrics.counters.size());
   for (const obs::CounterSample& c : frame.metrics.counters) {
@@ -157,20 +149,6 @@ std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& frame) {
     for (const auto& [bound, occupancy] : h.buckets) {
       put_double(out, bound);
       put_varint(out, occupancy);
-    }
-  }
-
-  put_varint(out, frame.logs.size());
-  for (const obs::LogRecord& r : frame.logs) {
-    out.push_back(static_cast<std::uint8_t>(r.level));
-    put_varint(out, r.ts_ns);
-    put_varint(out, r.thread_hash);
-    put_varint(out, r.trace_id);
-    put_string(out, r.message);
-    put_varint(out, r.fields.size());
-    for (const obs::LogField& f : r.fields) {
-      put_string(out, f.key);
-      put_string(out, f.value);
     }
   }
 
@@ -274,11 +252,9 @@ std::optional<TelemetryFrame> decode_telemetry(
   if (!type_is(payload, MsgType::kTelemetry)) return std::nullopt;
   store::ByteReader in(payload.subspan(1));
   const auto shard_id = in.varint();
-  const auto seq = in.varint();
-  if (!shard_id || *shard_id > 0xFFFF || !seq) return std::nullopt;
+  if (!shard_id || *shard_id > 0xFFFF) return std::nullopt;
   TelemetryFrame frame;
   frame.shard_id = static_cast<std::uint32_t>(*shard_id);
-  frame.seq = *seq;
 
   const auto n_counters = in.varint();
   if (!n_counters || *n_counters > kMaxTelemetrySeries) return std::nullopt;
@@ -327,42 +303,11 @@ std::optional<TelemetryFrame> decode_telemetry(
       if (!bound || !occupancy) return std::nullopt;
       h.buckets.emplace_back(*bound, *occupancy);
     }
-    // Quantiles are receiver-side; recompute so the decoded sample is
-    // self-consistent even before fleet accumulation.
+    // Quantiles are receiver-side: recompute them from the shipped buckets.
     h.p50 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.50);
     h.p90 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.90);
     h.p99 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.99);
     frame.metrics.histograms.push_back(std::move(h));
-  }
-
-  const auto n_logs = in.varint();
-  if (!n_logs || *n_logs > kMaxTelemetryLogs) return std::nullopt;
-  frame.logs.reserve(static_cast<std::size_t>(*n_logs));
-  for (std::uint64_t i = 0; i < *n_logs; ++i) {
-    obs::LogRecord r;
-    const auto level = in.byte();
-    const auto ts = in.varint();
-    const auto thread_hash = in.varint();
-    const auto trace_id = in.varint();
-    auto message = get_string(in);
-    const auto n_fields = in.varint();
-    if (!level || *level > 3 || !ts || !thread_hash || !trace_id || !message ||
-        !n_fields || *n_fields > kMaxTelemetryFields) {
-      return std::nullopt;
-    }
-    r.level = static_cast<obs::LogLevel>(*level);
-    r.ts_ns = *ts;
-    r.thread_hash = *thread_hash;
-    r.trace_id = *trace_id;
-    r.message = std::move(*message);
-    r.fields.reserve(static_cast<std::size_t>(*n_fields));
-    for (std::uint64_t f = 0; f < *n_fields; ++f) {
-      auto key = get_string(in);
-      auto value = get_string(in);
-      if (!key || !value) return std::nullopt;
-      r.fields.push_back({std::move(*key), std::move(*value)});
-    }
-    frame.logs.push_back(std::move(r));
   }
 
   const auto n_spans = in.varint();

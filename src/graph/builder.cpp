@@ -61,7 +61,6 @@ void GraphBuilder::ingest(const ConnectionSummary& record) {
   }
   CCG_EXPECT(record.time >= current_window_->begin());  // stream must be ordered
 
-  ++records_;
   m_records_->add(1);
   const std::int64_t minute = record.time.index();
 
@@ -203,8 +202,7 @@ CommGraph merge_graphs(const std::vector<CommGraph>& parts) {
   return merged;
 }
 
-CommGraph collapse_heavy_hitters(const CommGraph& graph, double threshold,
-                                 bool collapse_monitored) {
+CommGraph collapse_heavy_hitters(const CommGraph& graph, double threshold) {
   CCG_EXPECT(threshold >= 0.0 && threshold < 1.0);
   std::uint64_t total_bytes = 0, total_packets = 0, total_conn = 0;
   for (const Edge& e : graph.edges()) {
@@ -219,7 +217,7 @@ CommGraph collapse_heavy_hitters(const CommGraph& graph, double threshold,
   auto survives = [&](NodeId i) {
     if (threshold <= 0.0) return true;
     const NodeStats& s = graph.node_stats(i);
-    if (!collapse_monitored && s.monitored) return true;
+    if (s.monitored) return true;
     return share(s.bytes, total_bytes) >= threshold ||
            share(s.packets, total_packets) >= threshold ||
            share(s.connection_minutes, total_conn) >= threshold;
@@ -302,8 +300,8 @@ CommGraph finalize_window_graph(const CommGraph& merged,
   if (config.collapse_threshold > 0.0) {
     // Collapse preserves survivor order but inserts <other> wherever the
     // first collapsed node sat; re-canonicalize to move it to the front.
-    out = canonical_graph(collapse_heavy_hitters(
-        out, config.collapse_threshold, config.collapse_monitored));
+    out = canonical_graph(
+        collapse_heavy_hitters(out, config.collapse_threshold));
   }
   return out;
 }

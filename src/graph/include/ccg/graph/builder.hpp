@@ -44,10 +44,6 @@ struct GraphBuildConfig {
   /// the window's bytes, packets OR connection-minutes (paper: 0.1%).
   /// 0 disables collapsing.
   double collapse_threshold = 0.0;
-
-  /// Monitored nodes (the subscription's own resources) are exempt from
-  /// collapsing by default; only remote peers get folded into <other>.
-  bool collapse_monitored = false;
 };
 
 /// Accumulates a stream of summaries into a series of per-window graphs.
@@ -71,13 +67,6 @@ class GraphBuilder : public TelemetrySink {
   std::vector<CommGraph> take_graphs();
 
   const GraphBuildConfig& config() const { return config_; }
-
-  /// Records ingested since construction.
-  std::uint64_t records_ingested() const { return records_; }
-
-  /// Current number of directed-pair accumulator entries (memory proxy;
-  /// the paper's COGS argument hinges on this staying near graph size).
-  std::size_t accumulator_size() const { return acc_.size(); }
 
  private:
   struct DirKey {
@@ -127,7 +116,6 @@ class GraphBuilder : public TelemetrySink {
   std::unordered_map<DirKey, DirAccum, DirKeyHash> acc_;
   std::optional<TimeWindow> current_window_;
   std::vector<CommGraph> graphs_;
-  std::uint64_t records_ = 0;
 
   // Registry-owned; shared across builder instances (e.g. shard workers).
   obs::Counter* m_records_ = nullptr;
@@ -144,9 +132,9 @@ CommGraph merge_graphs(const std::vector<CommGraph>& parts);
 
 /// Applies heavy-hitter collapsing to an already-built graph: nodes below
 /// `threshold` share of bytes, packets and connection-minutes fold into
-/// the <other> node. Monitored nodes are exempt unless collapse_monitored.
-CommGraph collapse_heavy_hitters(const CommGraph& graph, double threshold,
-                                 bool collapse_monitored = false);
+/// the <other> node. Monitored nodes (the subscription's own resources)
+/// are exempt: only remote peers fold.
+CommGraph collapse_heavy_hitters(const CommGraph& graph, double threshold);
 
 /// Rebuilds `graph` with nodes ordered by NodeKey and edges ordered by
 /// their (sorted) endpoint pair. The result is a pure function of the

@@ -22,7 +22,6 @@ class PcaSummary {
   explicit PcaSummary(const Matrix& m);
 
   std::size_t dimension() const { return original_.rows(); }
-  const EigenDecomposition& decomposition() const { return eig_; }
 
   /// Mk = Ek Dk Ekᵀ. Precondition: k <= dimension().
   Matrix reconstruct(std::size_t k) const;

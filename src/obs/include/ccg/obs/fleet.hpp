@@ -1,8 +1,8 @@
-// Fleet-side accumulator for telemetry shipped by shard workers. The
-// aggregator decodes each kTelemetry frame and feeds its pieces here:
-// metric deltas are merged into per-(metric, shard) series, and shipped
-// spans are collected for the merged multi-process Chrome trace. (Shipped
-// log records are not kept: the aggregator mirrors them to stderr.)
+// Fleet-side state of the telemetry shipped by shard workers. The
+// aggregator decodes each kTelemetry frame and feeds its pieces here: the
+// shard's cumulative metrics snapshot replaces the one it shipped before
+// (the last write wins), and shipped spans are collected for the merged
+// multi-process Chrome trace.
 //
 // The registry renders back out as a *labeled* Snapshot: every sample
 // carries a `shard="N"` label, sorted by (name, numeric shard), so the
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,19 +31,17 @@ class FleetRegistry {
  public:
   static FleetRegistry& global();
 
-  /// Merges one shipped metrics delta: counters accumulate, gauges are
-  /// last-write, histogram bucket occupancies / count / sum accumulate
-  /// (min/max are last-write — the shipper sends running values). A
-  /// histogram whose bucket layout changed replaces the stored series.
-  void apply(std::uint32_t shard, const Snapshot& delta);
+  /// Stores one shard's shipped metrics, a cumulative snapshot of its
+  /// registry, in place of the one it shipped before: the last write
+  /// wins, so a repeated frame changes nothing.
+  void apply(std::uint32_t shard, Snapshot snapshot);
 
   /// Retains shipped spans for the merged trace, up to `span_capacity()`
   /// per shard; overflow is counted, newest spans dropped.
   void add_spans(std::uint32_t shard, const std::vector<TraceEvent>& spans);
 
-  /// All accumulated series as a Snapshot whose samples carry a
-  /// `shard="N"` label, sorted by (name, numeric shard). Histogram
-  /// quantiles are recomputed from the accumulated buckets.
+  /// Every shard's latest series as a Snapshot whose samples carry a
+  /// `shard="N"` label, sorted by (name, numeric shard).
   Snapshot labeled_snapshot() const;
 
   /// Shipped spans grouped by shard, ascending shard id.
@@ -69,22 +66,13 @@ class FleetRegistry {
  private:
   FleetRegistry() = default;
 
-  struct HistogramState {
-    std::vector<std::pair<double, std::uint64_t>> buckets;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
   struct ShardSpans {
     std::vector<TraceEvent> spans;
     std::size_t dropped = 0;
   };
 
   mutable std::mutex mutex_;
-  std::map<std::string, std::map<std::uint32_t, std::uint64_t>> counters_;
-  std::map<std::string, std::map<std::uint32_t, double>> gauges_;
-  std::map<std::string, std::map<std::uint32_t, HistogramState>> histograms_;
+  std::map<std::uint32_t, Snapshot> metrics_;  // latest per shard
   std::map<std::uint32_t, ShardSpans> spans_;
   std::uint64_t frames_ = 0;
 };

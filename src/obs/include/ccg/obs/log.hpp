@@ -135,12 +135,6 @@ class StderrRateLimiter {
 /// level, burst 50.
 StderrRateLimiter& stderr_rate_limiter();
 
-/// Mirrors a record shipped from another process (a telemetry frame) to
-/// stderr, tagged `shard=N` — subject to the same threshold and rate
-/// limiter as local records. The record is NOT pushed into the local
-/// LogRing.
-void mirror_shard_record(std::uint32_t shard, const LogRecord& record);
-
 /// Emits one record: stamps time/thread/trace, pushes into the global
 /// LogRing, bumps the ccg.log.<level> counter, and mirrors to stderr when
 /// `level >= stderr_level()`.

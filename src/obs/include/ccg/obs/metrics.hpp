@@ -168,8 +168,8 @@ struct Snapshot {
 /// Quantile estimate from (bound, occupancy) buckets: finds the bucket
 /// holding the target rank and interpolates linearly inside it, bounded
 /// to [min, max]. The one routine behind Histogram::quantile, snapshot
-/// quantiles and shipped/merged bucket sets where the live Histogram is
-/// in another process.
+/// quantiles and shipped bucket sets, whose live Histogram is in another
+/// process.
 double quantile_from_buckets(
     const std::vector<std::pair<double, std::uint64_t>>& buckets,
     std::uint64_t count, double min, double max, double q) noexcept;
@@ -199,23 +199,6 @@ class Registry {
 
   /// Consistent-per-instrument view of everything registered.
   Snapshot snapshot() const;
-
-  /// What changed since `prev` (an earlier snapshot() of this registry) —
-  /// the shipping primitive for cross-process telemetry:
-  ///  - counters: monotonic delta (a current value below prev is a reset;
-  ///    the current value ships). Zero deltas are omitted.
-  ///  - gauges: last-write — included only when the value changed or the
-  ///    gauge is new.
-  ///  - histograms: per-bucket occupancy diffs with count/sum diffs and
-  ///    the *current* min/max (receiver applies them last-write); p50/90/99
-  ///    are recomputed over the diff buckets. Unchanged histograms are
-  ///    omitted.
-  /// A default-constructed `prev` yields the full snapshot, so the first
-  /// delta bootstraps the receiver. When `current` is non-null it receives
-  /// the snapshot the delta was computed against (the shipper's next
-  /// baseline — re-snapshotting would race concurrent updates).
-  Snapshot snapshot_delta(const Snapshot& prev,
-                          Snapshot* current = nullptr) const;
 
   /// Zeroes all values; registrations (and handed-out references) survive.
   void reset();

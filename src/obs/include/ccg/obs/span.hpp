@@ -80,13 +80,6 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Seconds since construction, without closing the span.
-  double elapsed_seconds() const noexcept {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
   ~ScopedSpan();
 
  private:

@@ -228,10 +228,8 @@ Counter& stderr_dropped_counter() {
   return *c;
 }
 
-/// Runs a record through the threshold + rate limiter and prints it (with
-/// an optional extra logfmt tail) when admitted. Shared by the local
-/// mirror and the shipped-record mirror.
-void mirror_to_stderr(const LogRecord& record, const std::string& tail) {
+/// Runs a record through the rate limiter and prints it when admitted.
+void mirror_to_stderr(const LogRecord& record) {
   const StderrRateLimiter::Decision d =
       stderr_rate_limiter().admit(record.level, record.ts_ns);
   if (!d.mirror) {
@@ -244,7 +242,7 @@ void mirror_to_stderr(const LogRecord& record, const std::string& tail) {
                  level_name(record.level),
                  static_cast<unsigned long long>(d.recovered));
   }
-  std::fprintf(stderr, "ccg: %s%s\n", record.render().c_str(), tail.c_str());
+  std::fprintf(stderr, "ccg: %s\n", record.render().c_str());
 }
 
 }  // namespace
@@ -253,11 +251,6 @@ StderrRateLimiter& stderr_rate_limiter() {
   static StderrRateLimiter* limiter =
       new StderrRateLimiter(25.0, 50.0);  // leaked, like the ring
   return *limiter;
-}
-
-void mirror_shard_record(std::uint32_t shard, const LogRecord& record) {
-  if (record.level < stderr_level()) return;
-  mirror_to_stderr(record, " shard=" + std::to_string(shard));
 }
 
 void log(LogLevel level, std::string_view message,
@@ -272,7 +265,7 @@ void log(LogLevel level, std::string_view message,
 
   level_counter(level).add();
   if (level >= stderr_level()) {
-    mirror_to_stderr(record, "");
+    mirror_to_stderr(record);
   }
   LogRing::global().push(std::move(record));
 }

@@ -177,73 +177,6 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-Snapshot Registry::snapshot_delta(const Snapshot& prev,
-                                  Snapshot* current) const {
-  // Both snapshot() and a Snapshot's vectors are sorted by name (the
-  // registry maps are ordered), so each lookup is one merge-style probe.
-  const Snapshot cur = snapshot();
-  Snapshot delta;
-
-  std::size_t p = 0;
-  for (const CounterSample& c : cur.counters) {
-    while (p < prev.counters.size() && prev.counters[p].name < c.name) ++p;
-    std::uint64_t base = 0;
-    if (p < prev.counters.size() && prev.counters[p].name == c.name) {
-      base = prev.counters[p].value;
-    }
-    // A shrinking "monotonic" counter means the source was reset; the
-    // honest delta is the whole current value.
-    const std::uint64_t d = c.value >= base ? c.value - base : c.value;
-    if (d != 0) delta.counters.push_back({c.name, d, {}});
-  }
-
-  p = 0;
-  for (const GaugeSample& g : cur.gauges) {
-    while (p < prev.gauges.size() && prev.gauges[p].name < g.name) ++p;
-    const bool known =
-        p < prev.gauges.size() && prev.gauges[p].name == g.name;
-    if (!known || prev.gauges[p].value != g.value) {
-      delta.gauges.push_back({g.name, g.value, {}});
-    }
-  }
-
-  p = 0;
-  for (const HistogramSample& h : cur.histograms) {
-    while (p < prev.histograms.size() && prev.histograms[p].name < h.name) ++p;
-    const HistogramSample* base =
-        p < prev.histograms.size() && prev.histograms[p].name == h.name
-            ? &prev.histograms[p]
-            : nullptr;
-    HistogramSample d;
-    d.name = h.name;
-    d.buckets.reserve(h.buckets.size());
-    const bool diffable =
-        base != nullptr && base->buckets.size() == h.buckets.size() &&
-        base->count <= h.count;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      const std::uint64_t cur_n = h.buckets[i].second;
-      const std::uint64_t base_n =
-          diffable && base->buckets[i].second <= cur_n
-              ? base->buckets[i].second
-              : 0;
-      d.buckets.emplace_back(h.buckets[i].first, cur_n - base_n);
-    }
-    d.count = diffable ? h.count - base->count : h.count;
-    d.sum = diffable ? h.sum - base->sum : h.sum;
-    if (d.count == 0) continue;
-    // min/max are not differencable; ship the running values and let the
-    // receiver treat them as last-write.
-    d.min = h.min;
-    d.max = h.max;
-    d.p50 = quantile_from_buckets(d.buckets, d.count, d.min, d.max, 0.50);
-    d.p90 = quantile_from_buckets(d.buckets, d.count, d.min, d.max, 0.90);
-    d.p99 = quantile_from_buckets(d.buckets, d.count, d.min, d.max, 0.99);
-    delta.histograms.push_back(std::move(d));
-  }
-  if (current != nullptr) *current = cur;
-  return delta;
-}
-
 void Registry::reset() {
   std::lock_guard lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();

@@ -1,6 +1,6 @@
-// FleetRegistry: accumulation semantics for shipped telemetry deltas,
-// labeled snapshot rendering, retention caps for shipped logs/spans, and
-// the local+fleet snapshot merge the ops endpoint exposes.
+// FleetRegistry: each shard's latest shipped snapshot wins, labeled
+// snapshot rendering, the retention cap for shipped spans, and the
+// local+fleet snapshot merge the ops endpoint exposes.
 #include "ccg/obs/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "ccg/obs/export.hpp"
 #include "ccg/obs/metrics.hpp"
 
 namespace ccg {
@@ -24,10 +25,26 @@ class FleetTest : public ::testing::Test {
   void TearDown() override { obs::FleetRegistry::global().clear(); }
 };
 
-obs::Snapshot counter_delta(const std::string& name, std::uint64_t value) {
+obs::Snapshot counter_frame(const std::string& name, std::uint64_t value) {
   obs::Snapshot s;
   s.counters.push_back({name, value, {}});
   return s;
+}
+
+/// The samples of `snap` labeled shard="`shard`", with the label removed.
+obs::Snapshot shard_series(const obs::Snapshot& snap, const std::string& shard) {
+  obs::Snapshot out;
+  const auto pick = [&](const auto& samples, auto& into) {
+    for (auto sample : samples) {
+      if (sample.labels != obs::SampleLabels{{"shard", shard}}) continue;
+      sample.labels.clear();
+      into.push_back(std::move(sample));
+    }
+  };
+  pick(snap.counters, out.counters);
+  pick(snap.gauges, out.gauges);
+  pick(snap.histograms, out.histograms);
+  return out;
 }
 
 TEST_F(FleetTest, StartsInactiveAndEmpty) {
@@ -40,22 +57,55 @@ TEST_F(FleetTest, StartsInactiveAndEmpty) {
   EXPECT_TRUE(snap.histograms.empty());
 }
 
-TEST_F(FleetTest, CountersAccumulateAcrossDeltasPerShard) {
+TEST_F(FleetTest, CountersAreTheLatestFramePerShard) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-  fleet.apply(0, counter_delta("ccg.dist.shard.records", 100));
-  fleet.apply(1, counter_delta("ccg.dist.shard.records", 40));
-  fleet.apply(0, counter_delta("ccg.dist.shard.records", 11));
+  fleet.apply(0, counter_frame("ccg.dist.shard.records", 100));
+  fleet.apply(1, counter_frame("ccg.dist.shard.records", 40));
+  fleet.apply(0, counter_frame("ccg.dist.shard.records", 111));
 
   EXPECT_TRUE(fleet.active());
   EXPECT_EQ(fleet.frames_applied(), 3u);
-  const obs::Snapshot snap = fleet.labeled_snapshot();
+  obs::Snapshot snap = fleet.labeled_snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].value, 111u);  // shard 0: 100 + 11
+  EXPECT_EQ(snap.counters[0].value, 111u);  // shard 0's latest, not a sum
   ASSERT_EQ(snap.counters[0].labels.size(), 1u);
   EXPECT_EQ(snap.counters[0].labels[0].first, "shard");
   EXPECT_EQ(snap.counters[0].labels[0].second, "0");
   EXPECT_EQ(snap.counters[1].value, 40u);
   EXPECT_EQ(snap.counters[1].labels[0].second, "1");
+
+  // A series the shard's latest frame no longer carries is gone with it.
+  fleet.apply(1, counter_frame("ccg.dist.shard.windows_shipped", 2));
+  snap = fleet.labeled_snapshot();
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].name, "ccg.dist.shard.records");
+  EXPECT_EQ(snap.counters[0].labels[0].second, "0");
+  EXPECT_EQ(snap.counters[1].name, "ccg.dist.shard.windows_shipped");
+  EXPECT_EQ(snap.counters[1].labels[0].second, "1");
+}
+
+TEST_F(FleetTest, RepeatedOrLatestOnlyFrameEqualsTheShardRegistry) {
+  // One shard's registry, snapshotted as it grows: what a worker ships.
+  obs::Registry shard;
+  shard.counter("ccg.dist.shard.records").add(512);
+  shard.gauge("ccg.parallel.threads").set(4.0);
+  obs::Histogram& ship = shard.histogram("ccg.dist.shard.ship.seconds");
+  ship.record(0.002);
+  const obs::Snapshot first = shard.snapshot();
+  shard.counter("ccg.dist.shard.records").add(488);
+  shard.gauge("ccg.parallel.threads").set(2.0);
+  ship.record(0.5);
+  const obs::Snapshot latest = shard.snapshot();
+
+  obs::FleetRegistry& fleet = obs::FleetRegistry::global();
+  fleet.apply(0, first);  // shard 0: every frame, the latest one twice
+  fleet.apply(0, latest);
+  fleet.apply(0, latest);
+  fleet.apply(1, latest);  // shard 1: only the latest frame
+
+  const obs::Snapshot snap = fleet.labeled_snapshot();
+  EXPECT_EQ(obs::to_json(shard_series(snap, "0")), obs::to_json(latest));
+  EXPECT_EQ(obs::to_json(shard_series(snap, "1")), obs::to_json(latest));
 }
 
 TEST_F(FleetTest, GaugesAreLastWrite) {
@@ -74,9 +124,9 @@ TEST_F(FleetTest, GaugesAreLastWrite) {
 TEST_F(FleetTest, LabeledSnapshotSortsByNameThenNumericShard) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
   // Shard 10 must sort after shard 2 (numeric, not lexicographic).
-  fleet.apply(10, counter_delta("b.metric", 1));
-  fleet.apply(2, counter_delta("b.metric", 1));
-  fleet.apply(7, counter_delta("a.metric", 1));
+  fleet.apply(10, counter_frame("b.metric", 1));
+  fleet.apply(2, counter_frame("b.metric", 1));
+  fleet.apply(7, counter_frame("a.metric", 1));
   const obs::Snapshot snap = fleet.labeled_snapshot();
   ASSERT_EQ(snap.counters.size(), 3u);
   EXPECT_EQ(snap.counters[0].name, "a.metric");
@@ -85,9 +135,9 @@ TEST_F(FleetTest, LabeledSnapshotSortsByNameThenNumericShard) {
   EXPECT_EQ(snap.counters[2].labels[0].second, "10");
 }
 
-TEST_F(FleetTest, HistogramBucketsAccumulateAndQuantilesRecompute) {
+TEST_F(FleetTest, HistogramIsTheLatestFrame) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-  obs::Snapshot d;
+  obs::Snapshot frame;
   obs::HistogramSample h;
   h.name = "ccg.analytics.window.seconds";
   h.buckets = {{1.0, 2}, {2.0, 0}, {kInf, 0}};
@@ -95,33 +145,30 @@ TEST_F(FleetTest, HistogramBucketsAccumulateAndQuantilesRecompute) {
   h.sum = 1.0;
   h.min = 0.4;
   h.max = 0.6;
-  d.histograms.push_back(h);
-  fleet.apply(0, d);
+  frame.histograms.push_back(h);
+  fleet.apply(0, frame);
 
-  obs::Snapshot d2;
-  h.buckets = {{1.0, 0}, {2.0, 3}, {kInf, 0}};
-  h.count = 3;
-  h.sum = 4.5;
-  h.min = 0.4;
+  // The shard's next frame restates the whole histogram.
+  h.buckets = {{1.0, 2}, {2.0, 3}, {kInf, 0}};
+  h.count = 5;
+  h.sum = 5.5;
   h.max = 1.8;
-  d2.histograms.push_back(h);
-  fleet.apply(0, d2);
+  h.p50 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.5);
+  frame.histograms = {h};
+  fleet.apply(0, frame);
 
   const obs::Snapshot snap = fleet.labeled_snapshot();
   ASSERT_EQ(snap.histograms.size(), 1u);
-  const obs::HistogramSample& merged = snap.histograms[0];
-  EXPECT_EQ(merged.count, 5u);
-  EXPECT_DOUBLE_EQ(merged.sum, 5.5);
-  EXPECT_DOUBLE_EQ(merged.max, 1.8);  // last-write, not a diff
-  ASSERT_EQ(merged.buckets.size(), 3u);
-  EXPECT_EQ(merged.buckets[0].second, 2u);
-  EXPECT_EQ(merged.buckets[1].second, 3u);
-  // Quantiles come from the accumulated buckets, clamped to [min, max].
-  EXPECT_DOUBLE_EQ(
-      merged.p50, obs::quantile_from_buckets(merged.buckets, merged.count,
-                                             merged.min, merged.max, 0.5));
-  EXPECT_GE(merged.p50, merged.min);
-  EXPECT_LE(merged.p99, merged.max);
+  const obs::HistogramSample& latest = snap.histograms[0];
+  EXPECT_EQ(latest.count, 5u);
+  EXPECT_DOUBLE_EQ(latest.sum, 5.5);
+  EXPECT_DOUBLE_EQ(latest.min, 0.4);
+  EXPECT_DOUBLE_EQ(latest.max, 1.8);
+  ASSERT_EQ(latest.buckets.size(), 3u);
+  EXPECT_EQ(latest.buckets[0].second, 2u);
+  EXPECT_EQ(latest.buckets[1].second, 3u);
+  EXPECT_DOUBLE_EQ(latest.p50, h.p50);
+  EXPECT_EQ(latest.labels, (obs::SampleLabels{{"shard", "0"}}));
 }
 
 TEST_F(FleetTest, HistogramLayoutChangeReplacesTheSeries) {
@@ -135,8 +182,8 @@ TEST_F(FleetTest, HistogramLayoutChangeReplacesTheSeries) {
   d.histograms.push_back(h);
   fleet.apply(0, d);
 
-  // A shard restart re-registers the histogram with different options; the
-  // old accumulation would be meaningless, so the series is replaced.
+  // A shard restart re-registers the histogram with different options;
+  // its next frame replaces the series whatever the old layout was.
   obs::Snapshot d2;
   h.buckets = {{0.5, 1}, {1.0, 0}, {kInf, 0}};
   h.count = 1;
@@ -191,7 +238,7 @@ TEST_F(FleetTest, MergeSnapshotsPutsUnlabeledFirstPerName) {
 
 TEST_F(FleetTest, ClearResetsEverything) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-  fleet.apply(0, counter_delta("x", 1));
+  fleet.apply(0, counter_frame("x", 1));
   fleet.add_spans(0, std::vector<obs::TraceEvent>(3));
   fleet.clear();
   EXPECT_FALSE(fleet.active());

@@ -232,17 +232,5 @@ TEST(ObsLogRateLimit, TokensCapAtBurst) {
   EXPECT_FALSE(limiter.admit(obs::LogLevel::kWarn, 100 * kSecond).mirror);
 }
 
-TEST(ObsLogRateLimit, GlobalLimiterExistsAndShardMirrorCounts) {
-  // The process-wide limiter is shared state; just pin its existence and
-  // that shipped-record mirroring never touches the local ring.
-  (void)obs::stderr_rate_limiter();
-  obs::LogRing::global().clear();
-  obs::LogRecord record;
-  record.level = obs::LogLevel::kDebug;  // below the stderr threshold
-  record.message = "from a shard";
-  obs::mirror_shard_record(3, record);
-  EXPECT_TRUE(obs::LogRing::global().records().empty());
-}
-
 }  // namespace
 }  // namespace ccg

@@ -249,102 +249,6 @@ TEST(ObsExport, PrometheusLabeledHistogramAppendsLe) {
   EXPECT_EQ(obs::to_prometheus(snap), expected);
 }
 
-// --- snapshot deltas (the telemetry shipping primitive) ----------------------
-
-TEST(ObsDelta, CounterDeltaOmitsUnchangedAndShipsResets) {
-  Registry r;
-  obs::Counter& a = r.counter("a");
-  obs::Counter& b = r.counter("b");
-  a.add(5);
-  b.add(2);
-
-  // Bootstrap against a default-constructed prev: the full snapshot ships.
-  obs::Snapshot base;
-  obs::Snapshot first = r.snapshot_delta(base, &base);
-  ASSERT_EQ(first.counters.size(), 2u);
-  EXPECT_EQ(first.counters[0].name, "a");
-  EXPECT_EQ(first.counters[0].value, 5u);
-
-  a.add(3);
-  obs::Snapshot d = r.snapshot_delta(base, &base);
-  ASSERT_EQ(d.counters.size(), 1u);  // b unchanged -> omitted
-  EXPECT_EQ(d.counters[0].name, "a");
-  EXPECT_EQ(d.counters[0].value, 3u);
-
-  // A value below prev is a reset: the current value ships, so the
-  // receiver's accumulation stays monotone-ish instead of wrapping.
-  a.reset();
-  a.add(1);
-  d = r.snapshot_delta(base, &base);
-  ASSERT_EQ(d.counters.size(), 1u);
-  EXPECT_EQ(d.counters[0].value, 1u);
-
-  EXPECT_TRUE(r.snapshot_delta(base).counters.empty());
-}
-
-TEST(ObsDelta, GaugeShipsOnlyOnChange) {
-  Registry r;
-  obs::Gauge& g = r.gauge("depth");
-  g.set(2.5);
-  obs::Snapshot base;
-  obs::Snapshot d = r.snapshot_delta(base, &base);
-  ASSERT_EQ(d.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(d.gauges[0].value, 2.5);
-
-  EXPECT_TRUE(r.snapshot_delta(base, nullptr).gauges.empty());
-
-  g.set(3.0);
-  d = r.snapshot_delta(base, &base);
-  ASSERT_EQ(d.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(d.gauges[0].value, 3.0);
-}
-
-TEST(ObsDelta, HistogramShipsBucketDiffsAndCurrentMinMax) {
-  Registry r;
-  Histogram& h =
-      r.histogram("lat", {.first_bound = 1.0, .growth = 2.0, .buckets = 2});
-  h.record(0.5);
-  h.record(3.0);
-  obs::Snapshot base;
-  obs::Snapshot d = r.snapshot_delta(base, &base);
-  ASSERT_EQ(d.histograms.size(), 1u);
-  EXPECT_EQ(d.histograms[0].count, 2u);
-
-  h.record(0.7);
-  h.record(100.0);
-  d = r.snapshot_delta(base, &base);
-  ASSERT_EQ(d.histograms.size(), 1u);
-  const obs::HistogramSample& s = d.histograms[0];
-  EXPECT_EQ(s.count, 2u);  // the diff, not the cumulative count
-  EXPECT_DOUBLE_EQ(s.sum, 100.7);
-  ASSERT_EQ(s.buckets.size(), 3u);
-  EXPECT_EQ(s.buckets[0].second, 1u);  // 0.7 -> (0,1]
-  EXPECT_EQ(s.buckets[1].second, 0u);
-  EXPECT_EQ(s.buckets[2].second, 1u);  // 100 -> overflow
-  // min/max are last-write state, not diffs: the receiver overwrites.
-  EXPECT_DOUBLE_EQ(s.min, 0.5);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-
-  EXPECT_TRUE(r.snapshot_delta(base).histograms.empty());
-}
-
-TEST(ObsDelta, CurrentOutParamIsTheNextBaseline) {
-  Registry r;
-  r.counter("a").add(7);
-  obs::Snapshot base;
-  obs::Snapshot current;
-  (void)r.snapshot_delta(base, &current);
-  // `current` holds the cumulative snapshot the delta was computed
-  // against — handing it back avoids racing updates that land between
-  // delta computation and a second snapshot() call.
-  ASSERT_EQ(current.counters.size(), 1u);
-  EXPECT_EQ(current.counters[0].value, 7u);
-  r.counter("a").add(1);
-  const obs::Snapshot d = r.snapshot_delta(current);
-  ASSERT_EQ(d.counters.size(), 1u);
-  EXPECT_EQ(d.counters[0].value, 1u);
-}
-
 TEST(ObsExport, JsonGolden) {
   const std::string expected =
       "{\n"

@@ -18,7 +18,7 @@ Hello reference_hello() {
   hello.version = kWireVersion;
   hello.shard_id = 2;
   hello.shard_count = 4;
-  hello.config = {GraphFacet::kIp, 60, 0.001, false};
+  hello.config = {GraphFacet::kIp, 60, 0.001};
   return hello;
 }
 
@@ -26,24 +26,23 @@ Hello reference_hello() {
 // incompatible protocol change and must bump kWireVersion. Layout:
 // u8 type | varint magic("CCGD") | varint version | varint shard_id |
 // varint shard_count | u8 facet | varint window_minutes |
-// varint bit_cast<u64>(collapse_threshold) | u8 collapse_monitored.
+// varint bit_cast<u64>(collapse_threshold).
 TEST(WireFormat, GoldenHelloBytes) {
   const std::vector<std::uint8_t> golden = {
       0x01,                          // kHello
       0xC3, 0x86, 0x9D, 0xA2, 0x04,  // magic 0x44474343 "CCGD"
-      0x02,                          // version 2 (adds kTelemetry)
+      0x03,                          // version 3 (cumulative telemetry)
       0x02,                          // shard id 2
       0x04,                          // shard count 4
       0x00,                          // facet kIp
       0x3C,                          // window 60 min
       0xFC, 0xD3, 0xC6, 0x97, 0xDD, 0xC9, 0x98, 0xA8, 0x3F,  // 0.001 bits
-      0x00,                          // collapse_monitored false
   };
   EXPECT_EQ(encode_hello(reference_hello()), golden);
 }
 
 TEST(WireFormat, GoldenAckWindowAndEosBytes) {
-  EXPECT_EQ(encode_hello_ack(), (std::vector<std::uint8_t>{0x02, 0x02}));
+  EXPECT_EQ(encode_hello_ack(), (std::vector<std::uint8_t>{0x02, 0x03}));
 
   WindowFrame frame;
   frame.shard_id = 1;
@@ -177,7 +176,6 @@ TEST(WireFormat, ZeroTraceIdRejected) {
 TelemetryFrame reference_telemetry() {
   TelemetryFrame frame;
   frame.shard_id = 3;
-  frame.seq = 9;
 
   frame.metrics.counters.push_back({"ccg.analytics.windows", 42, {}});
   frame.metrics.counters.push_back({"ccg.net.frames_sent", 0, {}});
@@ -191,16 +189,6 @@ TelemetryFrame reference_telemetry() {
   h.min = 0.0004;
   h.max = 0.0041;
   frame.metrics.histograms.push_back(std::move(h));
-
-  obs::LogRecord r;
-  r.level = obs::LogLevel::kWarn;
-  r.ts_ns = 123456789;
-  r.thread_hash = 0xDEAD;
-  r.trace_id = 0xABC;
-  r.message = "dist: telemetry ship failed";
-  r.fields.push_back({"shard", "3"});
-  r.fields.push_back({"seq", "8"});
-  frame.logs.push_back(std::move(r));
 
   obs::TraceEvent e;
   e.name = "ccg.analytics.window";
@@ -221,7 +209,6 @@ TEST(WireTelemetry, RoundTripPreservesEverySection) {
   const auto decoded = decode_telemetry(encoded);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->shard_id, frame.shard_id);
-  EXPECT_EQ(decoded->seq, frame.seq);
 
   ASSERT_EQ(decoded->metrics.counters.size(), 2u);
   EXPECT_EQ(decoded->metrics.counters[0].name, "ccg.analytics.windows");
@@ -248,12 +235,6 @@ TEST(WireTelemetry, RoundTripPreservesEverySection) {
   EXPECT_GE(h.p50, h.min);
   EXPECT_LE(h.p99, h.max);
 
-  ASSERT_EQ(decoded->logs.size(), 1u);
-  EXPECT_EQ(decoded->logs[0].level, obs::LogLevel::kWarn);
-  EXPECT_EQ(decoded->logs[0].message, "dist: telemetry ship failed");
-  ASSERT_EQ(decoded->logs[0].fields.size(), 2u);
-  EXPECT_EQ(decoded->logs[0].fields[1].value, "8");
-
   ASSERT_EQ(decoded->spans.size(), 1u);
   EXPECT_EQ(decoded->spans[0].name, "ccg.analytics.window");
   EXPECT_EQ(decoded->spans[0].duration_ns, 250u);
@@ -261,18 +242,58 @@ TEST(WireTelemetry, RoundTripPreservesEverySection) {
 }
 
 TEST(WireTelemetry, EmptySectionsRoundTrip) {
-  // The shipper skips all-empty frames, but any single section may be
-  // empty on the wire (e.g. a metrics-only shipment).
+  // Any section may be empty on the wire (a metrics-only shipment from a
+  // worker that records no spans, say).
   TelemetryFrame frame;
   frame.shard_id = 0;
-  frame.seq = 0;
   const auto decoded = decode_telemetry(encode_telemetry(frame));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->shard_id, 0u);
-  EXPECT_EQ(decoded->seq, 0u);
   EXPECT_TRUE(decoded->metrics.counters.empty());
-  EXPECT_TRUE(decoded->logs.empty());
+  EXPECT_TRUE(decoded->metrics.gauges.empty());
+  EXPECT_TRUE(decoded->metrics.histograms.empty());
   EXPECT_TRUE(decoded->spans.empty());
+}
+
+// The v3 body: u8 type | varint shard_id | counted counters (name, varint
+// value) | counted gauges (name, double bits) | counted histograms (name,
+// count, sum, min, max, counted (bound, occupancy) buckets) | counted
+// spans. No log section and no sequence number.
+TEST(WireTelemetry, GoldenBytes) {
+  TelemetryFrame frame;
+  frame.shard_id = 2;
+  frame.metrics.counters.push_back({"c", 5, {}});
+  frame.metrics.gauges.push_back({"g", 0.0, {}});
+  obs::HistogramSample h;
+  h.name = "h";
+  h.buckets = {{0.0, 1}};
+  h.count = 1;
+  frame.metrics.histograms.push_back(std::move(h));
+  obs::TraceEvent e;
+  e.name = "s";
+  e.start_ns = 1;
+  e.duration_ns = 2;
+  e.thread_hash = 3;
+  e.trace_id = 4;
+  e.span_id = 5;
+  e.parent_id = 6;
+  frame.spans.push_back(std::move(e));
+  const std::vector<std::uint8_t> golden = {
+      0x05,                          // kTelemetry
+      0x02,                          // shard id 2
+      0x01, 0x01, 'c', 0x05,         // 1 counter: "c" = 5
+      0x01, 0x01, 'g', 0x00,         // 1 gauge: "g" = 0.0
+      0x01, 0x01, 'h', 0x01,         // 1 histogram: "h", count 1
+      0x00, 0x00, 0x00,              //   sum, min, max 0.0
+      0x01, 0x00, 0x01,              //   1 bucket: bound 0.0, occupancy 1
+      0x01, 0x01, 's',               // 1 span: "s"
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06,  // start, duration, thread,
+                                           // trace, span, parent
+  };
+  EXPECT_EQ(encode_telemetry(frame), golden);
+  const auto decoded = decode_telemetry(golden);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(encode_telemetry(*decoded), golden);
 }
 
 TEST(WireTelemetry, EveryTruncationIsRejected) {
@@ -295,23 +316,13 @@ TEST(WireTelemetry, MalformedFieldsRejected) {
   frame.shard_id = 0x10000;
   EXPECT_FALSE(decode_telemetry(encode_telemetry(frame)).has_value());
 
-  // Log level outside debug..error. The level is the second byte after
-  // the counted sections; corrupt it in place instead of re-encoding.
+  // Counts past the sanity caps are corruption, not a big fleet.
   frame = reference_telemetry();
-  auto encoded = encode_telemetry(frame);
-  const auto good = decode_telemetry(encoded);
-  ASSERT_TRUE(good.has_value());
-  for (std::size_t i = 0; i < encoded.size(); ++i) {
-    if (encoded[i] != static_cast<std::uint8_t>(obs::LogLevel::kWarn)) continue;
-    auto corrupt = encoded;
-    corrupt[i] = 0x09;
-    const auto decoded = decode_telemetry(corrupt);
-    // Flipping a varint byte elsewhere may still decode; the byte that is
-    // the level must not accept 9.
-    if (decoded.has_value()) {
-      EXPECT_NE(decoded->logs[0].level, static_cast<obs::LogLevel>(9));
-    }
-  }
+  frame.metrics.histograms[0].buckets.assign(1025, {1.0, 0});
+  EXPECT_FALSE(decode_telemetry(encode_telemetry(frame)).has_value());
+  frame = reference_telemetry();
+  frame.metrics.counters[0].name.assign(4097, 'x');
+  EXPECT_FALSE(decode_telemetry(encode_telemetry(frame)).has_value());
 
   EXPECT_FALSE(decode_telemetry({}).has_value());
   const std::vector<std::uint8_t> wrong_type = {0x03, 0x00};
@@ -338,7 +349,7 @@ TEST(WireTelemetry, PeekTypeKnowsTelemetry) {
 }
 
 TEST(WireFormat, ConfigEqualityIsExactBits) {
-  const WireConfig a{GraphFacet::kIp, 60, 0.001, false};
+  const WireConfig a{GraphFacet::kIp, 60, 0.001};
   WireConfig b = a;
   EXPECT_TRUE(a == b);
   b.collapse_threshold = 0.001 + 1e-22;  // rounds to the same double

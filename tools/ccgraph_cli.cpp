@@ -181,16 +181,13 @@ int usage() {
                "  serve    --in flows.csv --shards N [ANALYSIS]\n"
                "           [--summary-out FILE] [--store DIR] forks N local\n"
                "           shard workers and aggregates; output is\n"
-               "           byte-identical to `anomaly`\n"
-               "  aggregate --shards N [--listen PORT] [ANALYSIS]\n"
-               "           [--summary-out FILE] [--store DIR] waits for N\n"
-               "           shard workers\n"
+               "           byte-identical to `anomaly` (--net-timeout-ms MS\n"
+               "           for accept and recv: >= 0, 0 = wait forever,\n"
+               "           default 30000)\n"
                "  shard-worker --in flows.csv --connect PORT --shard I\n"
                "           --shards N [--window MIN] [--facet ip|ipport]\n"
-               "           [--collapse F] ships its partition to an aggregator\n"
-               "           (serve/aggregate also take --net-timeout-ms MS for\n"
-               "           accept and recv: >= 0, 0 = wait forever, default\n"
-               "           30000)\n"
+               "           [--collapse F] the worker `serve` forks: ships\n"
+               "           its partition to serve's aggregator\n"
                "  report   --in flows.csv [ANALYSIS]\n"
                "  trace    --in flows.csv [ANALYSIS] runs the anomaly\n"
                "           pipeline with tracing forced on and prints each\n"
@@ -211,24 +208,24 @@ int usage() {
                "           time plus the run's CPU and peak RSS (rusage)\n"
                "           [--profile-out F]   write folded stacks (flamegraph.pl)\n"
                "           [--profile-json F]  write the full profile as JSON\n"
-               "ANALYSIS: the options anomaly, serve, aggregate, report and\n"
+               "ANALYSIS: the options anomaly, serve, report and\n"
                "  trace share: [--window MIN] [--facet ip|ipport]\n"
                "  [--collapse F] [--train N] [--rank K] [--stall-ms MS]\n"
                "  (defaults 60, ip, 0.001, 3, 20, 0; --window, --train and\n"
                "  --rank must be >= 1 and --collapse in [0, 1), as in every\n"
                "  command)\n"
-               "anomaly, serve and aggregate also accept:\n"
+               "anomaly and serve also accept:\n"
                "  --ops-port PORT      serve /metrics /healthz /readyz /tracez\n"
                "                       on 127.0.0.1:PORT while the command runs\n"
-               "                       (0 to 65535, 0 = ephemeral); aggregators\n"
-               "                       expose per-shard series with shard=\"N\"\n"
+               "                       (0 to 65535, 0 = ephemeral); serve\n"
+               "                       exposes per-shard series with shard=\"N\"\n"
                "                       labels\n"
                "every command also accepts:\n"
                "  --metrics-out FILE   write a JSON metrics snapshot on exit\n"
                "  --metrics-prom FILE  same registry in Prometheus text format\n"
                "  --trace-out FILE     record spans; write Chrome trace-event\n"
                "                       JSON (chrome://tracing, Perfetto) on exit\n"
-               "                       (aggregators write a merged multi-process\n"
+               "                       (serve writes a merged multi-process\n"
                "                       trace when shards shipped spans)\n"
                "  --trace-buffer       record spans in memory without writing a\n"
                "                       file (shard workers buffer spans to ship)\n"
@@ -301,7 +298,7 @@ GraphBuildConfig graph_config(const Args& args) {
               "in [0, 1)")};
 }
 
-/// The one analysis configuration of anomaly, serve/aggregate, store
+/// The one analysis configuration of anomaly, serve, store
 /// replay, trace and report: graph_config plus --train N (>= 1), --rank K
 /// (>= 1, default the detector's) and the --stall-ms debug hook.
 AnalyticsServiceOptions analysis_options(const Args& args) {
@@ -316,7 +313,7 @@ AnalyticsServiceOptions analysis_options(const Args& args) {
   return options;
 }
 
-/// Prints what anomaly, serve/aggregate and store replay report per
+/// Prints what anomaly, serve and store replay report per
 /// window, byte for byte alike: the summary line (also to --summary-out)
 /// and, for an alerting window, its top five localized edges.
 class ReportSink {
@@ -391,7 +388,7 @@ void replay_minutes(const std::vector<ConnectionSummary>& records,
 // --- ops endpoint ------------------------------------------------------------
 
 /// /metrics body: the process-local registry, merged with per-shard
-/// `shard="N"` series once any telemetry frames arrived (aggregators).
+/// `shard="N"` series once any telemetry frames arrived (serve).
 std::string ops_metrics_text() {
   obs::Snapshot snapshot = obs::Registry::global().snapshot();
   if (obs::FleetRegistry::global().active()) {
@@ -721,30 +718,13 @@ int cmd_anomaly(const Args& args) {
 
 // --- distributed commands (docs/DISTRIBUTED.md) ------------------------------
 
-/// The numeric flags of the aggregator side of `serve` and `aggregate`,
-/// read before either accepts a shard or forks a worker.
-struct AggregatorFlags {
-  /// Accept and recv timeout: --net-timeout-ms (0 = wait forever), else
-  /// the transport's 30 s.
-  int net_timeout_ms = net::kDefaultTimeoutMs;
-  /// --keyframe: the keyframe interval of --store.
-  std::size_t keyframe = 8;
-};
-
-AggregatorFlags aggregator_flags(const Args& args) {
-  return {.net_timeout_ms = static_cast<int>(
-              args.get_long_in("net-timeout-ms", net::kDefaultTimeoutMs, 0)),
-          .keyframe =
-              static_cast<std::size_t>(args.get_long_in("keyframe", 8, 1))};
-}
-
-/// Aggregator side shared by `aggregate` and `serve`: handshake the
-/// accepted shard connections, run the barrier merge, and feed each merged
-/// window through an AnalyticsService configured exactly like `anomaly` —
-/// stdout, --summary-out contents and the exit code must be byte-identical
-/// to the single-process command on the same log.
+/// The aggregator side of `serve`: handshake the accepted shard
+/// connections, run the barrier merge, and feed each merged window through
+/// an AnalyticsService configured exactly like `anomaly` — stdout,
+/// --summary-out contents and the exit code must be byte-identical to the
+/// single-process command on the same log.
 int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
-                    const AggregatorFlags& flags,
+                    int net_timeout_ms, std::size_t keyframe,
                     std::vector<net::FrameConn> conns) {
   ReportSink sink;
   if (!sink.open(args)) return 1;
@@ -754,7 +734,7 @@ int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
   std::optional<store::StoreWriter> writer;
   if (const auto store_dir = args.get("store")) {
     writer = store::StoreWriter::open(*store_dir,
-                                      {.keyframe_interval = flags.keyframe});
+                                      {.keyframe_interval = keyframe});
     if (!writer) {
       std::fprintf(stderr, "ccgraph: cannot open store %s\n", store_dir->c_str());
       return 1;
@@ -768,7 +748,7 @@ int run_aggregation(const Args& args, const AnalyticsServiceOptions& options,
 
   const std::size_t shard_count = conns.size();
   dist::Aggregator aggregator({.graph = options.graph,
-                               .recv_timeout_ms = flags.net_timeout_ms,
+                               .recv_timeout_ms = net_timeout_ms,
                                .flight_dir = args.get_or("flight-dir", "")},
                               std::move(conns));
   if (!aggregator.handshake()) {
@@ -839,41 +819,17 @@ int cmd_shard_worker(const Args& args) {
   return 0;
 }
 
-int cmd_aggregate(const Args& args) {
-  const long shard_count = args.get_long("shards", 0);
-  if (shard_count < 1) return usage();
-  const AnalyticsServiceOptions options = analysis_options(args);
-  const AggregatorFlags flags = aggregator_flags(args);
-  auto listener = net::Listener::bind_loopback(
-      static_cast<std::uint16_t>(args.get_long_in("listen", 0, 0, 65535)));
-  if (!listener) {
-    std::fprintf(stderr, "ccgraph: cannot bind listener\n");
-    return 1;
-  }
-  // Port to stderr (stdout must stay diffable against `anomaly`); scripts
-  // launching workers by hand read it from here.
-  std::fprintf(stderr, "ccgraph: aggregator listening on 127.0.0.1:%u for %ld shards\n",
-               listener->port(), shard_count);
-  std::fflush(stderr);
-  std::vector<net::FrameConn> conns;
-  for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(flags.net_timeout_ms);
-    if (!conn) {
-      std::fprintf(stderr, "ccgraph: accept failed (%ld of %ld shards connected)\n",
-                   i, shard_count);
-      return 1;
-    }
-    conns.push_back(std::move(*conn));
-  }
-  return run_aggregation(args, options, flags, std::move(conns));
-}
-
 int cmd_serve(const Args& args) {
   const auto in_path = args.get("in");
   if (!in_path) return usage();
   const long shard_count = args.get_long_in("shards", 4, 1, 64);
   const AnalyticsServiceOptions options = analysis_options(args);
-  const AggregatorFlags flags = aggregator_flags(args);
+  // Read before any worker is forked, like every other flag: accept and
+  // recv timeout (0 = wait forever) and the --store keyframe interval.
+  const auto net_timeout_ms = static_cast<int>(
+      args.get_long_in("net-timeout-ms", net::kDefaultTimeoutMs, 0));
+  const auto keyframe =
+      static_cast<std::size_t>(args.get_long_in("keyframe", 8, 1));
 
   auto listener = net::Listener::bind_loopback();
   if (!listener) {
@@ -926,7 +882,7 @@ int cmd_serve(const Args& args) {
     }
     if (pid == 0) {
       // Child: the listener fd is CLOEXEC, so the re-exec'd worker starts
-      // clean and connects back over loopback like any external shard.
+      // clean and connects back over loopback.
       ::execv("/proc/self/exe",
               worker_argvs[static_cast<std::size_t>(i)].data());
       ::_exit(127);  // execv only returns on error
@@ -936,7 +892,7 @@ int cmd_serve(const Args& args) {
 
   std::vector<net::FrameConn> conns;
   for (long i = 0; i < shard_count; ++i) {
-    auto conn = listener->accept(flags.net_timeout_ms);
+    auto conn = listener->accept(net_timeout_ms);
     if (!conn) {
       std::fprintf(stderr, "ccgraph: worker accept failed (%ld of %ld connected)\n",
                    i, shard_count);
@@ -947,7 +903,8 @@ int cmd_serve(const Args& args) {
     conns.push_back(std::move(*conn));
   }
 
-  int rc = run_aggregation(args, options, flags, std::move(conns));
+  int rc = run_aggregation(args, options, net_timeout_ms, keyframe,
+                           std::move(conns));
   for (std::size_t i = 0; i < children.size(); ++i) {
     int status = 0;
     ::waitpid(children[i], &status, 0);
@@ -1337,9 +1294,6 @@ const std::vector<Command>& commands() {
       {"serve", cmd_serve,
        analysis({"in", "shards", "summary-out", "store", "keyframe",
                  "net-timeout-ms", "ops-port"})},
-      {"aggregate", cmd_aggregate,
-       analysis({"shards", "listen", "summary-out", "store", "keyframe",
-                 "net-timeout-ms", "ops-port"})},
       {"shard-worker", cmd_shard_worker,
        {"in", "connect", "shard", "shards", "window", "facet", "collapse"}},
       {"report", cmd_report, analysis({"in"})},
@@ -1418,8 +1372,8 @@ int run_profiled(const Command& command, const Args& args) {
 /// file from a failed run is exactly what you want when diagnosing it).
 int export_metrics(const Args& args) {
   auto snapshot = ccg::obs::Registry::global().snapshot();
-  // Aggregators fold in the per-shard series shipped over telemetry, the
-  // same view the live /metrics endpoint serves.
+  // serve folds in the per-shard series shipped over telemetry, the same
+  // view the live /metrics endpoint serves.
   if (ccg::obs::FleetRegistry::global().active()) {
     snapshot = ccg::obs::merge_snapshots(
         snapshot, ccg::obs::FleetRegistry::global().labeled_snapshot());

@@ -94,8 +94,7 @@ run_cli_rejects(factor diff --before missing.csv --after missing.csv --factor 0.
 run_cli_rejects(resolution segment --in missing.csv --resolution 0)
 run_cli_rejects(watchdog-ms anomaly --in missing.csv --watchdog-ms -1)
 run_cli_rejects(stall-ms anomaly --in missing.csv --stall-ms -5)
-# --ops-port is an integer in [0, 65535], read by anomaly, serve and
-# aggregate only.
+# --ops-port is an integer in [0, 65535], read by anomaly and serve only.
 run_cli_rejects(ops-port anomaly --in missing.csv --ops-port 23456x)
 run_cli_rejects(ops-port anomaly --in missing.csv --ops-port 70000)
 run_cli_rejects(ops-port serve --in missing.csv --shards 2 --ops-port -1)
@@ -112,6 +111,9 @@ run_cli_rejects(no-such-flag anomaly --in missing.csv --no-such-flag 7)
 run_cli_rejects(form store replay --store missing.store --form 5)
 run_cli_rejects(window store replay --store missing.store --window 5)
 run_cli_rejects(shard serve --in missing.csv --shard 1)
+# serve is the one way to start shards: no listening aggregator.
+run_cli_rejects(listen serve --in missing.csv --shards 2 --listen 0)
+run_cli(2 aggregate --shards 2)
 run_cli_rejects(hour simulate --preset tiny --hour 2 --out bad_flags.csv)
 run_cli_rejects(rank segment --in missing.csv --rank 8)
 run_cli_rejects(profile-out anomaly --in missing.csv --profile-out p.txt)
@@ -271,6 +273,23 @@ foreach(shards 1 2 4)
     message(FATAL_ERROR "serve --shards ${shards} metrics lack ccg.dist.shards ${shards}")
   endif()
 endforeach()
+# Each process prints its own log records, once: under a malformed
+# $CCG_THREADS, serve and its two workers warn one time each, and the
+# workers' records are not printed again by serve.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_THREADS=4x ${CLI}
+                        serve --in long.csv --shards 2 --window 30 --train 2
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE bad_threads_serve_rc
+                OUTPUT_VARIABLE bad_threads_serve_out
+                ERROR_VARIABLE bad_threads_serve_err)
+string(REGEX MATCHALL "ignoring CCG_THREADS" bad_threads_serve_warnings
+       "${bad_threads_serve_err}")
+list(LENGTH bad_threads_serve_warnings bad_threads_serve_count)
+if(NOT bad_threads_serve_rc EQUAL single_rc OR
+   NOT bad_threads_serve_out STREQUAL single_rc_stdout OR
+   NOT bad_threads_serve_count EQUAL 3)
+  message(FATAL_ERROR "CCG_THREADS=4x serve --shards 2 (rc ${bad_threads_serve_rc}) printed the CCG_THREADS warning ${bad_threads_serve_count} times (want 3: serve and two workers) or differs from anomaly:\n${bad_threads_serve_err}")
+endif()
 
 # The live ops endpoint of a 4-shard serve: /healthz comes up, /readyz
 # reports ready while shards stream, and /metrics
