@@ -62,8 +62,6 @@ void emit_resource_summary() {
       std::to_string(counter_or_zero("ccg.net.frames_sent")) +
       ", \"frames_received\": " +
       std::to_string(counter_or_zero("ccg.net.frames_received")) +
-      ", \"connect_retries\": " +
-      std::to_string(counter_or_zero("ccg.net.connect_retries")) +
       ", \"timeouts\": " +
       std::to_string(counter_or_zero("ccg.net.timeouts")) +
       ", \"errors\": " + std::to_string(counter_or_zero("ccg.net.errors")) +

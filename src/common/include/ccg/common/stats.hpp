@@ -1,36 +1,12 @@
-// Small statistics toolkit used across analyses: running moments,
-// percentiles, log-scale histograms and CCDF extraction (paper Fig. 6).
+// Small statistics toolkit used across analyses: percentiles, log-scale
+// histograms and CCDF extraction (paper Fig. 6).
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 namespace ccg {
-
-/// Single-pass running mean/variance/min/max (Welford).
-class RunningStats {
- public:
-  void add(double x);
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return mean_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Exact percentile over a stored sample using linear interpolation between
 /// order statistics. Suitable for the modest sample counts in our benches.

@@ -2,27 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "ccg/common/expect.hpp"
 
 namespace ccg {
-
-void RunningStats::add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double PercentileSketch::quantile(double q) const {
   CCG_EXPECT(!values_.empty());

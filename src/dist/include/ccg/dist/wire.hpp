@@ -29,7 +29,9 @@ inline constexpr std::uint32_t kMagic = 0x44474343;
 /// v2: adds the out-of-band kTelemetry frame (metrics/log/span shipping).
 /// v3: kTelemetry carries cumulative metrics and spans only (no logs, no
 /// sequence number); kHello drops the collapse_monitored byte.
-inline constexpr std::uint16_t kWireVersion = 3;
+/// v4: a kTelemetry histogram is its 32 occupancies on the fixed bucket
+/// layout, with no bucket count and no bounds.
+inline constexpr std::uint16_t kWireVersion = 4;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,        // shard -> aggregator: version + shard identity + config
@@ -81,8 +83,9 @@ struct EndOfStream {
 /// histograms left out), which the receiver keeps in place of the previous
 /// one, plus the trace spans recorded since the previous shipment.
 /// Strictly out-of-band: the aggregator's merge output is byte-identical
-/// whether or not these frames arrive. Histogram quantiles are NOT
-/// shipped; the decoder recomputes them from the buckets.
+/// whether or not these frames arrive. A histogram ships only its
+/// occupancies on the fixed layout; quantiles are computed where the
+/// series is rendered.
 struct TelemetryFrame {
   std::uint32_t shard_id = 0;
   obs::Snapshot metrics;

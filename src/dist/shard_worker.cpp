@@ -116,6 +116,9 @@ bool ShardWorker::ship_closed_windows() {
 }
 
 void ShardWorker::ship_telemetry() {
+  // Counted before the snapshot, so each frame carries its own count and
+  // the aggregator's per-shard series sum to the frames it applied.
+  m_telemetry_->add();
   TelemetryFrame frame;
   frame.shard_id = options_.shard_id;
   frame.metrics = obs::Registry::global().snapshot();
@@ -146,7 +149,6 @@ void ShardWorker::ship_telemetry() {
     return;
   }
   ++telemetry_;
-  m_telemetry_->add();
   spans_seen_ = spans_total;
 }
 

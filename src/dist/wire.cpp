@@ -46,7 +46,6 @@ bool type_is(std::span<const std::uint8_t> payload, MsgType t) {
 // Sanity caps: a telemetry frame is small by construction; a count beyond
 // these is corruption, not a big fleet.
 constexpr std::uint64_t kMaxTelemetrySeries = 65536;
-constexpr std::uint64_t kMaxTelemetryBuckets = 1024;
 constexpr std::uint64_t kMaxTelemetrySpans = 65536;
 constexpr std::uint64_t kMaxTelemetryString = 4096;
 
@@ -145,11 +144,7 @@ std::vector<std::uint8_t> encode_telemetry(const TelemetryFrame& frame) {
     put_double(out, h.sum);
     put_double(out, h.min);
     put_double(out, h.max);
-    put_varint(out, h.buckets.size());
-    for (const auto& [bound, occupancy] : h.buckets) {
-      put_double(out, bound);
-      put_varint(out, occupancy);
-    }
+    for (const std::uint64_t occupancy : h.buckets) put_varint(out, occupancy);
   }
 
   put_varint(out, frame.spans.size());
@@ -286,9 +281,7 @@ std::optional<TelemetryFrame> decode_telemetry(
     const auto sum = get_double(in);
     const auto min = get_double(in);
     const auto max = get_double(in);
-    const auto n_buckets = in.varint();
-    if (!name || !count || !sum || !min || !max || *min > *max ||
-        !n_buckets || *n_buckets > kMaxTelemetryBuckets) {
+    if (!name || !count || !sum || !min || !max || *min > *max) {
       return std::nullopt;
     }
     h.name = std::move(*name);
@@ -296,17 +289,11 @@ std::optional<TelemetryFrame> decode_telemetry(
     h.sum = *sum;
     h.min = *min;
     h.max = *max;
-    h.buckets.reserve(static_cast<std::size_t>(*n_buckets));
-    for (std::uint64_t b = 0; b < *n_buckets; ++b) {
-      const auto bound = get_double(in);
-      const auto occupancy = in.varint();
-      if (!bound || !occupancy) return std::nullopt;
-      h.buckets.emplace_back(*bound, *occupancy);
+    for (std::uint64_t& occupancy : h.buckets) {
+      const auto value = in.varint();
+      if (!value) return std::nullopt;
+      occupancy = *value;
     }
-    // Quantiles are receiver-side: recompute them from the shipped buckets.
-    h.p50 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.50);
-    h.p90 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.90);
-    h.p99 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.99);
     frame.metrics.histograms.push_back(std::move(h));
   }
 

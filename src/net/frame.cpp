@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "ccg/common/expect.hpp"
 #include "ccg/obs/log.hpp"
@@ -29,7 +28,6 @@ struct NetMetrics {
   obs::Counter* frames_received;
   obs::Counter* bytes_sent;
   obs::Counter* bytes_received;
-  obs::Counter* connect_retries;
   obs::Counter* timeouts;
   obs::Counter* errors;
 };
@@ -41,7 +39,6 @@ NetMetrics& metrics() {
                       &r.counter("ccg.net.frames_received"),
                       &r.counter("ccg.net.bytes_sent"),
                       &r.counter("ccg.net.bytes_received"),
-                      &r.counter("ccg.net.connect_retries"),
                       &r.counter("ccg.net.timeouts"),
                       &r.counter("ccg.net.errors")};
   }();
@@ -322,29 +319,25 @@ std::optional<FrameConn> Listener::accept(int timeout_ms) {
 
 // --- client / socketpair -----------------------------------------------------
 
-std::optional<FrameConn> connect_loopback(std::uint16_t port, int retries) {
+std::optional<FrameConn> connect_loopback(std::uint16_t port) {
   const std::string peer = "127.0.0.1:" + std::to_string(port);
-  int delay_ms = 10;
-  for (int attempt = 0; attempt < retries; ++attempt) {
-    if (attempt > 0) {
-      metrics().connect_retries->add();
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-      delay_ms = std::min(delay_ms * 2, 500);
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) continue;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      set_nodelay(fd);
-      return FrameConn(fd, peer);
-    }
-    ::close(fd);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    log_conn_error("net: socket failed", peer, -1, errno);
+    return std::nullopt;
   }
-  log_conn_error("net: connect failed after retries", peer, -1, errno);
-  return std::nullopt;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const int saved_errno = errno;
+    ::close(fd);
+    log_conn_error("net: connect failed", peer, -1, saved_errno);
+    return std::nullopt;
+  }
+  set_nodelay(fd);
+  return FrameConn(fd, peer);
 }
 
 std::optional<std::pair<FrameConn, FrameConn>> socket_pair() {

@@ -21,9 +21,6 @@
 
 namespace ccg::net {
 
-/// Connect attempts before connect_loopback gives up.
-inline constexpr int kConnectRetries = 10;
-
 /// Receive/accept timeout in ms unless the caller passes one; 0 means wait
 /// forever.
 inline constexpr int kDefaultTimeoutMs = 30'000;
@@ -109,10 +106,10 @@ class Listener {
   std::uint16_t port_ = 0;
 };
 
-/// Connects to 127.0.0.1:port in up to `retries` attempts, with capped
-/// exponential backoff (10 ms doubling to 500 ms) between them.
-std::optional<FrameConn> connect_loopback(std::uint16_t port,
-                                          int retries = kConnectRetries);
+/// Connects to 127.0.0.1:port in one attempt. Callers bind and listen
+/// before they start the processes that connect, so there is nothing to
+/// wait for: a refused connect is an error.
+std::optional<FrameConn> connect_loopback(std::uint16_t port);
 
 /// Connected AF_UNIX stream socketpair — the in-process / fork transport.
 std::optional<std::pair<FrameConn, FrameConn>> socket_pair();

@@ -1,7 +1,6 @@
 #include "ccg/obs/export.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -18,6 +17,11 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
+}
+
+/// Bucket i's upper bound as the exporters print it ("+Inf" for overflow).
+std::string le_text(std::size_t i) {
+  return i + 1 == kHistogramBuckets ? "+Inf" : fmt_double(histogram_bound(i));
 }
 
 /// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
@@ -56,19 +60,6 @@ std::string fmt_duration(double seconds) {
   return buf;
 }
 
-/// Label values per the exposition format: backslash, quote and newline
-/// must be escaped; everything else passes through.
-void prom_label_escape_into(std::string& out, const std::string& v) {
-  for (const char c : v) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-}
-
 /// HELP text: backslash and newline are the only escapes.
 void prom_help_escape_into(std::string& out, const std::string& v) {
   for (const char c : v) {
@@ -80,39 +71,23 @@ void prom_help_escape_into(std::string& out, const std::string& v) {
   }
 }
 
-/// `{shard="0",le="1"}` — `extra` appends one more pair (the histogram
-/// bucket's `le`). Empty when there is nothing to render.
-std::string prom_labels(const SampleLabels& labels,
-                        const std::pair<std::string, std::string>* extra) {
-  if (labels.empty() && extra == nullptr) return "";
+/// `{shard="0",le="1"}`: the sample's shard, then the histogram bucket's
+/// `le` when given. Empty when there is neither.
+std::string prom_labels(std::optional<std::uint32_t> shard,
+                        const std::string* le = nullptr) {
+  if (!shard && le == nullptr) return "";
   std::string out = "{";
-  bool first = true;
-  const auto put = [&](const std::string& key, const std::string& value) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += prom_name(key) + "=\"";
-    prom_label_escape_into(out, value);
-    out.push_back('"');
-  };
-  for (const auto& [key, value] : labels) put(key, value);
-  if (extra != nullptr) put(extra->first, extra->second);
+  if (shard) out += "shard=\"" + std::to_string(*shard) + "\"";
+  if (le != nullptr) out += (shard ? ",le=\"" : "le=\"") + *le + "\"";
   out.push_back('}');
   return out;
 }
 
-/// Display key for JSON/summary output: labeled series are suffixed with
-/// their label set so fleet-merged snapshots keep unique keys.
-std::string labeled_name(const std::string& name, const SampleLabels& labels) {
-  if (labels.empty()) return name;
-  std::string out = name + "{";
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += key + "=" + value;
-  }
-  out.push_back('}');
-  return out;
+/// Display key for JSON/summary output: a shard's series is suffixed with
+/// its number so fleet-merged snapshots keep unique keys.
+std::string labeled_name(const std::string& name,
+                         std::optional<std::uint32_t> shard) {
+  return shard ? name + "{shard=" + std::to_string(*shard) + "}" : name;
 }
 
 }  // namespace
@@ -137,31 +112,28 @@ std::string to_prometheus(const Snapshot& snapshot) {
     std::string name = prom_name(c.name);
     if (!ends_with(name, "_total")) name += "_total";
     header(name, "counter", c.name);
-    out += name + prom_labels(c.labels, nullptr) + " " +
-           std::to_string(c.value) + "\n";
+    out += name + prom_labels(c.shard) + " " + std::to_string(c.value) + "\n";
   }
   last_header.clear();
   for (const auto& g : snapshot.gauges) {
     const std::string name = prom_name(g.name);
     header(name, "gauge", g.name);
-    out += name + prom_labels(g.labels, nullptr) + " " + fmt_double(g.value) +
-           "\n";
+    out += name + prom_labels(g.shard) + " " + fmt_double(g.value) + "\n";
   }
   last_header.clear();
   for (const auto& h : snapshot.histograms) {
     const std::string name = prom_name(h.name);
     header(name, "histogram", h.name);
     std::uint64_t cumulative = 0;
-    for (const auto& [bound, n] : h.buckets) {
-      cumulative += n;
-      const std::pair<std::string, std::string> le = {
-          "le", std::isinf(bound) ? std::string("+Inf") : fmt_double(bound)};
-      out += name + "_bucket" + prom_labels(h.labels, &le) + " " +
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+      cumulative += h.buckets[i];
+      const std::string le = le_text(i);
+      out += name + "_bucket" + prom_labels(h.shard, &le) + " " +
              std::to_string(cumulative) + "\n";
     }
-    out += name + "_sum" + prom_labels(h.labels, nullptr) + " " +
-           fmt_double(h.sum) + "\n";
-    out += name + "_count" + prom_labels(h.labels, nullptr) + " " +
+    out += name + "_sum" + prom_labels(h.shard) + " " + fmt_double(h.sum) +
+           "\n";
+    out += name + "_count" + prom_labels(h.shard) + " " +
            std::to_string(h.count) + "\n";
   }
   return out;
@@ -174,7 +146,7 @@ std::string to_json(const Snapshot& snapshot) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    json_escape_into(out, labeled_name(c.name, c.labels));
+    json_escape_into(out, labeled_name(c.name, c.shard));
     out += "\": " + std::to_string(c.value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -185,7 +157,7 @@ std::string to_json(const Snapshot& snapshot) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    json_escape_into(out, labeled_name(g.name, g.labels));
+    json_escape_into(out, labeled_name(g.name, g.shard));
     out += "\": " + fmt_double(g.value);
   }
   out += first ? "},\n" : "\n  },\n";
@@ -196,24 +168,25 @@ std::string to_json(const Snapshot& snapshot) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"";
-    json_escape_into(out, labeled_name(h.name, h.labels));
+    json_escape_into(out, labeled_name(h.name, h.shard));
     out += "\": {\"count\": " + std::to_string(h.count) +
            ", \"sum\": " + fmt_double(h.sum) +
            ", \"min\": " + fmt_double(h.min) +
            ", \"max\": " + fmt_double(h.max) +
-           ", \"p50\": " + fmt_double(h.p50) +
-           ", \"p90\": " + fmt_double(h.p90) +
-           ", \"p99\": " + fmt_double(h.p99) + ", \"buckets\": [";
+           ", \"p50\": " + fmt_double(quantile(h, 0.50)) +
+           ", \"p90\": " + fmt_double(quantile(h, 0.90)) +
+           ", \"p99\": " + fmt_double(quantile(h, 0.99)) + ", \"buckets\": [";
     bool first_bucket = true;
-    for (const auto& [bound, n] : h.buckets) {
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
       // All-zero buckets are noise in the file; the bounds are implied by
       // the bucket layout, so only occupied buckets are listed.
-      if (n == 0) continue;
+      if (h.buckets[i] == 0) continue;
       if (!first_bucket) out += ", ";
       first_bucket = false;
       const std::string le =
-          std::isinf(bound) ? std::string("\"+Inf\"") : fmt_double(bound);
-      out += "{\"le\": " + le + ", \"n\": " + std::to_string(n) + "}";
+          i + 1 == kHistogramBuckets ? "\"" + le_text(i) + "\"" : le_text(i);
+      out += "{\"le\": " + le + ", \"n\": " + std::to_string(h.buckets[i]) +
+             "}";
     }
     out += "]}";
   }
@@ -236,11 +209,12 @@ std::string summary_text(const Snapshot& snapshot) {
         return secs ? fmt_duration(v) : fmt_double(v);
       };
       std::snprintf(line, sizeof(line), "%-44s %8llu %10s %10s %10s %10s %10s\n",
-                    labeled_name(h.name, h.labels).c_str(),
+                    labeled_name(h.name, h.shard).c_str(),
                     static_cast<unsigned long long>(h.count),
                     cell(h.sum / static_cast<double>(h.count)).c_str(),
-                    cell(h.p50).c_str(), cell(h.p90).c_str(),
-                    cell(h.p99).c_str(), cell(h.max).c_str());
+                    cell(quantile(h, 0.50)).c_str(),
+                    cell(quantile(h, 0.90)).c_str(),
+                    cell(quantile(h, 0.99)).c_str(), cell(h.max).c_str());
       out << line;
     }
   }
@@ -252,7 +226,7 @@ std::string summary_text(const Snapshot& snapshot) {
       header = true;
     }
     std::snprintf(line, sizeof(line), "  %-44s %llu\n",
-                  labeled_name(c.name, c.labels).c_str(),
+                  labeled_name(c.name, c.shard).c_str(),
                   static_cast<unsigned long long>(c.value));
     out << line;
   }
@@ -264,7 +238,7 @@ std::string summary_text(const Snapshot& snapshot) {
       header = true;
     }
     std::snprintf(line, sizeof(line), "  %-44s %s\n",
-                  labeled_name(g.name, g.labels).c_str(),
+                  labeled_name(g.name, g.shard).c_str(),
                   fmt_double(g.value).c_str());
     out << line;
   }

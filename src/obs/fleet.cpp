@@ -1,22 +1,21 @@
 #include "ccg/obs/fleet.hpp"
 
 #include <algorithm>
-#include <string>
 
 namespace ccg::obs {
 
 namespace {
 
-/// One kind of every shard's samples, each stamped with its shard="N"
-/// label, sorted by name. Stable: the samples of one name keep the
-/// ascending (numeric) shard order of `by_shard`.
+/// One kind of every shard's samples, each stamped with its shard number,
+/// sorted by name. Stable: the samples of one name keep the ascending
+/// shard order of `by_shard`.
 template <typename Sample>
 std::vector<Sample> labeled(const std::map<std::uint32_t, Snapshot>& by_shard,
                             std::vector<Sample> Snapshot::*kind) {
   std::vector<Sample> out;
   for (const auto& [shard, snapshot] : by_shard) {
     for (Sample sample : snapshot.*kind) {
-      sample.labels = {{"shard", std::to_string(shard)}};
+      sample.shard = shard;
       out.push_back(std::move(sample));
     }
   }
@@ -26,7 +25,7 @@ std::vector<Sample> labeled(const std::map<std::uint32_t, Snapshot>& by_shard,
   return out;
 }
 
-/// Merge two name-sorted sample runs, unlabeled (local) samples first
+/// Merge two name-sorted sample runs, the local (shardless) samples first
 /// within a name so to_prometheus groups them under one header.
 template <typename Sample>
 std::vector<Sample> merge_samples(const std::vector<Sample>& local,
@@ -102,11 +101,6 @@ std::uint64_t FleetRegistry::frames_applied() const {
   return frames_;
 }
 
-bool FleetRegistry::active() const {
-  std::lock_guard lock(mutex_);
-  return frames_ != 0;
-}
-
 void FleetRegistry::clear() {
   std::lock_guard lock(mutex_);
   metrics_.clear();
@@ -114,13 +108,12 @@ void FleetRegistry::clear() {
   frames_ = 0;
 }
 
-
-Snapshot merge_snapshots(const Snapshot& local, const Snapshot& fleet) {
-  Snapshot out;
-  out.counters = merge_samples(local.counters, fleet.counters);
-  out.gauges = merge_samples(local.gauges, fleet.gauges);
-  out.histograms = merge_samples(local.histograms, fleet.histograms);
-  return out;
+Snapshot process_snapshot() {
+  const Snapshot local = Registry::global().snapshot();
+  const Snapshot shards = FleetRegistry::global().labeled_snapshot();
+  return {merge_samples(local.counters, shards.counters),
+          merge_samples(local.gauges, shards.gauges),
+          merge_samples(local.histograms, shards.histograms)};
 }
 
 }  // namespace ccg::obs

@@ -7,8 +7,8 @@
 #include <fstream>
 
 #include "ccg/obs/export.hpp"
+#include "ccg/obs/fleet.hpp"
 #include "ccg/obs/log.hpp"
-#include "ccg/obs/metrics.hpp"
 #include "ccg/obs/span.hpp"
 #include "json_escape.hpp"
 
@@ -111,7 +111,7 @@ std::string dump_flight_record(const std::string& dir,
   out += "  \"log_dropped\": " +
          std::to_string(LogRing::global().dropped()) + ",\n";
   out += "  \"log\": " + log_records_json(records) + ",\n";
-  out += "  \"metrics\": " + to_json(Registry::global().snapshot());
+  out += "  \"metrics\": " + to_json(process_snapshot());
   // to_json ends with "}\n"; splice the remaining members in.
   out.pop_back();  // '\n'
   out += ",\n  \"trace\": " + to_trace_json(events, ring.dropped());

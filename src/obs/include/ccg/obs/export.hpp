@@ -15,17 +15,18 @@ namespace ccg::obs {
 /// Prometheus text format (version 0.0.4). Dotted metric names are
 /// sanitized to underscores; counters get a `_total` suffix; histograms
 /// emit cumulative `_bucket{le="..."}` series plus `_sum` and `_count`.
-/// Every distinct metric gets one `# HELP` line (the original dotted name)
-/// and one `# TYPE` line; labeled samples of the same metric (the fleet
-/// registry's `shard="N"` series) share a single header block, and label
-/// values are escaped per the exposition spec (`\\`, `\"`, `\n`). Series
-/// order is the snapshot order, which is sorted — so scrapes are stable
-/// across runs.
+/// Every distinct metric gets one `# HELP` line (the original dotted name,
+/// `\\` and `\n` escaped) and one `# TYPE` line; a sample's shard renders
+/// as a `shard="N"` label, and the shard series of one metric share a
+/// single header block. Series order is the snapshot order, which is
+/// sorted — so scrapes are stable across runs.
 std::string to_prometheus(const Snapshot& snapshot);
 
-/// JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
-/// Histogram buckets carry non-cumulative occupancy; the overflow bucket's
-/// "le" is the string "+Inf" (JSON numbers cannot express infinity).
+/// JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}, a
+/// shard's series keyed `name{shard=N}`. Histograms list p50/p90/p99
+/// (obs::quantile) and their occupied buckets, non-cumulative; the
+/// overflow bucket's "le" is the string "+Inf" (JSON numbers cannot
+/// express infinity).
 std::string to_json(const Snapshot& snapshot);
 
 /// Fixed-width table of histograms (count/mean/p50/p90/p99/max, with

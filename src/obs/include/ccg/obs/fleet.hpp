@@ -4,9 +4,9 @@
 // (the last write wins), and shipped spans are collected for the merged
 // multi-process Chrome trace.
 //
-// The registry renders back out as a *labeled* Snapshot: every sample
-// carries a `shard="N"` label, sorted by (name, numeric shard), so the
-// Prometheus exposition shows one series per shard per metric:
+// The registry renders back out as a Snapshot whose every sample carries
+// its shard number, sorted by (name, shard), so the Prometheus exposition
+// shows one `shard="N"` series per shard per metric:
 //
 //   ccg_dist_shard_records_total{shard="0"} 512
 //   ccg_dist_shard_records_total{shard="1"} 488
@@ -40,8 +40,8 @@ class FleetRegistry {
   /// per shard; overflow is counted, newest spans dropped.
   void add_spans(std::uint32_t shard, const std::vector<TraceEvent>& spans);
 
-  /// Every shard's latest series as a Snapshot whose samples carry a
-  /// `shard="N"` label, sorted by (name, numeric shard).
+  /// Every shard's latest series as a Snapshot whose samples carry their
+  /// shard number, sorted by (name, shard).
   Snapshot labeled_snapshot() const;
 
   /// Shipped spans grouped by shard, ascending shard id.
@@ -55,9 +55,6 @@ class FleetRegistry {
 
   /// Number of telemetry frames applied (all shards).
   std::uint64_t frames_applied() const;
-
-  /// True once any telemetry has been applied.
-  bool active() const;
 
   void clear();
 
@@ -77,10 +74,12 @@ class FleetRegistry {
   std::uint64_t frames_ = 0;
 };
 
-/// Merges a process-local (unlabeled) snapshot with the fleet's labeled
-/// snapshot for a single exposition: samples are interleaved per metric
-/// name with the unlabeled series first, then shard series ascending —
-/// so `to_prometheus` groups them under one HELP/TYPE header block.
-Snapshot merge_snapshots(const Snapshot& local, const Snapshot& fleet);
+/// What this process exports: the global registry's snapshot merged with
+/// the fleet's shard series, which exist once a telemetry frame has been
+/// applied (on `serve`'s aggregator). Per metric name the local series
+/// leads its shard siblings, so `to_prometheus` gives each family one
+/// header block. The one view behind `--metrics-out`, `--metrics-prom`,
+/// `/metrics` and every flight record.
+Snapshot process_snapshot();
 
 }  // namespace ccg::obs

@@ -2,8 +2,10 @@
 //
 // dump_flight_record() writes one JSON file combining the three in-memory
 // diagnostics — recent log records (LogRing), recent spans (TraceRing, when
-// tracing is on), and a full metrics snapshot — stamped with a reason and
-// the trace id of the window under suspicion. Two producers call it:
+// tracing is on), and the process's metrics view (process_snapshot: on
+// `serve`'s aggregator that includes every shard's latest series) —
+// stamped with a reason and the trace id of the window under suspicion.
+// Two producers here call it, and the aggregator does on a shard failure:
 //
 //  - install_crash_handler(): SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL and
 //    std::terminate handlers that dump before re-raising, so a crashed run
@@ -28,10 +30,10 @@
 namespace ccg::obs {
 
 /// Writes `<dir>/ccg-flight-<reason>-<seq>.json` with the reason, the
-/// suspect window (trace id + label, when given), the log ring, a metrics
-/// snapshot, and the trace ring. Returns the path written, or "" on I/O
-/// failure. `seq` is a process-wide counter, so repeated dumps never
-/// clobber each other.
+/// suspect window (trace id + label, when given), the log ring, the
+/// process_snapshot() metrics, and the trace ring. Returns the path
+/// written, or "" on I/O failure. `seq` is a process-wide counter, so
+/// repeated dumps never clobber each other.
 std::string dump_flight_record(const std::string& dir,
                                const std::string& reason,
                                std::uint64_t trace_id = 0,

@@ -66,15 +66,13 @@ struct LogRecord {
 
 /// Bounded ring of recent log records. Unlike the TraceRing it is always
 /// on (logging is rare; the ring is the crash evidence), with a capacity
-/// of 1024 records: each owns a LogRecord (~88 bytes plus its message and
-/// field strings), so the ring stays well under 1 MB.
+/// of kCapacity records: each owns a LogRecord (~88 bytes plus its message
+/// and field strings), so the ring stays well under 1 MB.
 class LogRing {
  public:
-  static LogRing& global();
+  static constexpr std::size_t kCapacity = 1024;
 
-  /// Resizes the ring (discarding retained records).
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
+  static LogRing& global();
 
   void push(LogRecord record);
 
@@ -88,7 +86,6 @@ class LogRing {
 
   mutable std::mutex mutex_;
   std::vector<LogRecord> ring_;
-  std::size_t capacity_ = 1024;
   std::size_t next_ = 0;
   std::size_t dropped_ = 0;
 };

@@ -6,8 +6,8 @@
 //   Counter   — monotonically increasing uint64 (relaxed atomic add).
 //   Gauge     — last-written double, with a CAS-based update_max for
 //               high-water marks (queue depths, memory peaks).
-//   Histogram — fixed-bucket exponential histogram with quantile
-//               estimation by linear interpolation inside the bucket.
+//   Histogram — exponential histogram on one fixed bucket layout;
+//               quantiles are estimated where samples are rendered.
 //
 // Instruments live in a Registry. Registration (name lookup) takes a
 // mutex; the hot path never does — callers look up an instrument once and
@@ -16,15 +16,16 @@
 // the exporters share; independent Registry instances exist for tests.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace ccg::obs {
@@ -68,23 +69,26 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-struct HistogramOptions {
-  /// Upper bound of the first bucket. The defaults cover latencies from
-  /// 1 µs to ~35 min when values are seconds.
-  double first_bound = 1e-6;
-  /// Bucket i covers (first_bound*growth^(i-1), first_bound*growth^i].
-  double growth = 2.0;
-  /// Finite buckets; one implicit (+Inf) overflow bucket is appended.
-  std::size_t buckets = 31;
-};
+/// The one histogram bucket layout, shared by every histogram, sample and
+/// wire frame: finite bucket i covers (1 µs·2^(i-1), 1 µs·2^i] (bucket 0
+/// starts at 0), so latencies in seconds from 1 µs to ~18 min resolve, and
+/// the last bucket is the +Inf overflow.
+inline constexpr std::size_t kHistogramBuckets = 32;  // 31 finite + overflow
 
-/// Fixed-bucket exponential histogram. record() is wait-free (one atomic
-/// add per bucket/count/sum plus two CAS loops for min/max); readers see a
-/// possibly-torn but monotone snapshot, which is fine for monitoring.
+/// Upper bound of bucket i: 1e-6 · 2^i, +Inf for the overflow bucket.
+constexpr double histogram_bound(std::size_t i) noexcept {
+  if (i + 1 >= kHistogramBuckets) return std::numeric_limits<double>::infinity();
+  double bound = 1e-6;
+  for (std::size_t k = 0; k < i; ++k) bound *= 2.0;
+  return bound;
+}
+
+/// Exponential histogram on the fixed layout. record() is wait-free (one
+/// atomic add per bucket/count/sum plus two CAS loops for min/max); readers
+/// see a possibly-torn but monotone snapshot, which is fine for monitoring.
 class Histogram {
  public:
-  explicit Histogram(HistogramOptions options = {});
-
+  Histogram() = default;
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -97,29 +101,15 @@ class Histogram {
   /// Smallest / largest recorded value; 0 when empty.
   double min() const noexcept;
   double max() const noexcept;
-  double mean() const noexcept {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+  /// Occupancy of bucket i (not cumulative).
+  std::uint64_t bucket_value(std::size_t i) const noexcept {
+    return buckets_[i].load(std::memory_order_relaxed);
   }
 
-  /// Estimated q-quantile (q in [0,1]): quantile_from_buckets over this
-  /// histogram's buckets, count, min and max. 0 when empty.
-  double quantile(double q) const noexcept;
-
-  /// Finite buckets + 1 overflow bucket.
-  std::size_t bucket_count() const noexcept { return bounds_.size() + 1; }
-  /// Upper bound of bucket i (+Inf for the overflow bucket).
-  double upper_bound(std::size_t i) const noexcept;
-  /// Occupancy of bucket i (not cumulative).
-  std::uint64_t bucket_value(std::size_t i) const noexcept;
-
-  const HistogramOptions& options() const noexcept { return options_; }
   void reset() noexcept;
 
  private:
-  HistogramOptions options_;
-  std::vector<double> bounds_;                         // ascending, finite
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_.size()+1
+  std::atomic<std::uint64_t> buckets_[kHistogramBuckets]{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
@@ -128,35 +118,31 @@ class Histogram {
 
 // --- snapshots (what the exporters consume) --------------------------------
 
-/// Label set attached to a sample ("shard" = "3", ...). Sorted by key by
-/// convention; instruments registered directly always have no labels — the
-/// fleet registry stamps them when merging remote snapshots.
-using SampleLabels = std::vector<std::pair<std::string, std::string>>;
+// Instruments registered directly carry no shard; the fleet registry
+// numbers the samples each shard worker ships, and the exporters render
+// that number as a `shard="N"` label.
 
 struct CounterSample {
   std::string name;
   std::uint64_t value = 0;
-  SampleLabels labels;
+  std::optional<std::uint32_t> shard;
 };
 
 struct GaugeSample {
   std::string name;
   double value = 0.0;
-  SampleLabels labels;
+  std::optional<std::uint32_t> shard;
 };
 
 struct HistogramSample {
   std::string name;
-  /// (upper bound, occupancy) per bucket, ascending; last bound is +Inf.
-  std::vector<std::pair<double, std::uint64_t>> buckets;
+  /// Occupancy per bucket of the fixed layout (histogram_bound).
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  SampleLabels labels;
+  std::optional<std::uint32_t> shard;
 };
 
 struct Snapshot {
@@ -165,14 +151,11 @@ struct Snapshot {
   std::vector<HistogramSample> histograms;  // sorted by name
 };
 
-/// Quantile estimate from (bound, occupancy) buckets: finds the bucket
-/// holding the target rank and interpolates linearly inside it, bounded
-/// to [min, max]. The one routine behind Histogram::quantile, snapshot
-/// quantiles and shipped bucket sets, whose live Histogram is in another
-/// process.
-double quantile_from_buckets(
-    const std::vector<std::pair<double, std::uint64_t>>& buckets,
-    std::uint64_t count, double min, double max, double q) noexcept;
+/// Estimated q-quantile (q clamped to [0, 1]) of a histogram sample: finds
+/// the bucket holding rank q·count and interpolates linearly inside it,
+/// bounded to [min, max]. 0 when empty. Renderers call it; no sample
+/// stores a quantile.
+double quantile(const HistogramSample& sample, double q) noexcept;
 
 // --- registry ---------------------------------------------------------------
 
@@ -194,16 +177,13 @@ class Registry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `options` applies only on first registration of `name`.
-  Histogram& histogram(std::string_view name, HistogramOptions options = {});
+  Histogram& histogram(std::string_view name);
 
   /// Consistent-per-instrument view of everything registered.
   Snapshot snapshot() const;
 
   /// Zeroes all values; registrations (and handed-out references) survive.
   void reset();
-
-  std::size_t instrument_count() const;
 
  private:
   mutable std::mutex mutex_;

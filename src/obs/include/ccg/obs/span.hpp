@@ -98,10 +98,6 @@ class ScopedSpan {
 /// the ring holds on the order of 8 MB once warm.
 inline constexpr std::size_t kTraceRingCapacity = std::size_t{1} << 16;
 
-/// Default bucket layout for latency histograms: 1 µs first bucket,
-/// doubling, top finite bucket ≈ 17 minutes.
-inline HistogramOptions latency_buckets() { return HistogramOptions{}; }
-
 /// Registers (once) and returns the `<name>.seconds` latency histogram.
 Histogram& span_histogram(std::string_view name);
 

@@ -126,37 +126,22 @@ LogRing& LogRing::global() {
   return *instance;
 }
 
-void LogRing::set_capacity(std::size_t capacity) {
-  std::lock_guard lock(mutex_);
-  capacity_ = capacity;
-  ring_.clear();
-  ring_.reserve(capacity);
-  next_ = 0;
-  dropped_ = 0;
-}
-
-std::size_t LogRing::capacity() const {
-  std::lock_guard lock(mutex_);
-  return capacity_;
-}
-
 void LogRing::push(LogRecord record) {
   std::lock_guard lock(mutex_);
-  if (capacity_ == 0) return;
-  if (ring_.size() < capacity_) {
+  if (ring_.size() < kCapacity) {
     ring_.push_back(std::move(record));
   } else {
     ring_[next_] = std::move(record);
     ++dropped_;
   }
-  next_ = (next_ + 1) % capacity_;
+  next_ = (next_ + 1) % kCapacity;
 }
 
 std::vector<LogRecord> LogRing::records() const {
   std::lock_guard lock(mutex_);
   std::vector<LogRecord> out;
   out.reserve(ring_.size());
-  if (ring_.size() < capacity_ || ring_.empty()) {
+  if (ring_.size() < kCapacity) {
     out = ring_;
   } else {
     out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),

@@ -3,29 +3,25 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ccg/common/expect.hpp"
-
 namespace ccg::obs {
 
-Histogram::Histogram(HistogramOptions options) : options_(options) {
-  CCG_EXPECT(options.first_bound > 0.0);
-  CCG_EXPECT(options.growth > 1.0);
-  CCG_EXPECT(options.buckets >= 1);
-  bounds_.reserve(options.buckets);
-  double bound = options.first_bound;
-  for (std::size_t i = 0; i < options.buckets; ++i) {
-    bounds_.push_back(bound);
-    bound *= options.growth;
-  }
-  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
-}
+namespace {
+
+/// The finite upper bounds of the fixed layout, ascending.
+constexpr auto kFiniteBounds = [] {
+  std::array<double, kHistogramBuckets - 1> bounds{};
+  for (std::size_t i = 0; i < bounds.size(); ++i) bounds[i] = histogram_bound(i);
+  return bounds;
+}();
+
+}  // namespace
 
 void Histogram::record(double value) noexcept {
-  // upper_bound: first bucket whose bound is >= value (bounds are upper
-  // inclusive); everything past the last finite bound lands in overflow.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
+  // First bound >= value (bounds are upper inclusive); everything past the
+  // last finite bound lands in the overflow bucket.
+  const auto it =
+      std::lower_bound(kFiniteBounds.begin(), kFiniteBounds.end(), value);
+  const auto idx = static_cast<std::size_t>(it - kFiniteBounds.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
@@ -50,57 +46,34 @@ double Histogram::max() const noexcept {
   return std::isinf(v) ? 0.0 : v;
 }
 
-double Histogram::upper_bound(std::size_t i) const noexcept {
-  return i < bounds_.size() ? bounds_[i]
-                            : std::numeric_limits<double>::infinity();
-}
-
-std::uint64_t Histogram::bucket_value(std::size_t i) const noexcept {
-  return i <= bounds_.size() ? buckets_[i].load(std::memory_order_relaxed) : 0;
-}
-
-double Histogram::quantile(double q) const noexcept {
-  std::vector<std::pair<double, std::uint64_t>> buckets;
-  buckets.reserve(bucket_count());
-  for (std::size_t i = 0; i < bucket_count(); ++i) {
-    buckets.emplace_back(upper_bound(i), bucket_value(i));
-  }
-  return quantile_from_buckets(buckets, count(), min(), max(), q);
-}
-
-double quantile_from_buckets(
-    const std::vector<std::pair<double, std::uint64_t>>& buckets,
-    std::uint64_t count, double min, double max, double q) noexcept {
+double quantile(const HistogramSample& sample, double q) noexcept {
   q = std::clamp(q, 0.0, 1.0);
-  if (count == 0 || buckets.empty()) return 0.0;
+  if (sample.count == 0) return 0.0;
   // Rank of the requested quantile, 1-based ("nearest rank" with
   // interpolation inside the owning bucket).
-  const double target = q * static_cast<double>(count);
+  const double target = q * static_cast<double>(sample.count);
   double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const auto in_bucket = static_cast<double>(buckets[i].second);
+  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+    const auto in_bucket = static_cast<double>(sample.buckets[i]);
     if (in_bucket == 0.0) continue;
     if (cumulative + in_bucket >= target) {
-      const double bucket_lo = i == 0 ? 0.0 : buckets[i - 1].first;
-      const double bound = buckets[i].first;
+      const double bucket_lo = i == 0 ? 0.0 : histogram_bound(i - 1);
       // The overflow bucket has no finite upper bound; the observed max is
       // the tightest honest cap. Same for any bucket that contains it.
-      const double bucket_hi = std::isinf(bound) ? max : std::min(bound, max);
+      const double bucket_hi = std::min(histogram_bound(i), sample.max);
       const double frac = (target - cumulative) / in_bucket;
       const double v = bucket_lo + frac * (bucket_hi - bucket_lo);
       // std::clamp's bits whenever min <= max, without its precondition: a
       // read racing a first record() can see min above max.
-      return std::min(std::max(v, min), max);
+      return std::min(std::max(v, sample.min), sample.max);
     }
     cumulative += in_bucket;
   }
-  return max;  // unreachable unless counts raced; max is the safe answer
+  return sample.max;  // occupancies short of count; max is the safe answer
 }
 
 void Histogram::reset() noexcept {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
   min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
@@ -133,12 +106,11 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name, HistogramOptions options) {
+Histogram& Registry::histogram(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<Histogram>(options))
+    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
              .first;
   }
   return *it->second;
@@ -159,9 +131,8 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, h] : histograms_) {
     HistogramSample s;
     s.name = name;
-    s.buckets.reserve(h->bucket_count());
-    for (std::size_t i = 0; i < h->bucket_count(); ++i) {
-      s.buckets.emplace_back(h->upper_bound(i), h->bucket_value(i));
+    for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
+      s.buckets[i] = h->bucket_value(i);
     }
     s.count = h->count();
     s.sum = h->sum();
@@ -169,9 +140,6 @@ Snapshot Registry::snapshot() const {
     // A snapshot racing the first record() can read min_ set and max_ not
     // yet; that value is the max too. Decoders reject min > max.
     s.max = std::max(h->max(), s.min);
-    s.p50 = quantile_from_buckets(s.buckets, s.count, s.min, s.max, 0.50);
-    s.p90 = quantile_from_buckets(s.buckets, s.count, s.min, s.max, 0.90);
-    s.p99 = quantile_from_buckets(s.buckets, s.count, s.min, s.max, 0.99);
     snap.histograms.push_back(std::move(s));
   }
   return snap;
@@ -182,11 +150,6 @@ void Registry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-}
-
-std::size_t Registry::instrument_count() const {
-  std::lock_guard lock(mutex_);
-  return counters_.size() + gauges_.size() + histograms_.size();
 }
 
 }  // namespace ccg::obs

@@ -96,8 +96,7 @@ ScopedSpan::~ScopedSpan() {
 }
 
 Histogram& span_histogram(std::string_view name) {
-  return Registry::global().histogram(std::string(name) + ".seconds",
-                                      latency_buckets());
+  return Registry::global().histogram(std::string(name) + ".seconds");
 }
 
 }  // namespace ccg::obs

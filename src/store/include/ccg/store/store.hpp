@@ -149,9 +149,6 @@ class StoreReader {
   Range range(std::int64_t t0 = std::numeric_limits<std::int64_t>::min(),
               std::int64_t t1 = std::numeric_limits<std::int64_t>::max()) const;
 
-  /// Materializes the single window starting at `begin`, if stored.
-  std::optional<CommGraph> window_at(std::int64_t begin) const;
-
   StoreStats stats() const;
   const std::string& dir() const { return dir_; }
 

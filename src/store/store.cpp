@@ -430,11 +430,6 @@ std::optional<CommGraph> StoreReader::Range::next() {
   return *base_;
 }
 
-std::optional<CommGraph> StoreReader::window_at(std::int64_t begin) const {
-  Range r = range(begin, begin + 1);
-  return r.next();
-}
-
 StoreStats StoreReader::stats() const { return stats_of(dir_, entries_); }
 
 // --- compaction -------------------------------------------------------------

@@ -355,14 +355,13 @@ TEST(DistributedCollector, ShardIdentityOnlyInLabels) {
   expect_clean(fleet, "fleet");
 
   // The fleet view carries the worker series once per shard, by label.
-  std::vector<std::string> labeled_shards;
+  std::vector<std::uint32_t> labeled_shards;
   for (const auto& c : fleet.counters) {
-    if (c.name != "ccg.dist.shard.records") continue;
-    for (const auto& [key, value] : c.labels) {
-      if (key == "shard") labeled_shards.push_back(value);
+    if (c.name == "ccg.dist.shard.records" && c.shard) {
+      labeled_shards.push_back(*c.shard);
     }
   }
-  EXPECT_EQ(labeled_shards, (std::vector<std::string>{"0", "1"}));
+  EXPECT_EQ(labeled_shards, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(DistributedCollector, AnalyticsSummariesMatchSingleProcess) {

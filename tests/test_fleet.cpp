@@ -1,11 +1,10 @@
-// FleetRegistry: each shard's latest shipped snapshot wins, labeled
+// FleetRegistry: each shard's latest shipped snapshot wins, shard-numbered
 // snapshot rendering, the retention cap for shipped spans, and the
-// local+fleet snapshot merge the ops endpoint exposes.
+// local+fleet process view every export renders.
 #include "ccg/obs/fleet.hpp"
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,8 +13,6 @@
 
 namespace ccg {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The fleet registry is global (the aggregator owns it); every test
 /// starts and ends empty so ordering doesn't matter.
@@ -31,13 +28,13 @@ obs::Snapshot counter_frame(const std::string& name, std::uint64_t value) {
   return s;
 }
 
-/// The samples of `snap` labeled shard="`shard`", with the label removed.
-obs::Snapshot shard_series(const obs::Snapshot& snap, const std::string& shard) {
+/// The samples of `snap` numbered `shard`, with the number removed.
+obs::Snapshot shard_series(const obs::Snapshot& snap, std::uint32_t shard) {
   obs::Snapshot out;
   const auto pick = [&](const auto& samples, auto& into) {
     for (auto sample : samples) {
-      if (sample.labels != obs::SampleLabels{{"shard", shard}}) continue;
-      sample.labels.clear();
+      if (sample.shard != shard) continue;
+      sample.shard.reset();
       into.push_back(std::move(sample));
     }
   };
@@ -49,7 +46,6 @@ obs::Snapshot shard_series(const obs::Snapshot& snap, const std::string& shard) 
 
 TEST_F(FleetTest, StartsInactiveAndEmpty) {
   obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-  EXPECT_FALSE(fleet.active());
   EXPECT_EQ(fleet.frames_applied(), 0u);
   const obs::Snapshot snap = fleet.labeled_snapshot();
   EXPECT_TRUE(snap.counters.empty());
@@ -63,25 +59,22 @@ TEST_F(FleetTest, CountersAreTheLatestFramePerShard) {
   fleet.apply(1, counter_frame("ccg.dist.shard.records", 40));
   fleet.apply(0, counter_frame("ccg.dist.shard.records", 111));
 
-  EXPECT_TRUE(fleet.active());
   EXPECT_EQ(fleet.frames_applied(), 3u);
   obs::Snapshot snap = fleet.labeled_snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].value, 111u);  // shard 0's latest, not a sum
-  ASSERT_EQ(snap.counters[0].labels.size(), 1u);
-  EXPECT_EQ(snap.counters[0].labels[0].first, "shard");
-  EXPECT_EQ(snap.counters[0].labels[0].second, "0");
+  EXPECT_EQ(snap.counters[0].shard, 0u);
   EXPECT_EQ(snap.counters[1].value, 40u);
-  EXPECT_EQ(snap.counters[1].labels[0].second, "1");
+  EXPECT_EQ(snap.counters[1].shard, 1u);
 
   // A series the shard's latest frame no longer carries is gone with it.
   fleet.apply(1, counter_frame("ccg.dist.shard.windows_shipped", 2));
   snap = fleet.labeled_snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "ccg.dist.shard.records");
-  EXPECT_EQ(snap.counters[0].labels[0].second, "0");
+  EXPECT_EQ(snap.counters[0].shard, 0u);
   EXPECT_EQ(snap.counters[1].name, "ccg.dist.shard.windows_shipped");
-  EXPECT_EQ(snap.counters[1].labels[0].second, "1");
+  EXPECT_EQ(snap.counters[1].shard, 1u);
 }
 
 TEST_F(FleetTest, RepeatedOrLatestOnlyFrameEqualsTheShardRegistry) {
@@ -104,8 +97,8 @@ TEST_F(FleetTest, RepeatedOrLatestOnlyFrameEqualsTheShardRegistry) {
   fleet.apply(1, latest);  // shard 1: only the latest frame
 
   const obs::Snapshot snap = fleet.labeled_snapshot();
-  EXPECT_EQ(obs::to_json(shard_series(snap, "0")), obs::to_json(latest));
-  EXPECT_EQ(obs::to_json(shard_series(snap, "1")), obs::to_json(latest));
+  EXPECT_EQ(obs::to_json(shard_series(snap, 0)), obs::to_json(latest));
+  EXPECT_EQ(obs::to_json(shard_series(snap, 1)), obs::to_json(latest));
 }
 
 TEST_F(FleetTest, GaugesAreLastWrite) {
@@ -118,7 +111,7 @@ TEST_F(FleetTest, GaugesAreLastWrite) {
   const obs::Snapshot snap = fleet.labeled_snapshot();
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges[0].value, 1.5);
-  EXPECT_EQ(snap.gauges[0].labels[0].second, "2");
+  EXPECT_EQ(snap.gauges[0].shard, 2u);
 }
 
 TEST_F(FleetTest, LabeledSnapshotSortsByNameThenNumericShard) {
@@ -131,8 +124,8 @@ TEST_F(FleetTest, LabeledSnapshotSortsByNameThenNumericShard) {
   ASSERT_EQ(snap.counters.size(), 3u);
   EXPECT_EQ(snap.counters[0].name, "a.metric");
   EXPECT_EQ(snap.counters[1].name, "b.metric");
-  EXPECT_EQ(snap.counters[1].labels[0].second, "2");
-  EXPECT_EQ(snap.counters[2].labels[0].second, "10");
+  EXPECT_EQ(snap.counters[1].shard, 2u);
+  EXPECT_EQ(snap.counters[2].shard, 10u);
 }
 
 TEST_F(FleetTest, HistogramIsTheLatestFrame) {
@@ -140,7 +133,7 @@ TEST_F(FleetTest, HistogramIsTheLatestFrame) {
   obs::Snapshot frame;
   obs::HistogramSample h;
   h.name = "ccg.analytics.window.seconds";
-  h.buckets = {{1.0, 2}, {2.0, 0}, {kInf, 0}};
+  h.buckets[20] = 2;
   h.count = 2;
   h.sum = 1.0;
   h.min = 0.4;
@@ -149,11 +142,10 @@ TEST_F(FleetTest, HistogramIsTheLatestFrame) {
   fleet.apply(0, frame);
 
   // The shard's next frame restates the whole histogram.
-  h.buckets = {{1.0, 2}, {2.0, 3}, {kInf, 0}};
+  h.buckets[21] = 3;
   h.count = 5;
   h.sum = 5.5;
   h.max = 1.8;
-  h.p50 = obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.5);
   frame.histograms = {h};
   fleet.apply(0, frame);
 
@@ -164,38 +156,9 @@ TEST_F(FleetTest, HistogramIsTheLatestFrame) {
   EXPECT_DOUBLE_EQ(latest.sum, 5.5);
   EXPECT_DOUBLE_EQ(latest.min, 0.4);
   EXPECT_DOUBLE_EQ(latest.max, 1.8);
-  ASSERT_EQ(latest.buckets.size(), 3u);
-  EXPECT_EQ(latest.buckets[0].second, 2u);
-  EXPECT_EQ(latest.buckets[1].second, 3u);
-  EXPECT_DOUBLE_EQ(latest.p50, h.p50);
-  EXPECT_EQ(latest.labels, (obs::SampleLabels{{"shard", "0"}}));
-}
-
-TEST_F(FleetTest, HistogramLayoutChangeReplacesTheSeries) {
-  obs::FleetRegistry& fleet = obs::FleetRegistry::global();
-  obs::Snapshot d;
-  obs::HistogramSample h;
-  h.name = "ccg.test.lat";
-  h.buckets = {{1.0, 5}, {kInf, 0}};
-  h.count = 5;
-  h.sum = 2.5;
-  d.histograms.push_back(h);
-  fleet.apply(0, d);
-
-  // A shard restart re-registers the histogram with different options;
-  // its next frame replaces the series whatever the old layout was.
-  obs::Snapshot d2;
-  h.buckets = {{0.5, 1}, {1.0, 0}, {kInf, 0}};
-  h.count = 1;
-  h.sum = 0.25;
-  d2.histograms.clear();
-  d2.histograms.push_back(h);
-  fleet.apply(0, d2);
-
-  const obs::Snapshot snap = fleet.labeled_snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-  EXPECT_EQ(snap.histograms[0].buckets.size(), 3u);
+  EXPECT_EQ(latest.buckets, h.buckets);
+  EXPECT_DOUBLE_EQ(obs::quantile(latest, 0.5), obs::quantile(h, 0.5));
+  EXPECT_EQ(latest.shard, 0u);
 }
 
 TEST_F(FleetTest, SpanRetentionDropsOverflowAndCountsIt) {
@@ -215,25 +178,31 @@ TEST_F(FleetTest, SpanRetentionDropsOverflowAndCountsIt) {
 }
 
 TEST_F(FleetTest, MergeSnapshotsPutsUnlabeledFirstPerName) {
-  obs::Snapshot local;
-  local.counters.push_back({"b.shared", 9, {}});
-  local.counters.push_back({"c.local_only", 1, {}});
+  obs::Registry& local = obs::Registry::global();
+  local.counter("ccg.test.merge.b_shared").add(9);
+  local.counter("ccg.test.merge.c_local_only").add(1);
 
-  obs::Snapshot fleet;
-  fleet.counters.push_back({"a.fleet_only", 2, {{"shard", "0"}}});
-  fleet.counters.push_back({"b.shared", 4, {{"shard", "0"}}});
-  fleet.counters.push_back({"b.shared", 5, {{"shard", "1"}}});
+  obs::FleetRegistry& fleet = obs::FleetRegistry::global();
+  obs::Snapshot shard0;
+  shard0.counters.push_back({"ccg.test.merge.a_fleet_only", 2, {}});
+  shard0.counters.push_back({"ccg.test.merge.b_shared", 4, {}});
+  fleet.apply(0, shard0);
+  fleet.apply(1, counter_frame("ccg.test.merge.b_shared", 5));
 
-  const obs::Snapshot merged = obs::merge_snapshots(local, fleet);
-  ASSERT_EQ(merged.counters.size(), 5u);
-  EXPECT_EQ(merged.counters[0].name, "a.fleet_only");
-  // Same name: the unlabeled local series leads its shard series, so the
-  // Prometheus renderer emits one header block for the family.
-  EXPECT_EQ(merged.counters[1].name, "b.shared");
-  EXPECT_TRUE(merged.counters[1].labels.empty());
-  EXPECT_EQ(merged.counters[2].labels[0].second, "0");
-  EXPECT_EQ(merged.counters[3].labels[0].second, "1");
-  EXPECT_EQ(merged.counters[4].name, "c.local_only");
+  std::vector<obs::CounterSample> merged;
+  for (const obs::CounterSample& c : obs::process_snapshot().counters) {
+    if (c.name.rfind("ccg.test.merge.", 0) == 0) merged.push_back(c);
+  }
+  ASSERT_EQ(merged.size(), 5u);
+  EXPECT_EQ(merged[0].name, "ccg.test.merge.a_fleet_only");
+  // Same name: the local series leads its shard series, so the Prometheus
+  // renderer emits one header block for the family.
+  EXPECT_EQ(merged[1].name, "ccg.test.merge.b_shared");
+  EXPECT_FALSE(merged[1].shard.has_value());
+  EXPECT_EQ(merged[1].value, 9u);
+  EXPECT_EQ(merged[2].shard, 0u);
+  EXPECT_EQ(merged[3].shard, 1u);
+  EXPECT_EQ(merged[4].name, "ccg.test.merge.c_local_only");
 }
 
 TEST_F(FleetTest, ClearResetsEverything) {
@@ -241,7 +210,6 @@ TEST_F(FleetTest, ClearResetsEverything) {
   fleet.apply(0, counter_frame("x", 1));
   fleet.add_spans(0, std::vector<obs::TraceEvent>(3));
   fleet.clear();
-  EXPECT_FALSE(fleet.active());
   EXPECT_EQ(fleet.frames_applied(), 0u);
   EXPECT_TRUE(fleet.spans_by_shard().empty());
 }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ccg/analytics/service.hpp"
+#include "ccg/obs/fleet.hpp"
 #include "ccg/obs/log.hpp"
 #include "ccg/obs/span.hpp"
 #include "ccg/obs/trace.hpp"
@@ -81,6 +82,26 @@ TEST(FlightDump, CombinesLogSpansAndMetrics) {
   EXPECT_NE(body.find("\"traceEvents\": ["), std::string::npos);
   EXPECT_NE(body.find("ccg.test.flight"), std::string::npos) << "span made it";
   EXPECT_EQ(body.find("\"span_count\": 0"), std::string::npos);
+}
+
+TEST(FlightDump, CarriesTheFleetShardSeries) {
+  // On serve's aggregator a flight record holds the same view as
+  // --metrics-out: the local registry plus every shard's latest series.
+  obs::FleetRegistry& fleet = obs::FleetRegistry::global();
+  fleet.clear();
+  obs::Snapshot frame;
+  frame.counters.push_back({"ccg.dist.shard.records", 512, {}});
+  fleet.apply(0, frame);
+  const std::string path = obs::dump_flight_record(fresh_dir("fleet"), "test");
+  fleet.clear();
+  ASSERT_FALSE(path.empty());
+
+  const std::string body = slurp(path);
+  const std::size_t metrics = body.find("\"metrics\": {");
+  ASSERT_NE(metrics, std::string::npos);
+  EXPECT_NE(body.find("\"ccg.dist.shard.records{shard=0}\": 512", metrics),
+            std::string::npos)
+      << body;
 }
 
 TEST(FlightDump, SequenceNumbersNeverClobber) {

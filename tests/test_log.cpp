@@ -16,11 +16,10 @@ namespace ccg {
 namespace {
 
 /// Logging is always on; tests share the global ring, so each starts from a
-/// clean, generously sized one and leaves the default behind.
+/// clean one.
 class ObsLogTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::LogRing::global().set_capacity(256); }
-  void TearDown() override { obs::LogRing::global().set_capacity(1024); }
+  void SetUp() override { obs::LogRing::global().clear(); }
 };
 
 TEST(ObsLogLevel, NamesAndParsing) {
@@ -122,22 +121,19 @@ TEST_F(ObsLogTest, UnsafeKeyCharactersAreNeutralized) {
 }
 
 TEST_F(ObsLogTest, RingWrapsKeepingNewestOldestFirst) {
-  obs::LogRing::global().set_capacity(4);
-  obs::LogRing::global().clear();
-  for (int i = 0; i < 10; ++i) {
+  constexpr std::size_t kCapacity = obs::LogRing::kCapacity;
+  for (std::size_t i = 0; i < kCapacity + 6; ++i) {
     obs::log_debug("m" + std::to_string(i));
   }
   const auto records = obs::LogRing::global().records();
-  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(records.size(), kCapacity);
   EXPECT_EQ(obs::LogRing::global().dropped(), 6u);
   EXPECT_EQ(records.front().message, "m6");
-  EXPECT_EQ(records.back().message, "m9");
+  EXPECT_EQ(records.back().message, "m" + std::to_string(kCapacity + 5));
 }
 
 TEST_F(ObsLogTest, ConcurrentWritersRetainExactlyCapacity) {
-  obs::LogRing::global().set_capacity(32);
-  obs::LogRing::global().clear();
-  constexpr int kThreads = 4, kPerThread = 250;
+  constexpr int kThreads = 4, kPerThread = 300;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
@@ -145,9 +141,10 @@ TEST_F(ObsLogTest, ConcurrentWritersRetainExactlyCapacity) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(obs::LogRing::global().records().size(), 32u);
+  EXPECT_EQ(obs::LogRing::global().records().size(), obs::LogRing::kCapacity);
   EXPECT_EQ(obs::LogRing::global().dropped(),
-            static_cast<std::size_t>(kThreads * kPerThread) - 32u);
+            static_cast<std::size_t>(kThreads * kPerThread) -
+                obs::LogRing::kCapacity);
 }
 
 TEST_F(ObsLogTest, EveryEmitBumpsItsLevelCounter) {

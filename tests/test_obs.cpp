@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -18,86 +17,99 @@ namespace ccg {
 namespace {
 
 using obs::Histogram;
-using obs::HistogramOptions;
 using obs::Registry;
+
+/// The histogram "h" of `registry`, as the exporters see it.
+obs::HistogramSample sample_of(const Registry& registry) {
+  return registry.snapshot().histograms.at(0);
+}
 
 // --- histogram buckets & quantiles -------------------------------------------
 
 TEST(ObsHistogram, BucketBoundariesAreUpperInclusive) {
-  // Bounds: 1, 2, 4, 8 plus the +Inf overflow bucket.
-  Histogram h({.first_bound = 1.0, .growth = 2.0, .buckets = 4});
-  ASSERT_EQ(h.bucket_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.upper_bound(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.upper_bound(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.upper_bound(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.upper_bound(3), 8.0);
-  EXPECT_TRUE(std::isinf(h.upper_bound(4)));
+  // The one layout: 1 µs doubling over 31 finite buckets, then +Inf.
+  ASSERT_EQ(obs::kHistogramBuckets, 32u);
+  EXPECT_DOUBLE_EQ(obs::histogram_bound(0), 1e-6);
+  EXPECT_DOUBLE_EQ(obs::histogram_bound(1), 2e-6);
+  EXPECT_DOUBLE_EQ(obs::histogram_bound(2), 4e-6);
+  EXPECT_DOUBLE_EQ(obs::histogram_bound(3), 8e-6);
+  EXPECT_DOUBLE_EQ(obs::histogram_bound(30), 1e-6 * (1 << 30));
+  EXPECT_TRUE(std::isinf(obs::histogram_bound(31)));
 
-  h.record(0.5);   // bucket 0
-  h.record(1.0);   // bucket 0: bounds are upper-inclusive
-  h.record(1.01);  // bucket 1
-  h.record(2.0);   // bucket 1
-  h.record(4.0);   // bucket 2
-  h.record(8.0);   // bucket 3
-  h.record(8.01);  // overflow
-  h.record(1e9);   // overflow
+  Histogram h;
+  h.record(0.5e-6);   // bucket 0
+  h.record(1e-6);     // bucket 0: bounds are upper-inclusive
+  h.record(1.01e-6);  // bucket 1
+  h.record(2e-6);     // bucket 1
+  h.record(4e-6);     // bucket 2
+  h.record(8e-6);     // bucket 3
+  h.record(8.01e-6);  // bucket 4
+  h.record(1e9);      // overflow
 
   EXPECT_EQ(h.bucket_value(0), 2u);
   EXPECT_EQ(h.bucket_value(1), 2u);
   EXPECT_EQ(h.bucket_value(2), 1u);
   EXPECT_EQ(h.bucket_value(3), 1u);
-  EXPECT_EQ(h.bucket_value(4), 2u);
+  EXPECT_EQ(h.bucket_value(4), 1u);
+  EXPECT_EQ(h.bucket_value(31), 1u);
   EXPECT_EQ(h.count(), 8u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
+  EXPECT_DOUBLE_EQ(h.min(), 0.5e-6);
   EXPECT_DOUBLE_EQ(h.max(), 1e9);
 }
 
 TEST(ObsHistogram, QuantileInterpolatesInsideBucket) {
-  Histogram h({.first_bound = 10.0, .growth = 2.0, .buckets = 3});
-  h.record(5.0);
-  h.record(15.0);
-  h.record(15.0);
-  h.record(35.0);
-  // p50 rank = 2 of 4: one sample below bucket (10,20], half way through
-  // its two samples -> 10 + 0.5 * (20 - 10) = 15.
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 15.0);
+  Registry registry;
+  Histogram& h = registry.histogram("h");
+  h.record(0.0003);  // bucket (256 µs, 512 µs]
+  h.record(0.0007);  // bucket (512 µs, 1024 µs], twice
+  h.record(0.0007);
+  h.record(0.003);   // bucket (2048 µs, 4096 µs]
+  const obs::HistogramSample sample = sample_of(registry);
+  // p50 rank = 2 of 4: one sample below bucket (512 µs, 1024 µs], half way
+  // through its two samples -> 512 µs + 0.5 * 512 µs = 768 µs.
+  EXPECT_DOUBLE_EQ(obs::quantile(sample, 0.5), 0.000768);
   // p100 is the observed max, p0 clamps to the observed min.
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 35.0);
-  EXPECT_GE(h.quantile(0.0), 5.0 - 1e-12);
+  EXPECT_DOUBLE_EQ(obs::quantile(sample, 1.0), 0.003);
+  EXPECT_GE(obs::quantile(sample, 0.0), 0.0003 - 1e-15);
 }
 
 TEST(ObsHistogram, SingleValueQuantilesCollapseToThatValue) {
-  Histogram h;
-  h.record(0.003);
+  Registry registry;
+  registry.histogram("h").record(0.003);
+  const obs::HistogramSample sample = sample_of(registry);
   for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(h.quantile(q), 0.003) << q;
+    EXPECT_DOUBLE_EQ(obs::quantile(sample, q), 0.003) << q;
   }
 }
 
 TEST(ObsHistogram, QuantilesAreMonotoneAndEmptyIsZero) {
   Histogram empty;
   EXPECT_EQ(empty.count(), 0u);
-  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(obs::quantile(obs::HistogramSample{}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(empty.min(), 0.0);
   EXPECT_DOUBLE_EQ(empty.max(), 0.0);
 
-  Histogram h;
+  Registry registry;
+  Histogram& h = registry.histogram("h");
   Rng rng(42);
   for (int i = 0; i < 1000; ++i) {
     h.record(1e-6 * static_cast<double>(1 + rng.uniform(1'000'000)));
   }
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.9));
-  EXPECT_LE(h.quantile(0.9), h.quantile(0.99));
-  EXPECT_LE(h.quantile(0.99), h.max());
-  EXPECT_GE(h.quantile(0.5), h.min());
+  const obs::HistogramSample sample = sample_of(registry);
+  EXPECT_LE(obs::quantile(sample, 0.5), obs::quantile(sample, 0.9));
+  EXPECT_LE(obs::quantile(sample, 0.9), obs::quantile(sample, 0.99));
+  EXPECT_LE(obs::quantile(sample, 0.99), h.max());
+  EXPECT_GE(obs::quantile(sample, 0.5), h.min());
 }
 
 TEST(ObsHistogram, OverflowQuantileIsCappedByObservedMax) {
-  Histogram h({.first_bound = 1.0, .growth = 2.0, .buckets = 2});
-  h.record(100.0);  // overflow bucket (bounds are 1, 2)
-  h.record(200.0);
-  EXPECT_GE(h.quantile(0.99), 100.0);
-  EXPECT_LE(h.quantile(0.99), 200.0);
+  Registry registry;
+  Histogram& h = registry.histogram("h");
+  h.record(2000.0);  // overflow bucket (the last finite bound is ~1074 s)
+  h.record(4000.0);
+  const obs::HistogramSample sample = sample_of(registry);
+  EXPECT_GE(obs::quantile(sample, 0.99), 2000.0);
+  EXPECT_LE(obs::quantile(sample, 0.99), 4000.0);
 }
 
 // --- concurrency -------------------------------------------------------------
@@ -133,7 +145,7 @@ TEST(ObsHistogram, ConcurrentRecordsKeepExactCountAndSum) {
   EXPECT_EQ(h.count(), total);
   EXPECT_NEAR(h.sum(), 0.001 * static_cast<double>(total), 1e-6);
   std::uint64_t bucket_total = 0;
-  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+  for (std::size_t i = 0; i < obs::kHistogramBuckets; ++i) {
     bucket_total += h.bucket_value(i);
   }
   EXPECT_EQ(bucket_total, total);
@@ -159,12 +171,15 @@ TEST(ObsRegistry, SameNameReturnsSameInstrument) {
   EXPECT_EQ(&registry.counter("a"), &registry.counter("a"));
   EXPECT_NE(&registry.counter("a"), &registry.counter("b"));
   EXPECT_EQ(&registry.histogram("h"), &registry.histogram("h"));
-  EXPECT_EQ(registry.instrument_count(), 3u);
+  EXPECT_EQ(registry.snapshot().counters.size(), 2u);
+  EXPECT_EQ(registry.snapshot().histograms.size(), 1u);
 
   registry.counter("a").add(5);
   registry.reset();
   EXPECT_EQ(registry.counter("a").value(), 0u);
-  EXPECT_EQ(registry.instrument_count(), 3u);  // registrations survive reset
+  // Registrations survive reset.
+  EXPECT_EQ(registry.snapshot().counters.size(), 2u);
+  EXPECT_EQ(registry.snapshot().histograms.size(), 1u);
 }
 
 // --- exporters ---------------------------------------------------------------
@@ -174,11 +189,10 @@ Registry& golden_registry() {
     auto* r = new Registry();
     r->counter("ccg.test.requests").add(3);
     r->gauge("ccg.test.depth").set(2.5);
-    Histogram& h =
-        r->histogram("ccg.test.latency", {.first_bound = 1.0, .growth = 2.0, .buckets = 2});
-    h.record(0.5);
-    h.record(3.0);
-    h.record(100.0);
+    Histogram& h = r->histogram("ccg.test.latency");
+    h.record(3e-6);
+    h.record(0.001);
+    h.record(2000.0);
     return r;
   }();
   return *registry;
@@ -194,10 +208,39 @@ TEST(ObsExport, PrometheusGolden) {
       "ccg_test_depth 2.5\n"
       "# HELP ccg_test_latency ccg.test.latency\n"
       "# TYPE ccg_test_latency histogram\n"
-      "ccg_test_latency_bucket{le=\"1\"} 1\n"
-      "ccg_test_latency_bucket{le=\"2\"} 1\n"
+      "ccg_test_latency_bucket{le=\"1e-06\"} 0\n"
+      "ccg_test_latency_bucket{le=\"2e-06\"} 0\n"
+      "ccg_test_latency_bucket{le=\"4e-06\"} 1\n"
+      "ccg_test_latency_bucket{le=\"8e-06\"} 1\n"
+      "ccg_test_latency_bucket{le=\"1.6e-05\"} 1\n"
+      "ccg_test_latency_bucket{le=\"3.2e-05\"} 1\n"
+      "ccg_test_latency_bucket{le=\"6.4e-05\"} 1\n"
+      "ccg_test_latency_bucket{le=\"0.000128\"} 1\n"
+      "ccg_test_latency_bucket{le=\"0.000256\"} 1\n"
+      "ccg_test_latency_bucket{le=\"0.000512\"} 1\n"
+      "ccg_test_latency_bucket{le=\"0.001024\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.002048\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.004096\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.008192\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.016384\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.032768\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.065536\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.131072\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.262144\"} 2\n"
+      "ccg_test_latency_bucket{le=\"0.524288\"} 2\n"
+      "ccg_test_latency_bucket{le=\"1.048576\"} 2\n"
+      "ccg_test_latency_bucket{le=\"2.097152\"} 2\n"
+      "ccg_test_latency_bucket{le=\"4.194304\"} 2\n"
+      "ccg_test_latency_bucket{le=\"8.388608\"} 2\n"
+      "ccg_test_latency_bucket{le=\"16.777216\"} 2\n"
+      "ccg_test_latency_bucket{le=\"33.554432\"} 2\n"
+      "ccg_test_latency_bucket{le=\"67.108864\"} 2\n"
+      "ccg_test_latency_bucket{le=\"134.217728\"} 2\n"
+      "ccg_test_latency_bucket{le=\"268.435456\"} 2\n"
+      "ccg_test_latency_bucket{le=\"536.870912\"} 2\n"
+      "ccg_test_latency_bucket{le=\"1073.74182\"} 2\n"
       "ccg_test_latency_bucket{le=\"+Inf\"} 3\n"
-      "ccg_test_latency_sum 103.5\n"
+      "ccg_test_latency_sum 2000.001\n"
       "ccg_test_latency_count 3\n";
   EXPECT_EQ(obs::to_prometheus(golden_registry().snapshot()), expected);
 }
@@ -208,8 +251,8 @@ TEST(ObsExport, PrometheusLabeledSeriesShareOneHeaderBlock) {
   // exactly one HELP/TYPE block per metric family.
   obs::Snapshot snap;
   snap.counters.push_back({"ccg.dist.agg.windows_merged", 4, {}});
-  snap.counters.push_back({"ccg.dist.shard.windows", 2, {{"shard", "0"}}});
-  snap.counters.push_back({"ccg.dist.shard.windows", 3, {{"shard", "1"}}});
+  snap.counters.push_back({"ccg.dist.shard.windows", 2, 0});
+  snap.counters.push_back({"ccg.dist.shard.windows", 3, 1});
   const std::string expected =
       "# HELP ccg_dist_agg_windows_merged_total ccg.dist.agg.windows_merged\n"
       "# TYPE ccg_dist_agg_windows_merged_total counter\n"
@@ -221,32 +264,42 @@ TEST(ObsExport, PrometheusLabeledSeriesShareOneHeaderBlock) {
   EXPECT_EQ(obs::to_prometheus(snap), expected);
 }
 
-TEST(ObsExport, PrometheusLabelValuesAreEscaped) {
+TEST(ObsExport, PrometheusHelpTextIsEscaped) {
+  // The HELP line keeps the original name, escaping backslash and newline;
+  // the metric name itself is sanitized to underscores.
   obs::Snapshot snap;
-  snap.gauges.push_back({"ccg.test.g", 1.0, {{"path", "a\\b\"c\nd"}}});
-  const std::string text = obs::to_prometheus(snap);
-  EXPECT_NE(text.find("ccg_test_g{path=\"a\\\\b\\\"c\\nd\"} 1\n"),
-            std::string::npos)
-      << text;
+  snap.gauges.push_back({"ccg.test\\g\nx", 1.0, {}});
+  EXPECT_EQ(obs::to_prometheus(snap),
+            "# HELP ccg_test_g_x ccg.test\\\\g\\nx\n"
+            "# TYPE ccg_test_g_x gauge\n"
+            "ccg_test_g_x 1\n");
 }
 
 TEST(ObsExport, PrometheusLabeledHistogramAppendsLe) {
   obs::Snapshot snap;
   obs::HistogramSample h;
   h.name = "ccg.test.lat";
-  h.buckets = {{1.0, 2}, {std::numeric_limits<double>::infinity(), 1}};
+  h.buckets[0] = 2;
+  h.buckets[31] = 1;
   h.count = 3;
   h.sum = 4.5;
-  h.labels = {{"shard", "2"}};
+  h.shard = 2;
   snap.histograms.push_back(std::move(h));
-  const std::string expected =
-      "# HELP ccg_test_lat ccg.test.lat\n"
-      "# TYPE ccg_test_lat histogram\n"
-      "ccg_test_lat_bucket{shard=\"2\",le=\"1\"} 2\n"
+  const std::string text = obs::to_prometheus(snap);
+  EXPECT_EQ(text.rfind("# HELP ccg_test_lat ccg.test.lat\n"
+                       "# TYPE ccg_test_lat histogram\n"
+                       "ccg_test_lat_bucket{shard=\"2\",le=\"1e-06\"} 2\n"
+                       "ccg_test_lat_bucket{shard=\"2\",le=\"2e-06\"} 2\n",
+                       0),
+            0u)
+      << text;
+  const std::string tail =
+      "ccg_test_lat_bucket{shard=\"2\",le=\"1073.74182\"} 2\n"
       "ccg_test_lat_bucket{shard=\"2\",le=\"+Inf\"} 3\n"
       "ccg_test_lat_sum{shard=\"2\"} 4.5\n"
       "ccg_test_lat_count{shard=\"2\"} 3\n";
-  EXPECT_EQ(obs::to_prometheus(snap), expected);
+  ASSERT_GE(text.size(), tail.size());
+  EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
 }
 
 TEST(ObsExport, JsonGolden) {
@@ -259,11 +312,14 @@ TEST(ObsExport, JsonGolden) {
       "    \"ccg.test.depth\": 2.5\n"
       "  },\n"
       "  \"histograms\": {\n"
-      // p50/p90/p99 by hand: rank q*3 with one sample in (0,1] and two in
-      // the overflow bucket interpolated over (2, max=100].
-      "    \"ccg.test.latency\": {\"count\": 3, \"sum\": 103.5, \"min\": 0.5,"
-      " \"max\": 100, \"p50\": 26.5, \"p90\": 85.3, \"p99\": 98.53,"
-      " \"buckets\": [{\"le\": 1, \"n\": 1}, {\"le\": \"+Inf\", \"n\": 2}]}\n"
+      // p50/p90/p99 by hand: rank q*3 over one sample each in (2 µs, 4 µs],
+      // (512 µs, 1024 µs] and the overflow bucket, which is interpolated
+      // over (2^30 µs, max=2000]: p50 = 512 µs + 0.5 * 512 µs, p90 =
+      // 1073.741824 + 0.7 * 926.258176.
+      "    \"ccg.test.latency\": {\"count\": 3, \"sum\": 2000.001, \"min\": 3e-06,"
+      " \"max\": 2000, \"p50\": 0.000768, \"p90\": 1722.12255,"
+      " \"p99\": 1972.21225, \"buckets\": [{\"le\": 4e-06, \"n\": 1},"
+      " {\"le\": 0.001024, \"n\": 1}, {\"le\": \"+Inf\", \"n\": 1}]}\n"
       "  }\n"
       "}\n";
   EXPECT_EQ(obs::to_json(golden_registry().snapshot()), expected);

@@ -2,59 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "ccg/common/expect.hpp"
-#include "ccg/common/rng.hpp"
 
 namespace ccg {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStats, KnownSequence) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, SingleSampleHasZeroVariance) {
-  RunningStats s;
-  s.add(3.14);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.mean(), 3.14);
-}
-
-TEST(RunningStats, MatchesBatchComputationOnRandomData) {
-  Rng rng(41);
-  RunningStats s;
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.normal(10.0, 3.0);
-    xs.push_back(x);
-    s.add(x);
-  }
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(xs.size() - 1);
-  EXPECT_NEAR(s.mean(), mean, 1e-9);
-  EXPECT_NEAR(s.variance(), var, 1e-6);
-}
 
 TEST(PercentileSketch, InterpolatesOrderStatistics) {
   PercentileSketch p;

@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <span>
+#include <string_view>
 #include <vector>
 
+#include "ccg/obs/export.hpp"
 #include "ccg/store/format.hpp"
 #include "mutation.hpp"
 
@@ -31,7 +32,7 @@ TEST(WireFormat, GoldenHelloBytes) {
   const std::vector<std::uint8_t> golden = {
       0x01,                          // kHello
       0xC3, 0x86, 0x9D, 0xA2, 0x04,  // magic 0x44474343 "CCGD"
-      0x03,                          // version 3 (cumulative telemetry)
+      0x04,                          // version 4 (fixed-layout histograms)
       0x02,                          // shard id 2
       0x04,                          // shard count 4
       0x00,                          // facet kIp
@@ -42,7 +43,7 @@ TEST(WireFormat, GoldenHelloBytes) {
 }
 
 TEST(WireFormat, GoldenAckWindowAndEosBytes) {
-  EXPECT_EQ(encode_hello_ack(), (std::vector<std::uint8_t>{0x02, 0x03}));
+  EXPECT_EQ(encode_hello_ack(), (std::vector<std::uint8_t>{0x02, 0x04}));
 
   WindowFrame frame;
   frame.shard_id = 1;
@@ -182,8 +183,9 @@ TelemetryFrame reference_telemetry() {
   frame.metrics.gauges.push_back({"ccg.dist.agg.queue_depth_hwm", 2.5, {}});
   obs::HistogramSample h;
   h.name = "ccg.analytics.window.seconds";
-  h.buckets = {{0.001, 3}, {0.002, 1},
-               {std::numeric_limits<double>::infinity(), 1}};
+  h.buckets[9] = 3;
+  h.buckets[10] = 1;
+  h.buckets[31] = 1;
   h.count = 5;
   h.sum = 0.009;
   h.min = 0.0004;
@@ -225,15 +227,7 @@ TEST(WireTelemetry, RoundTripPreservesEverySection) {
   EXPECT_DOUBLE_EQ(h.sum, 0.009);
   EXPECT_DOUBLE_EQ(h.min, 0.0004);
   EXPECT_DOUBLE_EQ(h.max, 0.0041);
-  ASSERT_EQ(h.buckets.size(), 3u);
-  EXPECT_EQ(h.buckets[0].second, 3u);
-  EXPECT_TRUE(std::isinf(h.buckets[2].first));
-  // Quantiles are not on the wire; the decoder recomputes them from the
-  // shipped buckets — exactly what the receiver-side helper produces.
-  EXPECT_DOUBLE_EQ(
-      h.p50, obs::quantile_from_buckets(h.buckets, h.count, h.min, h.max, 0.5));
-  EXPECT_GE(h.p50, h.min);
-  EXPECT_LE(h.p99, h.max);
+  EXPECT_EQ(h.buckets, frame.metrics.histograms[0].buckets);
 
   ASSERT_EQ(decoded->spans.size(), 1u);
   EXPECT_EQ(decoded->spans[0].name, "ccg.analytics.window");
@@ -255,10 +249,10 @@ TEST(WireTelemetry, EmptySectionsRoundTrip) {
   EXPECT_TRUE(decoded->spans.empty());
 }
 
-// The v3 body: u8 type | varint shard_id | counted counters (name, varint
+// The v4 body: u8 type | varint shard_id | counted counters (name, varint
 // value) | counted gauges (name, double bits) | counted histograms (name,
-// count, sum, min, max, counted (bound, occupancy) buckets) | counted
-// spans. No log section and no sequence number.
+// count, sum, min, max, then one varint occupancy per bucket of the fixed
+// layout, with no bucket count and no bounds) | counted spans.
 TEST(WireTelemetry, GoldenBytes) {
   TelemetryFrame frame;
   frame.shard_id = 2;
@@ -266,8 +260,9 @@ TEST(WireTelemetry, GoldenBytes) {
   frame.metrics.gauges.push_back({"g", 0.0, {}});
   obs::HistogramSample h;
   h.name = "h";
-  h.buckets = {{0.0, 1}};
-  h.count = 1;
+  h.buckets[0] = 1;
+  h.buckets[31] = 2;
+  h.count = 3;
   frame.metrics.histograms.push_back(std::move(h));
   obs::TraceEvent e;
   e.name = "s";
@@ -278,22 +273,50 @@ TEST(WireTelemetry, GoldenBytes) {
   e.span_id = 5;
   e.parent_id = 6;
   frame.spans.push_back(std::move(e));
-  const std::vector<std::uint8_t> golden = {
+  std::vector<std::uint8_t> golden = {
       0x05,                          // kTelemetry
       0x02,                          // shard id 2
       0x01, 0x01, 'c', 0x05,         // 1 counter: "c" = 5
       0x01, 0x01, 'g', 0x00,         // 1 gauge: "g" = 0.0
-      0x01, 0x01, 'h', 0x01,         // 1 histogram: "h", count 1
+      0x01, 0x01, 'h', 0x03,         // 1 histogram: "h", count 3
       0x00, 0x00, 0x00,              //   sum, min, max 0.0
-      0x01, 0x00, 0x01,              //   1 bucket: bound 0.0, occupancy 1
+      0x01,                          //   bucket 0: 1
+  };
+  golden.insert(golden.end(), 30, 0x00);  // buckets 1..30: empty
+  const std::vector<std::uint8_t> tail = {
+      0x02,                          //   overflow bucket: 2
       0x01, 0x01, 's',               // 1 span: "s"
       0x01, 0x02, 0x03, 0x04, 0x05, 0x06,  // start, duration, thread,
                                            // trace, span, parent
   };
+  golden.insert(golden.end(), tail.begin(), tail.end());
   EXPECT_EQ(encode_telemetry(frame), golden);
   const auto decoded = decode_telemetry(golden);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(encode_telemetry(*decoded), golden);
+}
+
+// A histogram costs its name plus count, sum, min, max and one varint per
+// bucket: with small occupancies, under 100 bytes. Shipping each bucket's
+// bound as well would cost a further 9 bytes a bucket, ~350 in all.
+TEST(WireTelemetry, HistogramsShipOnlyTheirOccupancies) {
+  TelemetryFrame frame;
+  std::size_t names = 0;
+  for (const char* name : {"ccg.analytics.window.seconds",
+                           "ccg.dist.shard.ship.seconds",
+                           "ccg.graph.finalize.seconds"}) {
+    obs::Registry registry;
+    obs::Histogram& h = registry.histogram(name);
+    for (int i = 1; i <= 40; ++i) h.record(1e-6 * i * i * i);
+    frame.metrics.histograms.push_back(registry.snapshot().histograms.at(0));
+    names += std::string_view(name).size();
+  }
+  const std::size_t empty_frame = encode_telemetry(TelemetryFrame{}).size();
+  const std::size_t size = encode_telemetry(frame).size() - empty_frame;
+  EXPECT_LT(size, 3 * 100 + names) << size << " bytes";
+  const auto decoded = decode_telemetry(encode_telemetry(frame));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(obs::to_json(decoded->metrics), obs::to_json(frame.metrics));
 }
 
 TEST(WireTelemetry, EveryTruncationIsRejected) {
@@ -318,9 +341,6 @@ TEST(WireTelemetry, MalformedFieldsRejected) {
 
   // Counts past the sanity caps are corruption, not a big fleet.
   frame = reference_telemetry();
-  frame.metrics.histograms[0].buckets.assign(1025, {1.0, 0});
-  EXPECT_FALSE(decode_telemetry(encode_telemetry(frame)).has_value());
-  frame = reference_telemetry();
   frame.metrics.counters[0].name.assign(4097, 'x');
   EXPECT_FALSE(decode_telemetry(encode_telemetry(frame)).has_value());
 
@@ -330,8 +350,8 @@ TEST(WireTelemetry, MalformedFieldsRejected) {
 }
 
 TEST(WireTelemetry, HistogramMinAboveMaxIsRejected) {
-  // The decoder derives quantiles bounded to [min, max]; a shipped
-  // histogram with min above max is malformed, not a value to bound by.
+  // Rendered quantiles are bounded to [min, max]; a shipped histogram with
+  // min above max is malformed, not a value to bound by.
   TelemetryFrame frame = reference_telemetry();
   frame.metrics.histograms[0].min = 0.0041;
   frame.metrics.histograms[0].max = 0.0004;

@@ -387,15 +387,9 @@ void replay_minutes(const std::vector<ConnectionSummary>& records,
 
 // --- ops endpoint ------------------------------------------------------------
 
-/// /metrics body: the process-local registry, merged with per-shard
-/// `shard="N"` series once any telemetry frames arrived (serve).
+/// /metrics body: the process view, with `shard="N"` series on serve.
 std::string ops_metrics_text() {
-  obs::Snapshot snapshot = obs::Registry::global().snapshot();
-  if (obs::FleetRegistry::global().active()) {
-    snapshot = obs::merge_snapshots(
-        snapshot, obs::FleetRegistry::global().labeled_snapshot());
-  }
-  return obs::to_prometheus(snapshot);
+  return obs::to_prometheus(obs::process_snapshot());
 }
 
 /// /tracez body: span-ring and fleet occupancy.
@@ -976,7 +970,7 @@ int cmd_report(const Args& args) {
   }
 
   std::printf("\n== metrics ==\n%s",
-              obs::summary_text(obs::Registry::global().snapshot()).c_str());
+              obs::summary_text(obs::process_snapshot()).c_str());
   return 0;
 }
 
@@ -1371,13 +1365,9 @@ int run_profiled(const Command& command, const Args& args) {
 /// the global registry, even when the command itself failed (a metrics
 /// file from a failed run is exactly what you want when diagnosing it).
 int export_metrics(const Args& args) {
-  auto snapshot = ccg::obs::Registry::global().snapshot();
-  // serve folds in the per-shard series shipped over telemetry, the same
-  // view the live /metrics endpoint serves.
-  if (ccg::obs::FleetRegistry::global().active()) {
-    snapshot = ccg::obs::merge_snapshots(
-        snapshot, ccg::obs::FleetRegistry::global().labeled_snapshot());
-  }
+  // On serve this holds the per-shard series shipped over telemetry, the
+  // same view the live /metrics endpoint serves.
+  const auto snapshot = ccg::obs::process_snapshot();
   if (const auto path = args.get("metrics-out")) {
     if (!ccg::obs::write_json_file(*path, snapshot)) {
       std::fprintf(stderr, "ccgraph: cannot write %s\n", path->c_str());

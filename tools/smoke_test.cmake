@@ -140,6 +140,14 @@ run_cli_rc(version_rc --version)
 if(NOT version_rc_stdout MATCHES "simd: compiled=")
   message(FATAL_ERROR "--version does not report the simd tiers:\n${version_rc_stdout}")
 endif()
+# A forced tier is the one reported as dispatched.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env CCG_SIMD=scalar ${CLI} --version
+                WORKING_DIRECTORY ${WORKDIR}
+                RESULT_VARIABLE forced_version_rc
+                OUTPUT_VARIABLE forced_version_out)
+if(NOT forced_version_rc EQUAL 0 OR NOT forced_version_out MATCHES "dispatched=scalar")
+  message(FATAL_ERROR "CCG_SIMD=scalar --version (rc ${forced_version_rc}) does not report dispatched=scalar:\n${forced_version_out}")
+endif()
 
 # Kernel determinism: the scalar simd tier prints the same anomaly report
 # as auto dispatch (stdout, --summary-out bytes, exit code).
@@ -271,6 +279,20 @@ foreach(shards 1 2 4)
   file(READ ${WORKDIR}/serve_metrics_${shards}.json serve_json)
   if(NOT serve_json MATCHES "\"ccg\\.dist\\.shards\": ${shards}[,\n]")
     message(FATAL_ERROR "serve --shards ${shards} metrics lack ccg.dist.shards ${shards}")
+  endif()
+  # Each telemetry frame counts itself, so the shards' own frame counts sum
+  # to the frames the aggregator applied.
+  string(JSON applied_frames GET "${serve_json}" counters
+         "ccg.dist.agg.telemetry_frames")
+  set(shipped_frames 0)
+  math(EXPR last_shard "${shards} - 1")
+  foreach(shard RANGE ${last_shard})
+    string(JSON shard_frames GET "${serve_json}" counters
+           "ccg.dist.shard.telemetry_frames{shard=${shard}}")
+    math(EXPR shipped_frames "${shipped_frames} + ${shard_frames}")
+  endforeach()
+  if(NOT shipped_frames EQUAL applied_frames)
+    message(FATAL_ERROR "serve --shards ${shards}: shards count ${shipped_frames} telemetry frames, the aggregator applied ${applied_frames}")
   endif()
 endforeach()
 # Each process prints its own log records, once: under a malformed
