@@ -17,8 +17,9 @@
 //
 // No backend may use fused multiply-add: FMA contracts a*b+c into one
 // rounding where the scalar reference takes two, which would break the
-// bit-identity across tiers. The simd library is compiled with
-// -ffp-contract=off and uses explicit mul/add intrinsics only.
+// bit-identity across tiers. Every target is compiled with
+// -ffp-contract=off, and the AVX2 backend uses explicit mul/add
+// intrinsics only.
 //
 // Every other primitive below has ONE body (simd_scalar.cpp), which runs
 // at every tier, so no tier can change its bits. The floating-point
@@ -126,9 +127,6 @@ WeightedOverlap weighted_overlap(const std::uint32_t* ids, const double* w,
                                  std::uint32_t exclude_id);
 
 // --- one body at every tier: exact ------------------------------------------
-
-/// max |a[i]|; 0 when n == 0.
-double max_abs(const double* a, std::size_t n);
 
 /// Count of ids[i] whose stamp[ids[i]] == version (exact integer count).
 std::uint32_t count_stamped(const std::uint32_t* ids, std::size_t n,

@@ -78,15 +78,6 @@ double masked_sum(const std::uint32_t* ids, const double* w, std::size_t n,
   return acc;
 }
 
-double max_abs(const double* a, std::size_t n) {
-  double best = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = std::abs(a[i]);
-    if (v > best) best = v;
-  }
-  return best;
-}
-
 double rank1_update_abs_sum(double* row, const double* vec, double vr,
                             std::size_t n) {
   double lane[4] = {0.0, 0.0, 0.0, 0.0};

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <string>
 #include <tuple>
@@ -16,6 +15,7 @@
 #include "ccg/summarize/anomaly.hpp"
 #include "ccg/workload/driver.hpp"
 #include "ccg/workload/presets.hpp"
+#include "bits.hpp"
 
 namespace ccg {
 namespace {
@@ -271,8 +271,6 @@ double dense_spectral_error(const Matrix& m, const Matrix& basis) {
   const double denom = m.abs_sum();
   return denom == 0.0 ? 0.0 : (m - recon).abs_sum() / denom;
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// (rank, simd tier): the detector's score must equal the dense chain bit
 /// for bit at every tier, both when k < n and when k = n (the tiny preset's

@@ -1,13 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "ccg/common/expect.hpp"
 #include "ccg/common/rng.hpp"
+#include "ccg/graph/builder.hpp"
 #include "ccg/linalg/eigen.hpp"
 #include "ccg/linalg/ica.hpp"
 #include "ccg/linalg/matrix.hpp"
 #include "ccg/linalg/pca.hpp"
+#include "ccg/simd/simd.hpp"
+#include "ccg/summarize/graph_pca.hpp"
+#include "ccg/telemetry/collector.hpp"
+#include "ccg/workload/driver.hpp"
+#include "ccg/workload/presets.hpp"
+#include "bits.hpp"
 
 namespace ccg {
 namespace {
@@ -116,6 +127,185 @@ TEST(JacobiEigen, VectorsAreOrthonormal) {
 TEST(JacobiEigen, RejectsAsymmetric) {
   Matrix m(2, 2, {1, 2, 3, 4});
   EXPECT_THROW(jacobi_eigen(m), ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence with the per-rotation sweep jacobi_eigen ran before its
+// column updates were batched. The reference below is that implementation,
+// statement for statement (its off-diagonal scan called simd::max_abs, whose
+// body was this plain max). The batched solve must reproduce every value
+// and vector bit.
+
+namespace per_rotation_reference {
+
+EigenDecomposition jacobi_eigen(const Matrix& input) {
+  const std::size_t n = input.rows();
+  Matrix a = input;
+  Matrix vt = Matrix::identity(n);
+  const double frob = std::max(a.frobenius(), 1e-300);
+  const double threshold = 1e-10 * frob;
+
+  for (int sweep = 0; sweep < 64; ++sweep) {
+    double off = 0.0;
+    for (std::size_t p = 0; p + 1 < n; ++p) {
+      for (std::size_t j = p + 1; j < n; ++j) {
+        const double v = std::abs(a(p, j));
+        if (v > off) off = v;
+      }
+    }
+    if (off <= threshold) break;
+
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = a(p, q);
+        if (std::abs(apq) <= threshold * 1e-3) continue;
+        const double app = a(p, p);
+        const double aqq = a(q, q);
+        const double theta = (aqq - app) / (2.0 * apq);
+        const double t = (theta >= 0 ? 1.0 : -1.0) /
+                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+
+        // Rows p/q of `a` and `vt` (contiguous), then columns p/q of `a`
+        // (strided, every row k ∉ {p, q}), then the 2x2 pivot block.
+        simd::rotate_pair(&vt(p, 0), &vt(q, 0), c, s, n);
+        std::size_t seg = 0;
+        for (const std::size_t stop : {p, q, n}) {
+          if (seg < stop) simd::rotate_pair(&a(p, seg), &a(q, seg), c, s, stop - seg);
+          seg = stop + 1;
+        }
+        for (std::size_t k = 0; k < n; ++k) {
+          if (k == p || k == q) continue;
+          const double akp = a(k, p);
+          const double akq = a(k, q);
+          a(k, p) = c * akp - s * akq;
+          a(k, q) = s * akp + c * akq;
+        }
+        {
+          const double akp = a(p, p), akq = a(p, q);
+          a(p, p) = c * akp - s * akq;
+          a(p, q) = s * akp + c * akq;
+        }
+        {
+          const double akp = a(q, p), akq = a(q, q);
+          a(q, p) = c * akp - s * akq;
+          a(q, q) = s * akp + c * akq;
+        }
+        {
+          const double apk = a(p, p), aqk = a(q, p);
+          a(p, p) = c * apk - s * aqk;
+          a(q, p) = s * apk + c * aqk;
+        }
+        {
+          const double apk = a(p, q), aqk = a(q, q);
+          a(p, q) = c * apk - s * aqk;
+          a(q, q) = s * apk + c * aqk;
+        }
+      }
+    }
+  }
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<double> diag(n);
+  for (std::size_t i = 0; i < n; ++i) diag[i] = a(i, i);
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return std::abs(diag[x]) > std::abs(diag[y]);
+  });
+  EigenDecomposition out;
+  out.values.resize(n);
+  out.vectors = Matrix(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    out.values[j] = diag[order[j]];
+    for (std::size_t i = 0; i < n; ++i) out.vectors(i, j) = vt(order[j], i);
+  }
+  return out;
+}
+
+}  // namespace per_rotation_reference
+
+/// "" when jacobi_eigen and the reference agree bit for bit; else what
+/// differs.
+std::string compare_with_reference(const Matrix& m) {
+  const EigenDecomposition want = per_rotation_reference::jacobi_eigen(m);
+  const EigenDecomposition got = jacobi_eigen(m);
+  std::string diff;
+  if (bits(got.values) != bits(want.values)) diff += " values";
+  if (bits(got.vectors.data()) != bits(want.vectors.data())) diff += " vectors";
+  return diff;
+}
+
+/// jacobi_eigen batches the column updates of 32 consecutive q's.
+constexpr std::size_t kBlock = 32;
+
+TEST(JacobiMatchesPerRotationReference, OnSeededDenseMatrices) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3}, kBlock - 1,
+        kBlock, kBlock + 1, 2 * kBlock + 1, std::size_t{300}}) {
+    EXPECT_EQ(compare_with_reference(random_symmetric(n, 100 + n)), "") << "n=" << n;
+  }
+}
+
+TEST(JacobiMatchesPerRotationReference, OnMatricesWithExactZeros) {
+  // Pairs whose a(p,q) is an exact zero are skipped. Two decoupled groups,
+  // [0, 40) and [40, 120), keep every cross pair at zero through all
+  // sweeps: for p < 40 the group boundary falls inside a block, and the
+  // blocks past q = 65 are skipped whole. Interleaved groups (i % 3 == 0)
+  // skip inside every block, and a sparse matrix with zeros of both signs
+  // starts with skips that its rotations fill in.
+  const auto decoupled = [](std::size_t n, auto group) {
+    Matrix m = random_symmetric(n, 200 + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (group(i) != group(j)) m(i, j) = 0.0;
+      }
+    }
+    return m;
+  };
+  EXPECT_EQ(compare_with_reference(decoupled(120, [](std::size_t i) { return i < 40; })), "")
+      << "split groups";
+  EXPECT_EQ(compare_with_reference(decoupled(100, [](std::size_t i) { return i % 3 == 0; })), "")
+      << "interleaved groups";
+
+  Rng rng(301);
+  Matrix sparse = random_symmetric(97, 302);
+  for (std::size_t i = 0; i < 97; ++i) {
+    for (std::size_t j = i + 1; j < 97; ++j) {
+      if (rng.chance(0.8)) sparse(i, j) = sparse(j, i) = rng.chance(0.5) ? 0.0 : -0.0;
+    }
+  }
+  EXPECT_EQ(compare_with_reference(sparse), "") << "sparse";
+
+  Matrix diagonal(40, 40);
+  for (std::size_t i = 0; i < 40; ++i) diagonal(i, i) = static_cast<double>(i % 7) - 3.0;
+  EXPECT_EQ(compare_with_reference(diagonal), "") << "diagonal";
+}
+
+TEST(JacobiMatchesPerRotationReference, OnSimulatedK8sFitMatrix) {
+  // The spectral detector's fit input as `anomaly --window 3` builds it:
+  // the log-byte adjacency of the first three 3-minute windows of the k8s
+  // preset (at an eighth of its rate), averaged over one shared node index.
+  Cluster cluster(presets::k8s_paas(0.125), 7);
+  TelemetryHub hub(ProviderProfile::azure(), 7);
+  SimulationDriver driver(cluster, hub);
+  const auto monitored = cluster.monitored_ips();
+  GraphBuilder builder({.window_minutes = 3, .collapse_threshold = 0.001},
+                       {monitored.begin(), monitored.end()});
+  hub.set_sink(&builder);
+  driver.run(TimeWindow::minutes(0, 9));
+  builder.flush();
+  const auto windows = builder.take_graphs();
+  ASSERT_EQ(windows.size(), 3u);
+
+  std::vector<const CommGraph*> baseline;
+  for (const CommGraph& g : windows) baseline.push_back(&g);
+  const NodeIndex index = NodeIndex::from_graphs(baseline);
+  Matrix mean(index.size(), index.size());
+  for (const CommGraph* g : baseline) mean = mean + adjacency_matrix(*g, index);
+  mean = mean.scaled(1.0 / static_cast<double>(baseline.size()));
+  ASSERT_GT(index.size(), 2 * kBlock);
+  EXPECT_EQ(compare_with_reference(mean), "") << "n=" << index.size();
 }
 
 TEST(PcaSummary, FullRankReconstructsExactly) {

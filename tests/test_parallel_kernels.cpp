@@ -4,7 +4,8 @@
 // The contract under test is strict: `--threads N` must be BYTE-identical
 // to `--threads 1` for similarity and SimRank, which run on parallel_for, and
 // for Jacobi, PCA and k-means, which run serially at any thread count.
-// Every comparison below is exact double equality, not tolerance.
+// Every comparison below is on bit patterns (bits.hpp), not tolerance, so
+// even +0.0 against -0.0 fails.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +20,7 @@
 #include "ccg/parallel/parallel.hpp"
 #include "ccg/segmentation/similarity.hpp"
 #include "ccg/segmentation/simrank.hpp"
+#include "bits.hpp"
 
 namespace ccg {
 namespace {
@@ -98,7 +100,7 @@ TEST(ParallelKernels, SimilarityCliqueBitIdenticalAcrossThreads) {
     for (const int threads : {2, 5}) {
       const EdgeMap parallel_run = at_threads(
           threads, [&] { return edge_map(similarity_clique(g, options)); });
-      ASSERT_EQ(serial, parallel_run) << "threads=" << threads;
+      ASSERT_EQ(bits(serial), bits(parallel_run)) << "threads=" << threads;
     }
   }
 }
@@ -114,7 +116,7 @@ TEST(ParallelKernels, SimilarityLshPathBitIdenticalAcrossThreads) {
   for (const int threads : {2, 5}) {
     const EdgeMap parallel_run = at_threads(
         threads, [&] { return edge_map(similarity_clique(g, options)); });
-    ASSERT_EQ(serial, parallel_run) << "threads=" << threads;
+    ASSERT_EQ(bits(serial), bits(parallel_run)) << "threads=" << threads;
   }
 }
 
@@ -157,7 +159,7 @@ TEST(ParallelKernels, LshAndExactPathsAgreeStraddlingTheLimit) {
     const auto it = exact.find(pair);
     ASSERT_NE(it, exact.end())
         << "LSH invented pair " << pair.first << "-" << pair.second;
-    ASSERT_EQ(it->second, weight);
+    ASSERT_EQ(bits(it->second), bits(weight));
   }
   // Every strongly similar exact pair is recovered by the banding. The
   // only pairs above 0.75 in this graph are the injected twins (role pairs
@@ -211,7 +213,7 @@ TEST(ParallelKernels, SimRankBitIdenticalAcrossThreads) {
     for (const int threads : {2, 5}) {
       const std::vector<double> parallel_run =
           at_threads(threads, [&] { return simrank_scores(g, options); });
-      ASSERT_EQ(serial, parallel_run)
+      ASSERT_EQ(bits(serial), bits(parallel_run))
           << "threads=" << threads << " plus_plus=" << plus_plus;
     }
   }
@@ -241,8 +243,8 @@ TEST(ParallelKernels, JacobiEigenBitIdenticalAcrossThreads) {
   for (const int threads : {2, 4}) {
     const EigenDecomposition parallel_run =
         at_threads(threads, [&] { return jacobi_eigen(m); });
-    ASSERT_EQ(serial.values, parallel_run.values) << "threads=" << threads;
-    ASSERT_EQ(serial.vectors.data(), parallel_run.vectors.data())
+    ASSERT_EQ(bits(serial.values), bits(parallel_run.values)) << "threads=" << threads;
+    ASSERT_EQ(bits(serial.vectors.data()), bits(parallel_run.vectors.data()))
         << "threads=" << threads;
   }
 }
@@ -258,8 +260,8 @@ TEST(ParallelKernels, PcaCurveAndReconstructionBitIdenticalAcrossThreads) {
   EXPECT_EQ(serial.first.front(), 1.0);  // k=0 residual is the original
   for (const int threads : {2, 4}) {
     const auto parallel_run = at_threads(threads, run);
-    ASSERT_EQ(serial.first, parallel_run.first) << "threads=" << threads;
-    ASSERT_EQ(serial.second, parallel_run.second) << "threads=" << threads;
+    ASSERT_EQ(bits(serial.first), bits(parallel_run.first)) << "threads=" << threads;
+    ASSERT_EQ(bits(serial.second), bits(parallel_run.second)) << "threads=" << threads;
   }
 }
 
@@ -281,8 +283,8 @@ TEST(ParallelKernels, KMeansBitIdenticalAcrossThreads) {
     const KMeansResult parallel_run =
         at_threads(threads, [&] { return kmeans(data, 4, {.seed = 3}); });
     ASSERT_EQ(serial.labels, parallel_run.labels) << "threads=" << threads;
-    ASSERT_EQ(serial.centroids.data(), parallel_run.centroids.data());
-    ASSERT_EQ(serial.inertia, parallel_run.inertia);
+    ASSERT_EQ(bits(serial.centroids.data()), bits(parallel_run.centroids.data()));
+    ASSERT_EQ(bits(serial.inertia), bits(parallel_run.inertia));
   }
 }
 

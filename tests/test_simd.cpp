@@ -9,7 +9,6 @@
 // tier, so there is no second body to compare.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -18,6 +17,7 @@
 #include "ccg/common/rng.hpp"
 #include "ccg/obs/metrics.hpp"
 #include "ccg/simd/simd.hpp"
+#include "bits.hpp"
 
 namespace ccg {
 namespace {
@@ -25,8 +25,6 @@ namespace {
 struct TierGuard {
   ~TierGuard() { simd::set_tier("auto"); }
 };
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Tiers this host can actually run: scalar always, plus the best
 /// auto-dispatched tier when it differs (avx2 on an AVX2 x86-64 host).

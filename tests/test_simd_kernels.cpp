@@ -1,8 +1,8 @@
 // Cross-TIER determinism of the ported analysis kernels: every simd tier,
 // at every thread count, must produce BYTE-identical results — the same
 // contract test_parallel_kernels.cpp enforces across threads, extended to
-// the {scalar, simd} × {1, 2, 4} grid. All comparisons are exact double
-// equality, not tolerance.
+// the {scalar, simd} × {1, 2, 4} grid. All comparisons are on bit patterns
+// (bits.hpp), not tolerance, so even +0.0 against -0.0 fails.
 //
 // On a host without a vector unit the tier list collapses to {scalar} and
 // the grid still runs, so the test is portable.
@@ -23,6 +23,7 @@
 #include "ccg/segmentation/similarity.hpp"
 #include "ccg/segmentation/simrank.hpp"
 #include "ccg/simd/simd.hpp"
+#include "bits.hpp"
 
 namespace ccg {
 namespace {
@@ -53,14 +54,14 @@ auto at_grid(const std::string& tier, int threads, Fn&& fn) {
 }
 
 /// Runs `fn` at (scalar, 1 thread) for the reference, then across the full
-/// tier × thread grid, demanding exact equality everywhere.
+/// tier × thread grid, demanding the same bits everywhere.
 template <typename Fn>
 void expect_grid_identical(Fn&& fn, const std::string& what) {
   const std::vector<std::string> tiers = selectable_tiers();
-  const auto reference = at_grid("scalar", 1, fn);
+  const auto reference = bits(at_grid("scalar", 1, fn));
   for (const std::string& tier : tiers) {
     for (const int threads : {1, 2, 4}) {
-      ASSERT_EQ(reference, at_grid(tier, threads, fn))
+      ASSERT_EQ(reference, bits(at_grid(tier, threads, fn)))
           << what << " diverged at tier=" << tier << " threads=" << threads;
     }
   }

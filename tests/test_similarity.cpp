@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <string>
 
 #include "ccg/common/rng.hpp"
@@ -14,6 +13,7 @@
 #include "ccg/telemetry/collector.hpp"
 #include "ccg/workload/driver.hpp"
 #include "ccg/workload/presets.hpp"
+#include "bits.hpp"
 
 namespace ccg {
 namespace {
@@ -291,8 +291,6 @@ WeightedGraph reference_clique(const CsrAdjacency& csr, const SimilarityOptions&
   }
   return clique;
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// "" when both cliques list the same neighbours in the same order with the
 /// same weight bits and have the same total_weight bits; else the first
