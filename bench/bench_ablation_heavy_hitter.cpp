@@ -11,8 +11,9 @@ int main() {
   using namespace ccg;
   using namespace ccg::bench;
 
-  // Build once without collapsing, then collapse post-hoc per threshold
-  // (equivalent to building with the threshold; verified in tests).
+  // Build once without collapsing, then finalize the raw graph per
+  // threshold (equivalent to building with the threshold; verified in
+  // tests).
   const auto sim = simulate(presets::k8s_paas(default_rate_scale("K8sPaaS")),
                             {.hours = 1, .collapse_threshold = 0.0});
   const CommGraph& full = sim.hourly_graphs.at(0);
@@ -25,9 +26,8 @@ int main() {
             widths);
 
   for (const double threshold : {0.0, 0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05}) {
-    const CommGraph g = threshold == 0.0
-                            ? full
-                            : collapse_heavy_hitters(full, threshold);
+    const CommGraph g =
+        finalize_window_graph({&full, 1}, {.collapse_threshold = threshold});
     std::uint32_t collapsed = 0;
     if (const auto other = g.find_node(NodeKey::collapsed())) {
       collapsed = g.node_stats(*other).collapsed_members;

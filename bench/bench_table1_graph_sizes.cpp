@@ -65,7 +65,8 @@ int main() {
     const auto sim = simulate(spec, options);
     const CommGraph& ip = sim.hourly_graphs.at(0);
     const CommGraph& port = sim.hourly_port_graphs.at(0);
-    const CommGraph collapsed = collapse_heavy_hitters(ip, 0.001);
+    const CommGraph collapsed =
+        finalize_window_graph({&ip, 1}, {.collapse_threshold = 0.001});
 
     print_row({spec.name, fmt(scale, 2), fmt_count(sim.monitored.size()),
                fmt_count(ip.node_count()), fmt_count(ip.edge_count()),

@@ -24,11 +24,14 @@ Aggregator::Aggregator(AggregatorOptions options,
   m_pending_hwm_ = &registry.gauge("ccg.dist.agg.queue_depth_hwm");
   m_merge_wait_ = &obs::span_histogram("ccg.dist.agg.merge_wait");
   m_merge_ = &obs::span_histogram("ccg.dist.agg.window_merge");
+  m_handshake_ = &obs::span_histogram("ccg.dist.agg.handshake");
   shards_.resize(incoming_.size());
   registry.gauge("ccg.dist.shards").set(static_cast<double>(shards_.size()));
 }
 
 bool Aggregator::handshake() {
+  // Mostly the wait for the workers' CSV parse: each sends its hello after.
+  obs::ScopedSpan span(*m_handshake_, "ccg.dist.agg.handshake");
   const WireConfig expected = wire_config(options_.graph);
   for (net::FrameConn& conn : incoming_) {
     std::vector<std::uint8_t> payload;
@@ -173,28 +176,29 @@ std::optional<Aggregator::Result> Aggregator::run(const WindowSink& sink) {
     }
     last_window = window;
 
-    const std::uint64_t trace_id = obs::window_trace_id(window);
-    obs::TraceScope trace({trace_id, 0});
-    obs::ScopedSpan span(*m_merge_, "ccg.dist.agg.window_merge");
-
-    // Ascending shard order: merge order is part of the determinism
-    // contract (merge_graphs assigns NodeIds in first-seen order, and the
-    // canonical pass needs identical inputs to be provably identical).
+    // The span covers decode and finalize only: the sink's analysis and
+    // store append open their own spans under the same window trace.
     std::vector<CommGraph> parts;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      ShardState& shard = shards_[s];
-      if (!shard.head || shard.head->window_begin != window) continue;
-      auto part = store::decode_frame(shard.head->keyframe, CommGraph());
-      if (!part || part->window().begin().index() != window) {
-        fail(s, "undecodable window keyframe", window);
-        return std::nullopt;
+    CommGraph merged;
+    {
+      obs::TraceScope trace({obs::window_trace_id(window), 0});
+      obs::ScopedSpan span(*m_merge_, "ccg.dist.agg.window_merge");
+      // Ascending shard order: finalize combines the parts' shared edges
+      // in part order (the first non-negative server port hint wins).
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        ShardState& shard = shards_[s];
+        if (!shard.head || shard.head->window_begin != window) continue;
+        auto part = store::decode_frame(shard.head->keyframe, CommGraph());
+        if (!part || part->window().begin().index() != window) {
+          fail(s, "undecodable window keyframe", window);
+          return std::nullopt;
+        }
+        ++shard.merged;
+        parts.push_back(std::move(*part));
+        shard.head.reset();
       }
-      ++shard.merged;
-      parts.push_back(std::move(*part));
-      shard.head.reset();
+      merged = finalize_window_graph(parts, options_.graph);
     }
-    const CommGraph merged =
-        finalize_window_graph(merge_graphs(parts), options_.graph);
     sink(merged);
     ++result.windows;
     m_windows_merged_->add();

@@ -2,14 +2,15 @@
 //
 // Pulls per-window partial graphs from N shard connections and performs a
 // barrier-per-window merge: it blocks until every live shard's next window
-// is known, takes the minimum window begin, merges that window's frames in
-// ascending shard order, finalizes through the shared canonicalize-and-
-// collapse path, and hands the graph to a sink — which makes a distributed
-// run byte-identical to the single-process one. Shards ship windows in
-// increasing order, so a shard whose head is past W (or which sent
-// end-of-stream) provably has nothing for W; a shard with no records in W
-// simply skips it. A shard that times out or sends garbage is a fail-fast:
-// the aggregator logs, dumps a flight record, and aborts the run.
+// is known, takes the minimum window begin, decodes that window's frames in
+// ascending shard order, finalizes them as the parts of the one path
+// (finalize_window_graph) the single-process builder also takes, and hands
+// the graph to a sink — which makes a distributed run byte-identical to
+// the single-process one. Shards ship windows in increasing order, so a
+// shard whose head is past W (or which sent end-of-stream) provably has
+// nothing for W; a shard with no records in W simply skips it. A shard
+// that times out or sends garbage is a fail-fast: the aggregator logs,
+// dumps a flight record, and aborts the run.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,7 @@ class Aggregator {
   obs::Gauge* m_pending_hwm_ = nullptr;  // ccg.dist.agg.queue_depth_hwm
   obs::Histogram* m_merge_wait_ = nullptr;  // ccg.dist.agg.merge_wait.seconds
   obs::Histogram* m_merge_ = nullptr;  // ccg.dist.agg.window_merge.seconds
+  obs::Histogram* m_handshake_ = nullptr;  // ccg.dist.agg.handshake.seconds
 };
 
 }  // namespace ccg::dist

@@ -1,7 +1,6 @@
 #include "ccg/graph/builder.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "ccg/common/expect.hpp"
@@ -158,10 +157,10 @@ void GraphBuilder::finalize_window() {
   }
   acc_.clear();
 
-  // 2. Materialize the raw (uncollapsed) graph, then finalize through the
-  //    shared canonicalize-and-collapse path — the same one the
-  //    distributed aggregator's merge uses — so every producer of this
-  //    window's graph agrees byte-for-byte.
+  // 2. Materialize the raw (uncollapsed) graph, then finalize it as the
+  //    single part of the one path the distributed aggregator's merge
+  //    also takes, so every producer of this window's graph agrees
+  //    byte-for-byte.
   CommGraph raw(*current_window_);
   for (const auto& [pk, e] : merged) {
     const NodeId a = raw.add_node(pk.first);
@@ -173,7 +172,7 @@ void GraphBuilder::finalize_window() {
                         e.client_minutes_ab, e.client_minutes_ba,
                         e.hint_ab >= 0 ? e.hint_ab : e.hint_ba);
   }
-  CommGraph graph = finalize_window_graph(raw, config_);
+  CommGraph graph = finalize_window_graph({&raw, 1}, config_);
   if (const auto other = graph.find_node(NodeKey::collapsed())) {
     m_collapsed_->add(graph.node_stats(*other).collapsed_members);
   }
@@ -182,126 +181,106 @@ void GraphBuilder::finalize_window() {
   graphs_.push_back(std::move(graph));
 }
 
-CommGraph merge_graphs(const std::vector<CommGraph>& parts) {
-  CommGraph merged(parts.empty() ? TimeWindow{} : parts.front().window());
-  for (const CommGraph& part : parts) {
-    for (NodeId i = 0; i < part.node_count(); ++i) {
-      const NodeId m = merged.add_node(part.key(i));
-      if (part.node_stats(i).monitored) merged.set_monitored(m, true);
-    }
-    for (const Edge& e : part.edges()) {
-      const NodeId ma = merged.add_node(part.key(e.a));
-      const NodeId mb = merged.add_node(part.key(e.b));
-      merged.add_edge_volume(ma, mb, e.stats.bytes_ab, e.stats.bytes_ba,
-                             e.stats.packets_ab, e.stats.packets_ba,
-                             e.stats.connection_minutes, e.stats.active_minutes,
-                             e.stats.client_minutes_ab, e.stats.client_minutes_ba,
-                             e.stats.server_port_hint);
-    }
-  }
-  return merged;
-}
-
-CommGraph collapse_heavy_hitters(const CommGraph& graph, double threshold) {
-  CCG_EXPECT(threshold >= 0.0 && threshold < 1.0);
-  std::uint64_t total_bytes = 0, total_packets = 0, total_conn = 0;
-  for (const Edge& e : graph.edges()) {
-    total_bytes += e.stats.bytes();
-    total_packets += e.stats.packets();
-    total_conn += e.stats.connection_minutes;
-  }
-  auto share = [](std::uint64_t part, std::uint64_t whole) {
-    return whole == 0 ? 0.0
-                      : static_cast<double>(part) / static_cast<double>(whole);
-  };
-  auto survives = [&](NodeId i) {
-    if (threshold <= 0.0) return true;
-    const NodeStats& s = graph.node_stats(i);
-    if (s.monitored) return true;
-    return share(s.bytes, total_bytes) >= threshold ||
-           share(s.packets, total_packets) >= threshold ||
-           share(s.connection_minutes, total_conn) >= threshold;
-  };
-
-  CommGraph out(graph.window());
-  std::optional<NodeId> other;
-  std::uint32_t collapsed_members = 0;
-  std::vector<NodeId> mapping(graph.node_count());
-  for (NodeId i = 0; i < graph.node_count(); ++i) {
-    if (survives(i)) {
-      const NodeId m = out.add_node(graph.key(i));
-      out.set_monitored(m, graph.node_stats(i).monitored);
-      mapping[i] = m;
-    } else {
-      if (!other) other = out.add_node(NodeKey::collapsed());
-      mapping[i] = *other;
-      ++collapsed_members;
-    }
-  }
-  for (const Edge& e : graph.edges()) {
-    const NodeId a = mapping[e.a];
-    const NodeId b = mapping[e.b];
-    if (a == b) continue;
-    out.add_edge_volume(a, b, e.stats.bytes_ab, e.stats.bytes_ba,
-                        e.stats.packets_ab, e.stats.packets_ba,
-                        e.stats.connection_minutes, e.stats.active_minutes,
-                        e.stats.client_minutes_ab, e.stats.client_minutes_ba,
-                             e.stats.server_port_hint);
-  }
-  if (other) out.note_collapsed_members(*other, collapsed_members);
-  return out;
-}
-
-CommGraph canonical_graph(const CommGraph& graph) {
-  // Node order: sort by NodeKey. Keys are unique within a graph (add_node
-  // dedups), so the order is total and the same for any input permutation.
-  std::vector<NodeId> order(graph.node_count());
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::sort(order.begin(), order.end(), [&](NodeId x, NodeId y) {
-    return graph.key(x) < graph.key(y);
-  });
-
-  CommGraph out(graph.window());
-  std::vector<NodeId> mapping(graph.node_count());
-  for (const NodeId old : order) {
-    const NodeId id = out.add_node(graph.key(old));
-    mapping[old] = id;
-    const NodeStats& s = graph.node_stats(old);
-    out.set_monitored(id, s.monitored);
-    if (s.collapsed_members > 0) out.note_collapsed_members(id, s.collapsed_members);
-  }
-
-  // Edge order: sort by the remapped (min, max) endpoint pair — i.e. by
-  // NodeKey pair. add_edge_volume flips the ab/ba stats itself when the
-  // remapped ids reverse the stored orientation.
-  std::vector<EdgeId> edge_order(graph.edge_count());
-  std::iota(edge_order.begin(), edge_order.end(), EdgeId{0});
-  auto endpoints = [&](EdgeId e) {
-    const NodeId a = mapping[graph.edge(e).a];
-    const NodeId b = mapping[graph.edge(e).b];
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  };
-  std::sort(edge_order.begin(), edge_order.end(),
-            [&](EdgeId x, EdgeId y) { return endpoints(x) < endpoints(y); });
-  for (const EdgeId eid : edge_order) {
-    const Edge& e = graph.edge(eid);
-    out.add_edge_volume(mapping[e.a], mapping[e.b], e.stats.bytes_ab,
-                        e.stats.bytes_ba, e.stats.packets_ab, e.stats.packets_ba,
-                        e.stats.connection_minutes, e.stats.active_minutes,
-                        e.stats.client_minutes_ab, e.stats.client_minutes_ba,
-                        e.stats.server_port_hint);
-  }
-  return out;
-}
-
-CommGraph finalize_window_graph(const CommGraph& merged,
+CommGraph finalize_window_graph(std::span<const CommGraph> parts,
                                 const GraphBuildConfig& config) {
-  CommGraph out = canonical_graph(merged);
+  CCG_EXPECT(config.collapse_threshold >= 0.0 && config.collapse_threshold < 1.0);
+  // 1. Nodes: every part's keys, sorted and deduplicated once. `index`
+  //    maps each part's NodeIds into `keys`; a node is monitored if any
+  //    part marks it.
+  std::vector<NodeKey> keys;
+  for (const CommGraph& part : parts) {
+    for (NodeId i = 0; i < part.node_count(); ++i) keys.push_back(part.key(i));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<std::vector<NodeId>> index(parts.size());
+  std::vector<bool> monitored(keys.size(), false);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (NodeId i = 0; i < parts[p].node_count(); ++i) {
+      const auto k = std::lower_bound(keys.begin(), keys.end(), parts[p].key(i));
+      index[p].push_back(static_cast<NodeId>(k - keys.begin()));
+      if (parts[p].node_stats(i).monitored) monitored[index[p].back()] = true;
+    }
+  }
+
+  // 2. Collapse, decided on node volumes summed over every part's edges: a
+  //    node folds when it is below the threshold share of the window's
+  //    bytes, packets and connection-minutes, and not monitored.
+  std::vector<bool> folds(keys.size(), false);
+  std::uint32_t members = 0;
   if (config.collapse_threshold > 0.0) {
-    // Collapse preserves survivor order but inserts <other> wherever the
-    // first collapsed node sat; re-canonicalize to move it to the front.
-    out = canonical_graph(
-        collapse_heavy_hitters(out, config.collapse_threshold));
+    struct Volume {
+      std::uint64_t bytes = 0, packets = 0, connection_minutes = 0;
+    };
+    std::vector<Volume> node(keys.size());
+    Volume total;
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      for (const Edge& e : parts[p].edges()) {
+        for (Volume* v : {&node[index[p][e.a]], &node[index[p][e.b]], &total}) {
+          v->bytes += e.stats.bytes();
+          v->packets += e.stats.packets();
+          v->connection_minutes += e.stats.connection_minutes;
+        }
+      }
+    }
+    const auto below = [&](std::uint64_t part, std::uint64_t whole) {
+      const double share = whole == 0 ? 0.0
+                                      : static_cast<double>(part) /
+                                            static_cast<double>(whole);
+      return share < config.collapse_threshold;
+    };
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      folds[i] = !monitored[i] && below(node[i].bytes, total.bytes) &&
+                 below(node[i].packets, total.packets) &&
+                 below(node[i].connection_minutes, total.connection_minutes);
+      members += folds[i];
+    }
+  }
+
+  // 3. Nodes out, in key order. <other> has the least key, so it comes
+  //    first and takes every folded node; add_node makes a surviving raw
+  //    0.0.0.0 node the same node.
+  CommGraph out(parts.empty() ? TimeWindow{} : parts.front().window());
+  if (members > 0) {
+    out.note_collapsed_members(out.add_node(NodeKey::collapsed()), members);
+  }
+  std::vector<NodeId> id(keys.size(), 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (folds[i]) continue;
+    id[i] = out.add_node(keys[i]);
+    out.set_monitored(id[i], monitored[i]);
+  }
+
+  // 4. Edges out, sorted by endpoint pair in `out`; one pair's edges by
+  //    their pair of keys, then in part order (a stable sort). Adding
+  //    them in that order combines them as the merge-then-collapse chain
+  //    did: volumes add and the first non-negative port hint wins.
+  struct Row {
+    std::uint64_t pair, key_pair;  // (min << 32 | max) of out ids / key indices
+    NodeId a, b;                   // out ids of the edge's a and b
+    const EdgeStats* stats;
+  };
+  const auto packed = [](NodeId x, NodeId y) {
+    return std::uint64_t{std::min(x, y)} << 32 | std::max(x, y);
+  };
+  std::vector<Row> rows;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const Edge& e : parts[p].edges()) {
+      const NodeId ka = index[p][e.a];
+      const NodeId kb = index[p][e.b];
+      if (id[ka] == id[kb]) continue;  // both ends inside <other>
+      rows.push_back({packed(id[ka], id[kb]), packed(ka, kb), id[ka], id[kb], &e.stats});
+    }
+  }
+  std::stable_sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
+    return x.pair != y.pair ? x.pair < y.pair : x.key_pair < y.key_pair;
+  });
+  for (const Row& row : rows) {
+    const EdgeStats& s = *row.stats;
+    out.add_edge_volume(row.a, row.b, s.bytes_ab, s.bytes_ba, s.packets_ab,
+                        s.packets_ba, s.connection_minutes, s.active_minutes,
+                        s.client_minutes_ab, s.client_minutes_ba,
+                        s.server_port_hint);
   }
   return out;
 }

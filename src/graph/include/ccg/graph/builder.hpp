@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -124,33 +125,23 @@ class GraphBuilder : public TelemetrySink {
   obs::Histogram* m_finalize_ = nullptr;
 };
 
-/// Merges graphs with disjoint-or-overlapping node sets into one (used by
-/// the distributed aggregator, where each shard owns a partition of the
-/// edges).
-/// Node stats and edge volumes add; windows must match (first wins).
-CommGraph merge_graphs(const std::vector<CommGraph>& parts);
-
-/// Applies heavy-hitter collapsing to an already-built graph: nodes below
-/// `threshold` share of bytes, packets and connection-minutes fold into
-/// the <other> node. Monitored nodes (the subscription's own resources)
-/// are exempt: only remote peers fold.
-CommGraph collapse_heavy_hitters(const CommGraph& graph, double threshold);
-
-/// Rebuilds `graph` with nodes ordered by NodeKey and edges ordered by
-/// their (sorted) endpoint pair. The result is a pure function of the
-/// graph's *contents*: two graphs built from the same record multiset in
-/// different orders (different shard counts, threads or processes)
-/// canonicalize to byte-identical graphs. The <other> collapse node
-/// (ip 0.0.0.0) sorts first.
-CommGraph canonical_graph(const CommGraph& graph);
-
-/// The one shared finalization path for a window's merged (uncollapsed)
-/// graph: canonicalize, collapse heavy hitters if configured, canonicalize
-/// again. GraphBuilder and the distributed aggregator both finalize
-/// through here, which is what makes an N-shard multi-process run
-/// byte-identical to the single-process run
+/// The one path from a window's raw parts to its finalized graph. `parts`
+/// are uncollapsed graphs of the same window (the single-process builder
+/// passes one, the distributed aggregator one per shard, in ascending
+/// shard order); they may share nodes and edges. In one pass over arrays:
+///   - node keys are sorted and deduplicated; a node is monitored if any
+///     part marks it;
+///   - edges are re-keyed to sorted endpoints and combined in part order:
+///     volumes add, the first non-negative server port hint wins;
+///   - if `config.collapse_threshold` > 0, nodes below that share of the
+///     window's bytes, packets AND connection-minutes fold into the
+///     <other> node (ip 0.0.0.0, so it sorts first). Monitored nodes (the
+///     subscription's own resources) are exempt: only remote peers fold.
+/// The result is ordered by NodeKey and by endpoint pair, so it is a pure
+/// function of the parts' contents: any shard count, thread count or
+/// process layout finalizes to a byte-identical graph
 /// (docs/DISTRIBUTED.md "Determinism contract").
-CommGraph finalize_window_graph(const CommGraph& merged,
+CommGraph finalize_window_graph(std::span<const CommGraph> parts,
                                 const GraphBuildConfig& config);
 
 /// Stable shard assignment for a connection record. Hashes the canonical

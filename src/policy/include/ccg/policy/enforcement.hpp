@@ -68,7 +68,6 @@ class EnforcementPlane {
 
   const VmRuleTable* table(IpAddr vm) const;
   std::uint64_t total_rules() const;
-  std::size_t vm_count() const { return tables_.size(); }
   RuleCompilerKind kind() const { return kind_; }
 
  private:

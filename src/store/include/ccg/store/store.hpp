@@ -91,7 +91,6 @@ class StoreWriter {
 
   StoreStats stats() const;
   const std::string& dir() const { return dir_; }
-  std::size_t windows_appended() const { return windows_appended_; }
 
  private:
   StoreWriter(std::string dir, WriterOptions options);
@@ -107,7 +106,6 @@ class StoreWriter {
   std::uint64_t prior_bytes_ = 0;  // closed segments, from earlier sessions
   std::size_t frames_since_keyframe_ = 0;
   std::optional<CommGraph> last_graph_;
-  std::size_t windows_appended_ = 0;
   bool closed_ = false;
 
   obs::Histogram* m_append_ = nullptr;       // ccg.store.append.seconds

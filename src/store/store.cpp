@@ -303,7 +303,6 @@ bool StoreWriter::append(const CommGraph& graph) {
                       framed, kind});
   frames_since_keyframe_ = keyframe ? 1 : frames_since_keyframe_ + 1;
   last_graph_ = graph;
-  ++windows_appended_;
 
   (keyframe ? m_keyframes_ : m_deltas_)->add();
   m_bytes_written_->add(framed);

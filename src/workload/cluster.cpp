@@ -199,16 +199,6 @@ std::vector<IpAddr> Cluster::monitored_ips() const {
   return out;
 }
 
-std::vector<IpAddr> Cluster::all_ips() const {
-  std::vector<IpAddr> out;
-  for (const auto& role_instances : instances_) {
-    for (const auto& inst : role_instances) {
-      if (inst.active) out.push_back(inst.ip);
-    }
-  }
-  return out;
-}
-
 std::unordered_map<IpAddr, std::string> Cluster::ground_truth_roles() const {
   std::unordered_map<IpAddr, std::string> out;
   out.reserve(ip_to_instance_.size());

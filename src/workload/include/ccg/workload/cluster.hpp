@@ -63,9 +63,6 @@ class Cluster {
   /// All currently active monitored (internal, non-external) IPs.
   std::vector<IpAddr> monitored_ips() const;
 
-  /// All currently active IPs including external peers.
-  std::vector<IpAddr> all_ips() const;
-
   /// Ground-truth role label per active IP; the segmentation experiments
   /// score inferred µsegments against this map.
   std::unordered_map<IpAddr, std::string> ground_truth_roles() const;

@@ -109,7 +109,8 @@ TEST_P(GraphInvariants, CollapseIsMonotoneAndLossBounded) {
     monitored_count += full.node_stats(i).monitored;
   }
   for (const double threshold : {0.0, 0.001, 0.01, 0.1}) {
-    const CommGraph collapsed = collapse_heavy_hitters(full, threshold);
+    const CommGraph collapsed =
+        finalize_window_graph({&full, 1}, {.collapse_threshold = threshold});
     EXPECT_LE(collapsed.node_count(), prev_nodes);
     EXPECT_LE(collapsed.total_bytes(), prev_bytes);
     prev_nodes = collapsed.node_count();
@@ -151,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GraphInvariants,
 //
 // The graph-layer half of the sharding contract the distributed collector
 // relies on: partition by shard_of_record, build each partition with
-// collapse off, merge, finalize once — and get the reference builder's
+// collapse off, finalize the parts once — and get the reference builder's
 // graph back, byte for byte (test_dist covers the same over the wire).
 
 class ShardEquivalence : public ::testing::TestWithParam<std::size_t> {};
@@ -183,7 +184,7 @@ TEST_P(ShardEquivalence, MatchesReferenceBuilder) {
     for (auto& g : shard.take_graphs()) parts.push_back(std::move(g));
   }
   ASSERT_FALSE(parts.empty());
-  const CommGraph got = finalize_window_graph(merge_graphs(parts), config);
+  const CommGraph got = finalize_window_graph(parts, config);
   EXPECT_TRUE(graphs_identical(got, expected));
 }
 

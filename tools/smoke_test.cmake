@@ -502,6 +502,25 @@ if(NOT profile_json MATCHES "\"folded\": \\[\n *{\"stack\": ")
   message(FATAL_ERROR "profile.json has no folded stacks")
 endif()
 
+# `profile serve` adds up: the aggregator's handshake, barrier wait and
+# merge spans close before the window's analysis opens, so no time counts
+# twice and the self times (with "(untracked)") sum to the wall. Seconds
+# have six decimals, so without the point they are microseconds.
+run_cli(0 profile serve --in long.csv --shards 2 --window 3 --train 2
+          --profile-json profile_serve.json)
+file(READ ${WORKDIR}/profile_serve.json profile_json)
+string(REGEX MATCH "\"wall_seconds\": ([0-9]+)\\.([0-9]+)" _ "${profile_json}")
+set(wall_us ${CMAKE_MATCH_1}${CMAKE_MATCH_2})
+string(REGEX MATCHALL "\"self_seconds\": [0-9]+\\.[0-9]+" self_fields "${profile_json}")
+string(REGEX REPLACE "[^0-9;]" "" self_fields "${self_fields}")
+string(REPLACE ";" " + " self_sum "${self_fields}")
+math(EXPR gap_us "100 * (${self_sum} - ${wall_us})")
+if(gap_us GREATER wall_us OR gap_us LESS -${wall_us}
+   OR NOT profile_json MATCHES "ccg\\.dist\\.agg\\.handshake")
+  message(FATAL_ERROR "profile serve: self times (${self_sum}) more than 1% from "
+                      "the wall (${wall_us} us), or no ccg.dist.agg.handshake span")
+endif()
+
 # A stalled window (injected) must trip the watchdog into writing a flight
 # record that names the stall.
 file(REMOVE_RECURSE ${WORKDIR}/flightdir)
